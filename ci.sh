@@ -216,4 +216,17 @@ if [ -f BENCH_functional.json ]; then
 fi
 ./target/release/reproduce bench --check target/BENCH_functional.json
 
+echo "== benchmark"
+# The repository benchmark is a package of its own, so no step above
+# compiles it: test it here, so a library change that breaks an API it
+# calls fails CI. Short runs of the bit-true fabric workloads then
+# enforce their in-run gates (outputs equal to DirectMac, every window
+# word detected); the benchmark exits non-zero on any failed check.
+bench_manifest=examples/benchmark/Cargo.toml
+cargo test --release --offline --manifest-path "$bench_manifest"
+for workload in fabric_ee fabric_oe fabric_oo; do
+  cargo run --release --offline --manifest-path "$bench_manifest" -- \
+    --workload "$workload" --seconds 1 > /dev/null
+done
+
 echo "== ok"

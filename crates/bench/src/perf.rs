@@ -1,10 +1,10 @@
 //! The `reproduce bench` performance-regression harness.
 //!
 //! Times the repository's hot paths — the bit-true functional MACs, the
-//! fabric convolution in both its bit-plane batched and scalar
-//! dataflows, full quantized forwards of every paper CNN, and the
-//! serving simulator's event loop — and writes true medians (plus
-//! means) to a `BENCH_functional.json` artifact (schema [`SCHEMA`]).
+//! bit-plane fabric convolution against the per-window OMAC reference,
+//! full quantized forwards of every paper CNN, and the serving
+//! simulator's event loop — and writes true medians (plus means) to a
+//! `BENCH_functional.json` artifact (schema [`SCHEMA`]).
 //!
 //! Three CI-facing entry points sit on top of the artifact:
 //!
@@ -20,9 +20,9 @@
 
 use crate::timing;
 use pixel_core::config::{AcceleratorConfig, Design};
-use pixel_core::functional_fabric::{ConvDataflow, FunctionalFabric};
+use pixel_core::functional_fabric::FunctionalFabric;
 use pixel_core::omac::engine_for;
-use pixel_dnn::inference::{forward, replay_layers, DirectMac, LayerWeights, MacEngine};
+use pixel_dnn::inference::{conv2d, forward, replay_layers, DirectMac, LayerWeights, MacEngine};
 use pixel_dnn::layer::{Layer, Shape};
 use pixel_dnn::quant::Precision;
 use pixel_dnn::tensor::Tensor;
@@ -43,18 +43,20 @@ pub const SCHEMA: &str = "pixel-bench/2";
 pub const BATCH_IMAGES: usize = 16;
 
 /// Minimum in-run ops/s ratio of `fabric_conv_X` (batched) over
-/// `fabric_conv_X_scalar` that `--check` enforces per design. The
-/// measured ratios are ~10× (EE; its scalar baseline is the least
-/// slow) and 35–50× (OE/OO), so 6× leaves noise headroom while still
-/// catching any regression to per-window serial execution.
+/// `fabric_conv_X_scalar` (the per-window OMAC reference) that
+/// `--check` enforces per design. The measured ratios are 8–10× (EE;
+/// its per-window engine is the fastest) and 29–42× (OE/OO), so 6×
+/// leaves noise headroom while still catching any regression to
+/// per-window execution.
 pub const MIN_BATCH_SPEEDUP: f64 = 6.0;
 
 /// Every bench the harness runs, in run order. Comparison hard-fails if
 /// a file is missing any of these. The `fabric_conv_{ee,oe,oo}` keys
-/// time the production dataflow — `conv2d_batch` over [`BATCH_IMAGES`]
-/// images through the bit-plane engine paths — while the `_scalar`
-/// variants pin the one-window-at-a-time reference on the same
-/// workload shape.
+/// time the fabric — `conv2d_batch` over [`BATCH_IMAGES`] images through
+/// transport and the bit-plane engine paths — while the `_scalar`
+/// variants time the per-window OMAC reference
+/// (`pixel_dnn::inference::conv2d` on the design's
+/// [`engine_for`] engine) on one image of the same case.
 pub const EXPECTED: [&str; 17] = [
     "functional_mac_direct",
     "functional_mac_ee",
@@ -154,10 +156,10 @@ pub fn run(quick: bool, jobs: usize) -> Vec<BenchResult> {
         out.push(result(name, m, n.len() as u64));
     }
 
-    // Fabric convolution end to end: transport + tiles + OMACs. The
-    // headline benches run the bit-plane batched dataflow over a full
-    // image batch; the `_scalar` benches pin the serial reference on a
-    // single image of the same case.
+    // Fabric convolution end to end: transport + tiles + OMACs over a
+    // full image batch. The `_scalar` benches time the per-window OMAC
+    // reference (no transport, one window at a time) on a single image
+    // of the same case.
     let (layer, inputs, weights) = conv_case();
     let e = layer.output_feature_size();
     let macs_per_image = (e * e * 8 * 72) as u64;
@@ -172,10 +174,9 @@ pub fn run(quick: bool, jobs: usize) -> Vec<BenchResult> {
         out.push(result(name, m, macs_per_image * BATCH_IMAGES as u64));
     }
     for (design, name) in Design::ALL.into_iter().zip(EXPECTED[7..10].iter()) {
-        let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
+        let engine = engine_for(&AcceleratorConfig::new(design, 4, 4));
         let m = timing::measure_median(budget, reps, || {
-            fabric
-                .conv2d_with_dataflow(&layer, &inputs[0], &weights, jobs, ConvDataflow::Scalar)
+            conv2d(&layer, &inputs[0], &weights, engine.as_ref())
                 // lint:allow(P002) the bench workload is shape-consistent by construction
                 .expect("bench conv workload is shape-consistent")
         });

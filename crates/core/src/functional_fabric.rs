@@ -21,22 +21,6 @@ use pixel_photonics::wdm::BandPlan;
 use pixel_units::Power;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How a convolution's windows move through the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConvDataflow {
-    /// Bit-plane batched: windows are packed [`PLANE_WINDOWS`] at a time
-    /// and every word-level engine operation advances all of them; the
-    /// ragged tail (fewer than [`PLANE_WINDOWS`] windows) falls back to
-    /// the scalar path. Bitwise identical to [`Self::Scalar`] — the
-    /// plane arithmetic is exact — just faster.
-    #[default]
-    Bitplane,
-    /// One window at a time through the serial transport and the scalar
-    /// engine paths (the reference dataflow, kept for pinning and
-    /// benchmarks).
-    Scalar,
-}
-
 /// A fabric of functional tiles executing convolutions filter-per-tile.
 pub struct FunctionalFabric {
     config: AcceleratorConfig,
@@ -48,13 +32,12 @@ pub struct FunctionalFabric {
     detected_words: AtomicU64,
 }
 
-/// Per-worker transport buffers, reused across every window of a
-/// convolution instead of allocating trains and word vectors per call.
+/// Per-worker transport buffers, reused across every plane group of a
+/// convolution instead of allocating trains per group.
 #[derive(Default)]
 struct TransportScratch {
     train: PulseTrain,
     signal: WdmSignal,
-    received: Vec<u64>,
 }
 
 impl std::fmt::Debug for FunctionalFabric {
@@ -79,94 +62,29 @@ impl FunctionalFabric {
     /// Total neuron words recovered by the receive-side detector so far.
     ///
     /// Every word of every window must cross serialize → mux → demux →
-    /// detect, so after `conv2d` this advances by exactly
-    /// `output positions × window size`.
+    /// detect, so after [`Self::conv2d_batch`] this advances by exactly
+    /// `images × output positions × window size`.
     #[must_use]
     pub fn detected_words(&self) -> u64 {
         self.detected_words.load(Ordering::Relaxed)
     }
 
-    /// Executes a convolution layer end to end through the photonic
-    /// transport and the bit-true OMACs.
+    /// Executes one convolution layer over a batch of independent images
+    /// end to end through the photonic transport and the bit-true OMACs.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the input tensor mismatches the layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a non-convolution layer or if operands exceed
-    /// the configured precision.
-    pub fn conv2d(
-        &self,
-        layer: &Layer,
-        input: &Tensor,
-        weights: &LayerWeights,
-    ) -> Result<Tensor, ShapeError> {
-        self.conv2d_with_jobs(layer, input, weights, crate::sweep::default_jobs())
-    }
-
-    /// [`Self::conv2d`] with an explicit worker count, on the default
-    /// [`ConvDataflow::Bitplane`] dataflow.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the input tensor mismatches the layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a non-convolution layer or if operands exceed
-    /// the configured precision.
-    pub fn conv2d_with_jobs(
-        &self,
-        layer: &Layer,
-        input: &Tensor,
-        weights: &LayerWeights,
-        jobs: usize,
-    ) -> Result<Tensor, ShapeError> {
-        self.conv2d_with_dataflow(layer, input, weights, jobs, ConvDataflow::default())
-    }
-
-    /// [`Self::conv2d`] with an explicit worker count and dataflow. The
-    /// window list is split into contiguous chunks over
-    /// `std::thread::scope` workers (the [`crate::sweep::SweepEngine`]
-    /// discipline), each with its own tiles and transport scratch;
-    /// because both dataflows compute exact integer sums, the result is
-    /// bitwise identical for every `jobs` and either dataflow.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the input tensor mismatches the layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a non-convolution layer or if operands exceed
-    /// the configured precision.
-    pub fn conv2d_with_dataflow(
-        &self,
-        layer: &Layer,
-        input: &Tensor,
-        weights: &LayerWeights,
-        jobs: usize,
-        dataflow: ConvDataflow,
-    ) -> Result<Tensor, ShapeError> {
-        let flat = self.conv_flat(layer, std::slice::from_ref(input), weights, jobs, dataflow)?;
-        let e = layer.output_feature_size();
-        let LayerKind::Conv { filters, .. } = layer.kind else {
-            // lint:allow(P003) caller contract: the fabric executes convolution layers only
-            panic!("functional fabric executes convolution layers");
-        };
-        let mut out = Tensor::zeros(Shape::square(e, filters));
-        out.data_mut().copy_from_slice(&flat);
-        Ok(out)
-    }
-
-    /// Executes one convolution layer over a whole batch of independent
-    /// images at once — the serving-scale entry point. Windows are
-    /// enumerated image-major and packed into bit-plane groups *across*
-    /// image boundaries, so even an image whose own window count is not
-    /// a multiple of [`PLANE_WINDOWS`] batches at full width; each
-    /// output equals [`Self::conv2d`] of the matching input exactly.
+    /// Windows are enumerated image-major (window index = image·e² +
+    /// oh·e + ow) and packed [`PLANE_WINDOWS`] at a time into bit-plane
+    /// groups *across* image boundaries; the batch's last group carries
+    /// whatever windows remain. Each group crosses the MWSR medium once
+    /// and every word-level engine operation advances all of its
+    /// windows. The window list is split into contiguous runs of whole
+    /// groups over `std::thread::scope` workers (the
+    /// [`crate::sweep::SweepEngine`] discipline), each with its own tiles
+    /// and transport scratch. The arithmetic is exact, so each output
+    /// equals a plain integer convolution of the matching input, bitwise,
+    /// for every `jobs`. Operand words wider than `bits_per_lane` are
+    /// truncated to it: the bit planes and the register file carry no
+    /// more bits.
     ///
     /// # Errors
     ///
@@ -174,8 +92,8 @@ impl FunctionalFabric {
     ///
     /// # Panics
     ///
-    /// Panics if called on a non-convolution layer or if operands exceed
-    /// the configured precision.
+    /// Panics if called on a non-convolution layer or if `bits_per_lane`
+    /// exceeds the 16 bits the functional units support.
     pub fn conv2d_batch(
         &self,
         layer: &Layer,
@@ -186,34 +104,6 @@ impl FunctionalFabric {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        let flat = self.conv_flat(layer, inputs, weights, jobs, ConvDataflow::Bitplane)?;
-        let e = layer.output_feature_size();
-        let LayerKind::Conv { filters, .. } = layer.kind else {
-            // lint:allow(P003) caller contract: the fabric executes convolution layers only
-            panic!("functional fabric executes convolution layers");
-        };
-        let per_image = e * e * filters;
-        Ok(flat
-            .chunks(per_image)
-            .map(|chunk| {
-                let mut t = Tensor::zeros(Shape::square(e, filters));
-                t.data_mut().copy_from_slice(chunk);
-                t
-            })
-            .collect())
-    }
-
-    /// The shared convolution core: every output element of every image,
-    /// flat in `[image][oh][ow][filter]` order (each image's slice is
-    /// exactly its output tensor's HWC data).
-    fn conv_flat(
-        &self,
-        layer: &Layer,
-        inputs: &[Tensor],
-        weights: &LayerWeights,
-        jobs: usize,
-        dataflow: ConvDataflow,
-    ) -> Result<Vec<u64>, ShapeError> {
         let LayerKind::Conv {
             filters,
             kernel,
@@ -236,7 +126,7 @@ impl FunctionalFabric {
 
         let _span = pixel_obs::span("fabric_conv2d");
         let setup_span = pixel_obs::span("plan");
-        let bits = self.config.bits_per_lane as usize;
+        let bits = self.config.bits_per_lane;
         let e = layer.output_feature_size();
         let channels = layer.input.c;
         let window = kernel * kernel * channels;
@@ -259,17 +149,18 @@ impl FunctionalFabric {
             .collect();
         drop(setup_span);
 
+        // Every output element of every image, flat in
+        // `[image][oh][ow][filter]` order.
         let mut out = vec![0u64; total_windows * filters];
 
         // Fills `chunk` with the outputs of the contiguous window range
-        // starting at `start` (window index = image·e² + oh·e + ow).
-        // Tiles and transport scratch are per-worker: the OMAC engines
-        // carry interior activity tallies and must not be shared across
-        // threads.
+        // starting at `start`. Tiles and transport scratch are
+        // per-worker: the OMAC engines carry interior activity tallies
+        // and must not be shared across threads.
         let run_windows = |start: usize, chunk: &mut [u64]| {
             // One tile per filter (round-robin beyond the physical count —
             // time multiplexing, identical hardware), built once per call
-            // rather than per window.
+            // rather than per group.
             let tiles: Vec<Tile> = (0..filters.min(self.config.tiles))
                 .map(|m| {
                     let mut tile = Tile::new(self.config, window);
@@ -278,69 +169,46 @@ impl FunctionalFabric {
                 })
                 .collect();
             let count = chunk.len() / filters;
-            let gather_into = |index: usize, neurons: &mut [u64]| {
-                let (image, position) = (index / per_image, index % per_image);
-                gather_window(
-                    &inputs[image],
-                    kernel,
-                    stride,
-                    padding,
-                    channels,
-                    position / e,
-                    position % e,
-                    neurons,
-                );
-            };
             let mut scratch = TransportScratch::default();
+            let mut rows = vec![0u64; PLANE_WINDOWS * window];
+            let mut group = WindowGroup::default();
+            let mut values = Vec::with_capacity(PLANE_WINDOWS);
             let mut done = 0;
-            if dataflow == ConvDataflow::Bitplane {
-                // Full plane groups: PLANE_WINDOWS windows advance per
-                // word-level engine op. Worker chunks are group-aligned,
-                // so only the global tail ever lands in the scalar loop.
-                let mut rows = vec![0u64; PLANE_WINDOWS * window];
-                let mut group = WindowGroup::default();
-                let mut values = Vec::with_capacity(PLANE_WINDOWS);
-                while count - done >= PLANE_WINDOWS {
-                    for g in 0..PLANE_WINDOWS {
-                        gather_into(start + done + g, &mut rows[g * window..(g + 1) * window]);
-                    }
-                    #[allow(clippy::cast_possible_truncation)]
-                    group.repack(&rows, window, PLANE_WINDOWS, bits as u32);
-                    self.transport_planes(&plan, &mut group, &mut scratch);
-                    for m in 0..filters {
-                        let tile = &tiles[m % tiles.len()];
-                        if m < tiles.len() {
-                            tile.fire_planes(&group, &mut values);
-                        } else {
-                            tile.fire_planes_streamed(&group, kernels[m], &mut values);
-                        }
-                        for (g, &value) in values.iter().enumerate() {
-                            // lint:allow(P104) chunk holds count·filters outputs; done+g < count and m < filters by the loop bounds
-                            chunk[(done + g) * filters + m] = value;
-                        }
-                    }
-                    done += PLANE_WINDOWS;
-                }
-            }
-            // Scalar dataflow, or the ragged tail of the bitplane path.
-            let mut neurons = vec![0u64; window];
             while done < count {
-                gather_into(start + done, &mut neurons);
-                self.transport_into(&plan, &neurons, bits, &mut scratch);
-                for m in 0..filters {
+                let len = (count - done).min(PLANE_WINDOWS);
+                let packed = &mut rows[..len * window];
+                for (g, row) in packed.chunks_exact_mut(window).enumerate() {
+                    let index = start + done + g;
+                    let (image, position) = (index / per_image, index % per_image);
+                    gather_window(
+                        &inputs[image],
+                        kernel,
+                        stride,
+                        padding,
+                        channels,
+                        position / e,
+                        position % e,
+                        row,
+                    );
+                }
+                group.repack(packed, window, len, bits);
+                self.transport_planes(&plan, &mut group, &mut scratch);
+                for (m, &streamed) in kernels.iter().enumerate() {
                     let tile = &tiles[m % tiles.len()];
                     // The tile holding filter m%T time-multiplexes:
                     // resident weights for its own filter, the same
                     // datapath with streamed weights for the rest.
-                    let value = if m < tiles.len() {
-                        tile.fire(&scratch.received)
+                    if m < tiles.len() {
+                        tile.fire_planes(&group, &mut values);
                     } else {
-                        tile.fire_streamed(&scratch.received, kernels[m])
-                    };
-                    // lint:allow(P104) chunk holds count·filters outputs; done < count and m < filters by the loop bounds
-                    chunk[done * filters + m] = value;
+                        tile.fire_planes_streamed(&group, streamed, &mut values);
+                    }
+                    for (g, &value) in values.iter().enumerate() {
+                        // lint:allow(P104) chunk holds count·filters outputs; done+g < count and m < filters by the loop bounds
+                        chunk[(done + g) * filters + m] = value;
+                    }
                 }
-                done += 1;
+                done += len;
             }
         };
 
@@ -350,17 +218,12 @@ impl FunctionalFabric {
         // stacks, so their spans name the full path explicitly (the
         // `sweep/worker` idiom).
         let rows_span = pixel_obs::span("rows");
-        // Worker chunks stay aligned to whole plane groups so every
-        // worker but the last sees full groups — which windows share a
-        // group never changes with `jobs`, and neither does any output
-        // bit (the arithmetic is exact either way).
-        let granularity = match dataflow {
-            ConvDataflow::Bitplane => PLANE_WINDOWS,
-            ConvDataflow::Scalar => 1,
-        };
-        let units = total_windows.div_ceil(granularity);
-        let jobs = jobs.clamp(1, units.max(1));
-        let windows_per_worker = units.div_ceil(jobs) * granularity;
+        // Worker chunks stay aligned to whole plane groups, so only the
+        // batch's last group is ever partial and which windows share a
+        // group never changes with `jobs`.
+        let groups = total_windows.div_ceil(PLANE_WINDOWS);
+        let jobs = jobs.clamp(1, groups);
+        let windows_per_worker = groups.div_ceil(jobs) * PLANE_WINDOWS;
         if jobs == 1 {
             run_windows(0, &mut out);
         } else {
@@ -389,69 +252,27 @@ impl FunctionalFabric {
             pixel_obs::add("fabric.windows", total_windows as u64);
             pixel_obs::add("fabric.mac_ops", (total_windows * filters) as u64);
         }
-        Ok(out)
+        Ok(out
+            .chunks(per_image * filters)
+            .map(|chunk| {
+                let mut t = Tensor::zeros(Shape::square(e, filters));
+                t.data_mut().copy_from_slice(chunk);
+                t
+            })
+            .collect())
     }
 
-    /// Ships a window of neuron words across the MWSR medium and recovers
-    /// it at the compute tile: serialize → mux on each firing tile's band
-    /// → demux → detect, looping extra firing rounds over the same bands
-    /// until *every* word has crossed the medium. The recovered words
-    /// land in `scratch.received`.
-    fn transport_into(
-        &self,
-        plan: &BandPlan,
-        neurons: &[u64],
-        bits: usize,
-        scratch: &mut TransportScratch,
-    ) {
-        pixel_obs::add("fabric.transport_words", neurons.len() as u64);
-        let capacity = plan.total_wavelengths();
-        let TransportScratch {
-            train,
-            signal,
-            received,
-        } = scratch;
-        received.clear();
-        let mut detected = 0u64;
-        // Words beyond the plan's wavelength capacity ride later firing
-        // rounds on the same bands (time multiplexing): word `i` of a
-        // round fires on wavelength `i`, i.e. lane `i % lanes` of firing
-        // tile `i / lanes`, every round.
-        for round in neurons.chunks(capacity) {
-            for (i, &w) in round.iter().enumerate() {
-                train.write_bits(w, bits);
-                #[allow(clippy::cast_possible_truncation)]
-                signal.set_channel(WavelengthId(i as u16), train);
-            }
-            for i in 0..round.len() {
-                #[allow(clippy::cast_possible_truncation)]
-                let id = WavelengthId(i as u16);
-                // lint:allow(P002) every id in the round was just written
-                let arrived = signal.channel(id).expect("channel written this round");
-                let word = self
-                    .detector
-                    .detect_binary(arrived, Power::from_microwatts(100.0))
-                    // lint:allow(P002) noiseless binary channel decodes losslessly
-                    .expect("clean binary channel");
-                received.push(word);
-                detected += 1;
-            }
-        }
-        self.detected_words.fetch_add(detected, Ordering::Relaxed);
-        if pixel_obs::enabled() {
-            pixel_obs::add("fabric.detected_words", detected);
-        }
-    }
-
-    /// Ships a whole bit-plane window group across the MWSR medium. Each
-    /// word position transmits its `bits` planes as pulse trains of one
-    /// slot per packed window, muxed on the position's wavelength (extra
-    /// positions ride later firing rounds, exactly as in
-    /// [`Self::transport_into`]); the detected planes are written back
-    /// into the group. `bits` planes of `len` slots carry exactly the
-    /// same payload as `len` scalar transports of the position's word,
-    /// so `detected_words` advances by `window × len` — the fidelity
-    /// invariant stays batch-size honest.
+    /// Ships a bit-plane window group across the MWSR medium and recovers
+    /// it at the compute tile. Each word position transmits its `bits`
+    /// planes as pulse trains of one slot per packed window, muxed on the
+    /// position's wavelength, then demuxed, detected and written back
+    /// into the group. Positions beyond the plan's wavelength capacity
+    /// ride later firing rounds on the same bands (time multiplexing):
+    /// position `i` of a round fires on wavelength `i`, i.e. lane
+    /// `i % lanes` of firing tile `i / lanes`, every round. `bits` planes
+    /// of `len` slots carry the payload of `len` words, so
+    /// `detected_words` advances by `window × len` — every word of every
+    /// packed window counts.
     fn transport_planes(
         &self,
         plan: &BandPlan,
@@ -464,7 +285,7 @@ impl FunctionalFabric {
         let words = (window * len) as u64;
         pixel_obs::add("fabric.transport_words", words);
         let capacity = plan.total_wavelengths();
-        let TransportScratch { train, signal, .. } = scratch;
+        let TransportScratch { train, signal } = scratch;
         let mut start = 0;
         while start < window {
             let round = (window - start).min(capacity);
@@ -536,6 +357,7 @@ fn gather_window(
 mod tests {
     use super::*;
     use crate::config::Design;
+    use crate::omac::engine_for;
     use pixel_dnn::inference::{conv2d, DirectMac};
     use pixel_units::rng::SplitMix64;
 
@@ -547,12 +369,26 @@ mod tests {
         (layer, input, weights)
     }
 
+    /// One image through [`FunctionalFabric::conv2d_batch`].
+    fn conv_one(
+        fabric: &FunctionalFabric,
+        layer: &Layer,
+        input: &Tensor,
+        weights: &LayerWeights,
+        jobs: usize,
+    ) -> Tensor {
+        fabric
+            .conv2d_batch(layer, std::slice::from_ref(input), weights, jobs)
+            .unwrap()
+            .remove(0)
+    }
+
     #[test]
     fn fabric_conv_equals_direct_conv_for_every_design() {
         for design in Design::ALL {
             let (layer, input, weights) = random_case(7);
             let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
-            let via_fabric = fabric.conv2d(&layer, &input, &weights).unwrap();
+            let via_fabric = conv_one(&fabric, &layer, &input, &weights, 1);
             let direct = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
             assert_eq!(via_fabric, direct, "{design}");
         }
@@ -567,7 +403,7 @@ mod tests {
         // Only 2 physical tiles for 6 filters.
         let config = AcceleratorConfig::new(Design::Oo, 4, 4).with_tiles(2);
         let fabric = FunctionalFabric::new(config);
-        let via_fabric = fabric.conv2d(&layer, &input, &weights).unwrap();
+        let via_fabric = conv_one(&fabric, &layer, &input, &weights, 1);
         let direct = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
         assert_eq!(via_fabric, direct);
     }
@@ -588,7 +424,7 @@ mod tests {
                 "test must exercise multi-round transport"
             );
             let fabric = FunctionalFabric::new(config);
-            let via_fabric = fabric.conv2d(&layer, &input, &weights).unwrap();
+            let via_fabric = conv_one(&fabric, &layer, &input, &weights, 1);
             let direct = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
             assert_eq!(via_fabric, direct, "{design}");
             // Fidelity witness: every word of every window crossed
@@ -602,80 +438,43 @@ mod tests {
         }
     }
 
+    /// The one-dataflow theorem: partial plane groups included, the
+    /// fabric equals both the integer reference and the design's
+    /// per-window OMAC engine on every design and worker count, and
+    /// every window word crosses the medium.
     #[test]
-    fn row_parallel_conv_is_bitwise_identical_to_serial() {
-        let mut rng = SplitMix64::seed_from_u64(23);
-        let layer = Layer::conv("Conv", Shape::square(7, 3), 5, 3, 1);
-        let input = Tensor::from_fn(Shape::square(7, 3), |_, _, _| rng.range_u64(0, 15));
-        let weights = LayerWeights::generate(&layer, || rng.range_u64(0, 15));
-        for design in Design::ALL {
-            let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
-            let serial = fabric
-                .conv2d_with_jobs(&layer, &input, &weights, 1)
-                .unwrap();
-            let threaded = fabric
-                .conv2d_with_jobs(&layer, &input, &weights, 4)
-                .unwrap();
-            // More workers than rows must also clamp cleanly.
-            let oversubscribed = fabric
-                .conv2d_with_jobs(&layer, &input, &weights, 64)
-                .unwrap();
-            assert_eq!(serial, threaded, "{design}");
-            assert_eq!(serial, oversubscribed, "{design}");
-        }
-    }
-
-    /// The tentpole theorem: the bit-plane batched dataflow is bitwise
-    /// identical to the scalar reference on every design, including a
-    /// window count that is *not* a multiple of [`PLANE_WINDOWS`] (10×10
-    /// output = 100 windows → one full group + a 36-window scalar tail),
-    /// and invariant under the worker count.
-    #[test]
-    fn bitplane_dataflow_is_bitwise_identical_to_scalar() {
+    fn partial_plane_groups_match_the_per_window_engines() {
         let mut rng = SplitMix64::seed_from_u64(0xB17);
-        // 12×12 input, 3×3 kernel, stride 1 → e = 10, 100 windows.
-        let layer = Layer::conv("Conv", Shape::square(12, 2), 5, 3, 1);
-        let input = Tensor::from_fn(Shape::square(12, 2), |_, _, _| rng.range_u64(0, 15));
-        let weights = LayerWeights::generate(&layer, || rng.range_u64(0, 15));
-        let e = layer.output_feature_size();
-        assert!(
-            !(e * e).is_multiple_of(PLANE_WINDOWS) && e * e > PLANE_WINDOWS,
-            "test must exercise the ragged scalar tail"
-        );
-        for design in Design::ALL {
-            let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
-            let scalar = fabric
-                .conv2d_with_dataflow(&layer, &input, &weights, 1, ConvDataflow::Scalar)
-                .unwrap();
-            for jobs in [1, 4] {
-                let batched = fabric
-                    .conv2d_with_dataflow(&layer, &input, &weights, jobs, ConvDataflow::Bitplane)
-                    .unwrap();
-                assert_eq!(scalar, batched, "{design} jobs={jobs}");
-            }
-            let direct = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
-            assert_eq!(scalar, direct, "{design}");
-        }
-    }
-
-    #[test]
-    fn batched_transport_keeps_the_detected_words_invariant() {
-        let mut rng = SplitMix64::seed_from_u64(0xDE7);
-        let layer = Layer::conv("Conv", Shape::square(12, 2), 3, 3, 1);
-        let input = Tensor::from_fn(Shape::square(12, 2), |_, _, _| rng.range_u64(0, 15));
-        let weights = LayerWeights::generate(&layer, || rng.range_u64(0, 15));
-        let e = layer.output_feature_size();
-        let window = 3 * 3 * 2;
-        for design in Design::ALL {
-            let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
-            fabric.conv2d(&layer, &input, &weights).unwrap();
-            // Plane transport must account exactly what scalar transport
-            // would: every word of every window crossed the medium.
-            assert_eq!(
-                fabric.detected_words(),
-                (e * e * window) as u64,
-                "{design}: batched transport must stay word-honest"
+        // (input side, filters, tiles), 3×3 kernels at stride 1 over 2
+        // channels: 8×8 → 36 windows, one partial group; 12×12 → 100
+        // windows, one full group + 36; 9×9 → 49 windows with 6 filters
+        // on 2 tiles, so 4 filters stream their weights.
+        for (side, filters, tiles) in [(8, 5, 16), (12, 5, 16), (9, 6, 2)] {
+            let layer = Layer::conv("Conv", Shape::square(side, 2), filters, 3, 1);
+            let input = Tensor::from_fn(layer.input, |_, _, _| rng.range_u64(0, 15));
+            let weights = LayerWeights::generate(&layer, || rng.range_u64(0, 15));
+            let windows = layer.output_feature_size().pow(2);
+            assert!(
+                !windows.is_multiple_of(PLANE_WINDOWS),
+                "every case must end in a partial group"
             );
+            let direct = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
+            for design in Design::ALL {
+                let config = AcceleratorConfig::new(design, 4, 4).with_tiles(tiles);
+                let per_window = conv2d(&layer, &input, &weights, engine_for(&config).as_ref());
+                assert_eq!(per_window.unwrap(), direct, "{design} side={side}");
+                for jobs in [1, 4, 64] {
+                    let fabric = FunctionalFabric::new(config);
+                    let label = format!("{design} side={side} jobs={jobs}");
+                    let got = conv_one(&fabric, &layer, &input, &weights, jobs);
+                    assert_eq!(got, direct, "{label}");
+                    assert_eq!(
+                        fabric.detected_words(),
+                        (windows * 3 * 3 * 2) as u64,
+                        "{label}"
+                    );
+                }
+            }
         }
     }
 
@@ -695,7 +494,7 @@ mod tests {
             let batch = fabric.conv2d_batch(&layer, &inputs, &weights, 2).unwrap();
             assert_eq!(batch.len(), inputs.len(), "{design}");
             for (input, got) in inputs.iter().zip(&batch) {
-                let solo = fabric.conv2d(&layer, input, &weights).unwrap();
+                let solo = conv_one(&fabric, &layer, input, &weights, 1);
                 assert_eq!(got, &solo, "{design}");
             }
         }
@@ -711,6 +510,6 @@ mod tests {
         let (layer, _, weights) = random_case(1);
         let wrong = Tensor::zeros(Shape::square(5, 2));
         let fabric = FunctionalFabric::new(AcceleratorConfig::new(Design::Oe, 4, 4));
-        assert!(fabric.conv2d(&layer, &wrong, &weights).is_err());
+        assert!(fabric.conv2d_batch(&layer, &[wrong], &weights, 1).is_err());
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::omac::activity::{word_stream_activity, ActivityCounter, StreamActivity};
 use crate::omac::bitplane::{plane_inner_product, PlaneAccumulator, WindowGroup};
-use crate::omac::{fill_lane_chunk, PlaneMac};
+use crate::omac::{fill_lane_chunk, ActivityMac};
 use pixel_dnn::inference::MacEngine;
 use pixel_electronics::cla::Cla;
 use pixel_electronics::stripes::StripesMac;
@@ -37,12 +37,6 @@ impl EeMac {
             activity: ActivityCounter::new(),
             scratch: RefCell::new((Vec::new(), Vec::new())),
         }
-    }
-
-    /// Device-activity tallies accumulated by this unit's executions.
-    #[must_use]
-    pub fn activity(&self) -> &ActivityCounter {
-        &self.activity
     }
 
     /// Number of lanes.
@@ -114,7 +108,11 @@ impl MacEngine for EeMac {
     }
 }
 
-impl PlaneMac for EeMac {
+impl ActivityMac for EeMac {
+    fn activity(&self) -> &ActivityCounter {
+        &self.activity
+    }
+
     fn inner_product_planes(&self, group: &WindowGroup, synapses: &[u64], out: &mut Vec<u64>) {
         let bits = self.stripes.bits();
         assert_eq!(group.bits(), bits, "group precision must match the engine");

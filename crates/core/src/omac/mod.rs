@@ -28,78 +28,36 @@ pub use ee::EeMac;
 pub use oe::OeMac;
 pub use oo::OoMac;
 
-use crate::config::{AcceleratorConfig, Design};
+use crate::config::AcceleratorConfig;
 use pixel_dnn::inference::MacEngine;
 
-/// A functional MAC engine that tallies its device activity.
+/// A functional MAC engine that tallies its device activity and can
+/// advance 64 windows per word-level operation.
 ///
 /// All three bit-true OMACs implement this; the
-/// [`crate::model::DesignModel`] backends hand them out so the audit
-/// and validation layers can run *any* design's engine and read its
-/// counted activity without naming the concrete type.
+/// [`crate::model::DesignModel`] backends hand them out so the fabric,
+/// audit and validation layers can run *any* design's engine and read
+/// its counted activity without naming the concrete type.
 pub trait ActivityMac: MacEngine {
     /// The engine's device-activity tallies.
     fn activity(&self) -> &ActivityCounter;
-}
 
-impl ActivityMac for EeMac {
-    fn activity(&self) -> &ActivityCounter {
-        EeMac::activity(self)
-    }
-}
-
-impl ActivityMac for OeMac {
-    fn activity(&self) -> &ActivityCounter {
-        OeMac::activity(self)
-    }
-}
-
-impl ActivityMac for OoMac {
-    fn activity(&self) -> &ActivityCounter {
-        OoMac::activity(self)
-    }
-}
-
-/// An [`ActivityMac`] that can also advance 64 windows per word-level
-/// operation through the bit-plane batched dataflow.
-///
-/// The arithmetic is one shared kernel ([`bitplane::plane_inner_product`])
-/// because all three designs compute the same exact integer inner
-/// product; what each engine owns is the *accounting* — the batched call
-/// must advance every [`ActivityCounter`] tally by exactly the amount
-/// running [`MacEngine::inner_product`] once per packed window would
-/// have, zero-padded lane tails included.
-pub trait PlaneMac: ActivityMac {
     /// Computes all of `group`'s windows against one synapse word per
     /// window position, writing `group.len()` sums into `out`.
+    ///
+    /// The arithmetic is one shared kernel
+    /// ([`bitplane::plane_inner_product`]) because all three designs
+    /// compute the same exact integer inner product; what each engine
+    /// owns is the *accounting* — the call must advance every
+    /// [`ActivityCounter`] tally by exactly the amount running
+    /// [`MacEngine::inner_product`] once per packed window would have,
+    /// zero-padded lane tails included.
     ///
     /// # Panics
     ///
     /// Panics if `synapses.len()` differs from the group's window size
     /// or the group's precision differs from the engine's.
     fn inner_product_planes(&self, group: &WindowGroup, synapses: &[u64], out: &mut Vec<u64>);
-}
-
-/// Builds the plane-capable functional engine for a configuration.
-///
-/// Dispatches on [`Design`] directly (sanctioned inside `omac/`): the
-/// [`crate::model::DesignModel`] backends hand out `dyn MacEngine`, and
-/// object-safety prevents widening that return type without breaking
-/// every backend, so the batched fabric resolves its concrete engines
-/// here.
-///
-/// # Panics
-///
-/// Panics if the configuration's precision exceeds what the functional
-/// units support (operands up to 16 bits).
-#[must_use]
-pub fn plane_engine_for(config: &AcceleratorConfig) -> Box<dyn PlaneMac> {
-    let (lanes, bits) = (config.lanes, config.bits_per_lane);
-    match config.design {
-        Design::Ee => Box::new(EeMac::new(lanes, bits)),
-        Design::Oe => Box::new(OeMac::new(lanes, bits)),
-        Design::Oo => Box::new(OoMac::new(lanes, bits)),
-    }
 }
 
 /// Builds the functional MAC engine matching a configuration, through
@@ -191,8 +149,8 @@ mod tests {
             let group = WindowGroup::pack(&rows, window, len, bits);
             for d in Design::ALL {
                 let cfg = AcceleratorConfig::new(d, lanes, bits);
-                let scalar = plane_engine_for(&cfg);
-                let batched = plane_engine_for(&cfg);
+                let scalar = d.model().functional_engine(&cfg);
+                let batched = d.model().functional_engine(&cfg);
                 let expected: Vec<u64> = (0..len)
                     .map(|w| scalar.inner_product(&rows[w * window..(w + 1) * window], &synapses))
                     .collect();

@@ -12,7 +12,7 @@ use crate::omac::activity::{bit_stream_activity, ActivityCounter, StreamActivity
 use crate::omac::bitplane::{
     gated_stream_totals, plane_inner_product, PlaneAccumulator, WindowGroup,
 };
-use crate::omac::{fill_lane_chunk, PlaneMac};
+use crate::omac::{fill_lane_chunk, ActivityMac};
 use pixel_dnn::inference::MacEngine;
 use pixel_electronics::cla::Cla;
 use pixel_electronics::converter::SerialConverter;
@@ -66,12 +66,6 @@ impl OeMac {
             activity: ActivityCounter::new(),
             scratch: RefCell::new(OeScratch::default()),
         }
-    }
-
-    /// Device-activity tallies accumulated by this unit's executions.
-    #[must_use]
-    pub fn activity(&self) -> &ActivityCounter {
-        &self.activity
     }
 
     /// Number of wavelengths (= lanes).
@@ -179,7 +173,11 @@ impl MacEngine for OeMac {
     }
 }
 
-impl PlaneMac for OeMac {
+impl ActivityMac for OeMac {
+    fn activity(&self) -> &ActivityCounter {
+        &self.activity
+    }
+
     fn inner_product_planes(&self, group: &WindowGroup, synapses: &[u64], out: &mut Vec<u64>) {
         assert_eq!(
             group.bits(),

@@ -14,7 +14,7 @@ use crate::omac::activity::{bit_stream_activity, ActivityCounter, StreamActivity
 use crate::omac::bitplane::{
     gated_stream_totals, plane_inner_product, PlaneAccumulator, WindowGroup,
 };
-use crate::omac::{fill_lane_chunk, PlaneMac};
+use crate::omac::{fill_lane_chunk, ActivityMac};
 use pixel_dnn::inference::MacEngine;
 use pixel_electronics::cla::Cla;
 use pixel_electronics::converter::AmplitudeConverter;
@@ -70,12 +70,6 @@ impl OoMac {
             chunks: RefCell::new((Vec::new(), Vec::new())),
             mul: RefCell::new(MulScratch::default()),
         }
-    }
-
-    /// Device-activity tallies accumulated by this unit's executions.
-    #[must_use]
-    pub fn activity(&self) -> &ActivityCounter {
-        &self.activity
     }
 
     /// Number of wavelengths (= lanes).
@@ -189,7 +183,11 @@ impl MacEngine for OoMac {
     }
 }
 
-impl PlaneMac for OoMac {
+impl ActivityMac for OoMac {
+    fn activity(&self) -> &ActivityCounter {
+        &self.activity
+    }
+
     fn inner_product_planes(&self, group: &WindowGroup, synapses: &[u64], out: &mut Vec<u64>) {
         assert_eq!(
             group.bits(),

@@ -7,7 +7,7 @@
 //! the design's bit-true MAC engine.
 
 use crate::config::AcceleratorConfig;
-use crate::omac::{plane_engine_for, PlaneMac, WindowGroup};
+use crate::omac::{ActivityMac, WindowGroup};
 use pixel_electronics::register::RegisterFile;
 
 /// A functional PIXEL tile.
@@ -16,9 +16,9 @@ pub struct Tile {
     weights: RegisterFile,
     /// Register-file contents read back after the last load, so the hot
     /// fire path hands the engine a slice instead of re-reading (and
-    /// re-allocating) the RF word-by-word per window.
+    /// re-allocating) the RF word-by-word per group.
     mirror: Vec<u64>,
-    engine: Box<dyn PlaneMac>,
+    engine: Box<dyn ActivityMac>,
 }
 
 impl std::fmt::Debug for Tile {
@@ -40,7 +40,7 @@ impl Tile {
             config,
             weights: RegisterFile::new(filter_size, width),
             mirror: vec![0; filter_size],
-            engine: plane_engine_for(&config),
+            engine: config.design.model().functional_engine(&config),
         }
     }
 
@@ -71,46 +71,12 @@ impl Tile {
         self.weights.len()
     }
 
-    /// Computes one window: the inner product of the fired neurons
-    /// against the pre-loaded weights, through the design's MAC engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `neurons.len()` exceeds the stored filter size.
-    #[must_use]
-    pub fn fire(&self, neurons: &[u64]) -> u64 {
-        assert!(
-            neurons.len() <= self.weights.len(),
-            "firing {} neurons into a {}-weight filter",
-            neurons.len(),
-            self.weights.len()
-        );
-        self.engine
-            .inner_product(neurons, &self.mirror[..neurons.len()])
-    }
-
-    /// Computes one window against *streamed* weights instead of the
-    /// resident filter — the time-multiplexing path when a fabric maps
-    /// more filters than physical tiles onto the same datapath.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operand lengths differ.
-    #[must_use]
-    pub fn fire_streamed(&self, neurons: &[u64], weights: &[u64]) -> u64 {
-        assert_eq!(
-            neurons.len(),
-            weights.len(),
-            "streamed weights must match the fired window"
-        );
-        self.engine.inner_product(neurons, weights)
-    }
-
     /// Computes a whole bit-plane window group against the pre-loaded
-    /// weights: `group.len()` windows advance together, 64 MACs per
-    /// word-level engine operation. Results land in `out`, one sum per
-    /// packed window, bitwise identical to firing each window through
-    /// [`Self::fire`].
+    /// weights: `group.len()` windows advance together, up to 64 MACs per
+    /// word-level engine operation. A group narrower than the filter
+    /// uses the filter's prefix weights. Results land in `out`, one sum
+    /// per packed window, bitwise identical to the design's per-window
+    /// engine ([`crate::omac::engine_for`]).
     ///
     /// # Panics
     ///
@@ -127,8 +93,9 @@ impl Tile {
             .inner_product_planes(group, &self.mirror[..group.window()], out);
     }
 
-    /// [`Self::fire_planes`] against streamed weights — the
-    /// time-multiplexing path, batched.
+    /// [`Self::fire_planes`] against *streamed* weights instead of the
+    /// resident filter — the time-multiplexing path when a fabric maps
+    /// more filters than physical tiles onto the same datapath.
     ///
     /// # Panics
     ///
@@ -155,13 +122,26 @@ mod tests {
     use super::*;
     use crate::config::Design;
 
+    /// Fires one window, packed as a single-window group, against the
+    /// resident filter or, given `streamed`, against streamed weights.
+    fn fire_window(tile: &Tile, neurons: &[u64], streamed: Option<&[u64]>) -> u64 {
+        let bits = tile.config().bits_per_lane;
+        let group = WindowGroup::pack(neurons, neurons.len(), 1, bits);
+        let mut out = Vec::new();
+        match streamed {
+            None => tile.fire_planes(&group, &mut out),
+            Some(weights) => tile.fire_planes_streamed(&group, weights, &mut out),
+        }
+        out[0]
+    }
+
     #[test]
     fn tile_computes_window_through_each_design() {
         for design in Design::ALL {
             let cfg = AcceleratorConfig::new(design, 4, 8);
             let mut tile = Tile::new(cfg, 8);
             tile.load_weights(&[1, 2, 3, 4, 5, 6, 7, 8]);
-            let out = tile.fire(&[10, 20, 30, 40, 50, 60, 70, 80]);
+            let out = fire_window(&tile, &[10, 20, 30, 40, 50, 60, 70, 80], None);
             let expected: u64 = (1..=8u64).map(|i| i * i * 10).sum();
             assert_eq!(out, expected, "{design}");
         }
@@ -171,32 +151,32 @@ mod tests {
     fn partial_window_uses_prefix_weights() {
         let mut tile = Tile::new(AcceleratorConfig::new(Design::Oe, 4, 8), 4);
         tile.load_weights(&[9, 9, 9, 9]);
-        assert_eq!(tile.fire(&[1, 1]), 18);
+        assert_eq!(fire_window(&tile, &[1, 1], None), 18);
     }
 
     #[test]
     fn streamed_weights_bypass_the_register_file() {
         let mut tile = Tile::new(AcceleratorConfig::new(Design::Oo, 4, 8), 4);
         tile.load_weights(&[9, 9, 9, 9]);
-        assert_eq!(tile.fire_streamed(&[1, 2, 3, 4], &[5, 6, 7, 8]), 70);
+        assert_eq!(fire_window(&tile, &[1, 2, 3, 4], Some(&[5, 6, 7, 8])), 70);
         // The resident filter is untouched.
-        assert_eq!(tile.fire(&[1, 1, 1, 1]), 36);
+        assert_eq!(fire_window(&tile, &[1, 1, 1, 1], None), 36);
     }
 
     #[test]
     fn mirror_reflects_register_width_masking() {
         // 8-bit lanes → 8-bit registers: a 9-bit weight is masked on load,
-        // and fire must see the masked value the RF stores.
+        // and firing must see the masked value the RF stores.
         let mut tile = Tile::new(AcceleratorConfig::new(Design::Ee, 4, 8), 2);
         tile.load_weights(&[0x1FF, 1]);
-        assert_eq!(tile.fire(&[1, 0]), 0xFF);
+        assert_eq!(fire_window(&tile, &[1, 0], None), 0xFF);
     }
 
     #[test]
     #[should_panic(expected = "firing")]
     fn overfiring_panics() {
         let tile = Tile::new(AcceleratorConfig::new(Design::Ee, 4, 8), 2);
-        let _ = tile.fire(&[1, 2, 3]);
+        let _ = fire_window(&tile, &[1, 2, 3], None);
     }
 
     #[test]

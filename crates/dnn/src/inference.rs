@@ -348,10 +348,10 @@ pub fn forward(
 /// Runs [`forward`] over a batch of input images, in order.
 ///
 /// The images are independent inferences sharing one weight set — the
-/// serving-scale traffic shape. Engines that batch internally (the
-/// fabric's bitplane path groups windows across images) get their
-/// parallelism below this API; here the semantics are simply "each
-/// output equals `forward` of the matching input".
+/// serving-scale traffic shape. Each image runs through [`forward`] on
+/// its own, one window at a time through `engine`; nothing is batched
+/// across images, and each output equals `forward` of the matching
+/// input.
 ///
 /// # Errors
 ///

@@ -10,9 +10,10 @@
 //!   modeled service time and *sleeps* it (scaled by
 //!   [`DaemonConfig::time_scale`], so oracle runs compress hours of
 //!   modeled serving into seconds of wall time);
-//! * **functional** mode pushes a bit-true convolution through the
-//!   photonic [`FunctionalFabric`] per request, so the serving path
-//!   demonstrably carries real optical-transport compute.
+//! * **functional** mode pushes one bit-true convolution per request
+//!   through the photonic [`FunctionalFabric`], the whole batch in one
+//!   call, so the serving path demonstrably carries real
+//!   optical-transport compute.
 //!
 //! Transport is the length-prefixed flat-JSON protocol of [`crate::wire`]
 //! on a loopback TCP socket. Each connection gets a reader thread that
@@ -36,6 +37,7 @@ use crate::sim::ServeConfig;
 use crate::wire::{self, ClientFrame, WireRequest, WireResponse};
 use pixel_core::functional_fabric::FunctionalFabric;
 use pixel_core::model::EvalContext;
+use pixel_core::sweep::default_jobs;
 use pixel_dnn::inference::LayerWeights;
 use pixel_dnn::layer::{Layer, Shape};
 use pixel_dnn::tensor::Tensor;
@@ -52,8 +54,9 @@ use std::time::Duration;
 pub enum ServiceMode {
     /// Sleep the modeled batch latency (× `time_scale`).
     Analytic,
-    /// Run a bit-true convolution through the photonic fabric per
-    /// request; the measured span is real compute time.
+    /// Run a fixed bit-true convolution through the photonic fabric for
+    /// every request of the batch, as one `conv2d_batch` call; the
+    /// measured span is real compute time.
     Functional,
 }
 
@@ -118,11 +121,13 @@ pub fn run(
     let _span = pixel_obs::span("serve/daemon");
     let clock = MonotonicClock::start();
     let model = ServiceModel::new(ctx, workload, &config.serve.accel);
-    let fabric = match config.mode {
-        ServiceMode::Functional => Some(FunctionalFabric::new(config.serve.accel)),
-        ServiceMode::Analytic => None,
-    };
-    let functional = functional_case(config.serve.seed);
+    // Functional mode's fabric and fixed workload, built only when used.
+    let functional = (config.mode == ServiceMode::Functional).then(|| {
+        (
+            FunctionalFabric::new(config.serve.accel),
+            functional_case(config.serve.seed),
+        )
+    });
     let mut machine =
         ServeMachine::new(&config.serve.machine_config(workload, config.event_capacity));
 
@@ -208,16 +213,14 @@ pub fn run(
         let started = machine.now();
         let dispatch = machine.dispatch_open();
         let (latency, energy) = model.batch(dispatch.network, dispatch.size);
-        match (config.mode, &fabric) {
-            (ServiceMode::Analytic, _) | (ServiceMode::Functional, None) => {
-                clock.sleep(latency * config.time_scale);
-            }
-            (ServiceMode::Functional, Some(fabric)) => {
-                let (layer, input, weights) = &functional;
-                for _ in 0..dispatch.size {
+        match &functional {
+            None => clock.sleep(latency * config.time_scale),
+            Some((fabric, (layer, input, weights))) => {
+                let inputs = vec![input.clone(); dispatch.size];
+                let _ = fabric
+                    .conv2d_batch(layer, &inputs, weights, default_jobs())
                     // lint:allow(P002) the case is shape-checked by construction
-                    let _ = fabric.conv2d(layer, input, weights).expect("serve conv");
-                }
+                    .expect("serve conv");
             }
         }
         let done = clock.now();

@@ -12,6 +12,7 @@
 
 use pixel::core::config::{AcceleratorConfig, Design};
 use pixel::core::interconnect::{Dimension, TileCoord, XyFabric};
+use pixel::core::omac::WindowGroup;
 use pixel::core::tile::Tile;
 use pixel::photonics::signal::PulseTrain;
 
@@ -54,15 +55,20 @@ fn main() {
 
     // Filter 0 lives on tile (0,0): synapse lane SL₀ element 0 of each
     // lane = (6, 1, 2, 3).
+    // The fired neurons form one window, packed as a one-window
+    // bit-plane group.
+    let group = WindowGroup::pack(&fired, 4, 1, 4);
     for design in Design::ALL {
         let mut tile = Tile::new(AcceleratorConfig::new(design, 4, 4), 4);
         tile.load_weights(&[6, 1, 2, 3]);
-        let partial = tile.fire(&fired);
+        let mut partial = Vec::new();
+        tile.fire_planes(&group, &mut partial);
         println!(
-            "{} OMAC 0 partial sum: {partial} (paper: 42)",
-            design.label()
+            "{} OMAC 0 partial sum: {} (paper: 42)",
+            design.label(),
+            partial[0]
         );
-        assert_eq!(partial, 42);
+        assert_eq!(partial, [42]);
     }
 
     // Wavelength ownership sanity: Fig. 2(b)'s band plan.

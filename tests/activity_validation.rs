@@ -3,7 +3,7 @@
 //! forms the analytic energy model multiplies by. This closes the loop
 //! between simulation activity and the charged energy.
 
-use pixel::core::omac::{OeMac, OoMac};
+use pixel::core::omac::{ActivityMac, OeMac, OoMac};
 use pixel::dnn::inference::MacEngine;
 use pixel::units::rng::SplitMix64;
 

@@ -4,6 +4,7 @@
 
 use pixel::core::config::{AcceleratorConfig, Design};
 use pixel::core::interconnect::{Dimension, TileCoord, XyFabric};
+use pixel::core::omac::WindowGroup;
 use pixel::core::tile::Tile;
 use pixel::photonics::photodetector::Photodetector;
 use pixel::photonics::signal::PulseTrain;
@@ -56,10 +57,14 @@ fn tiles_compute_conv_windows_after_firing() {
     let kernel: Vec<u64> = (0..9).map(|_| rng.range_u64(0, 15)).collect();
     let expected: u64 = window.iter().zip(&kernel).map(|(&a, &b)| a * b).sum();
 
+    // The window rides a one-window bit-plane group.
+    let group = WindowGroup::pack(&window, 9, 1, 4);
     for design in Design::ALL {
         let mut tile = Tile::new(AcceleratorConfig::new(design, 4, 4), 9);
         tile.load_weights(&kernel);
-        assert_eq!(tile.fire(&window), expected, "{design}");
+        let mut out = Vec::new();
+        tile.fire_planes(&group, &mut out);
+        assert_eq!(out, [expected], "{design}");
     }
 }
 

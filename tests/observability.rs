@@ -19,9 +19,11 @@ fn run_fabric_conv() {
     let weights = LayerWeights::generate(&layer, || rng.range_u64(0, 15));
     for design in Design::ALL {
         let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
-        let out = fabric.conv2d(&layer, &input, &weights).unwrap();
+        let out = fabric
+            .conv2d_batch(&layer, std::slice::from_ref(&input), &weights, 1)
+            .unwrap();
         let direct = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
-        assert_eq!(out, direct, "{design}");
+        assert_eq!(out, [direct], "{design}");
     }
 }
 
