@@ -219,12 +219,15 @@ fi
 echo "== benchmark"
 # The repository benchmark is a package of its own, so no step above
 # compiles it: test it here, so a library change that breaks an API it
-# calls fails CI. Short runs of the bit-true fabric workloads then
-# enforce their in-run gates (outputs equal to DirectMac, every window
-# word detected); the benchmark exits non-zero on any failed check.
+# calls fails CI. Short runs of the workloads with in-run gates then
+# enforce them: the bit-true fabric's outputs equal DirectMac and every
+# window word is detected; `reference` holds DirectMac's blocked narrow
+# kernel to the benchmark's own naive engine; `serve_low` checks the
+# live daemon's accounting. The benchmark exits non-zero on any failed
+# check.
 bench_manifest=examples/benchmark/Cargo.toml
 cargo test --release --offline --manifest-path "$bench_manifest"
-for workload in fabric_ee fabric_oe fabric_oo; do
+for workload in reference fabric_ee fabric_oe fabric_oo serve_low; do
   cargo run --release --offline --manifest-path "$bench_manifest" -- \
     --workload "$workload" --seconds 1 > /dev/null
 done

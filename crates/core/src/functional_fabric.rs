@@ -12,7 +12,7 @@
 use crate::config::AcceleratorConfig;
 use crate::omac::{WindowGroup, PLANE_WINDOWS};
 use crate::tile::Tile;
-use pixel_dnn::inference::{LayerWeights, ShapeError};
+use pixel_dnn::inference::{gather_window, LayerWeights, ShapeError};
 use pixel_dnn::layer::{Layer, LayerKind, Shape};
 use pixel_dnn::tensor::Tensor;
 use pixel_photonics::photodetector::Photodetector;
@@ -185,7 +185,6 @@ impl FunctionalFabric {
                         kernel,
                         stride,
                         padding,
-                        channels,
                         position / e,
                         position % e,
                         row,
@@ -324,32 +323,6 @@ fn kernel_of(weights: &LayerWeights, filter: usize, window: usize) -> &[u64] {
         LayerWeights::Conv { data, .. } => &data[filter * window..(filter + 1) * window],
         // lint:allow(P003) caller contract: convolution weights accompany conv layers
         _ => panic!("convolution weights required"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gather_window(
-    input: &Tensor,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-    channels: usize,
-    oh: usize,
-    ow: usize,
-    out: &mut [u64],
-) {
-    let mut idx = 0;
-    for kh in 0..kernel {
-        for kw in 0..kernel {
-            #[allow(clippy::cast_possible_wrap)]
-            let ih = (oh * stride + kh) as isize - padding as isize;
-            #[allow(clippy::cast_possible_wrap)]
-            let iw = (ow * stride + kw) as isize - padding as isize;
-            for c in 0..channels {
-                out[idx] = input.get_padded(ih, iw, c);
-                idx += 1;
-            }
-        }
     }
 }
 

@@ -4,12 +4,20 @@
 //! [`MacEngine`], so the same network can be executed with plain integer
 //! arithmetic ([`DirectMac`]) or bit-true through the EE/OE/OO functional
 //! MAC units in `pixel-core` — and the outputs compared element-for-element.
+//!
+//! A convolution is lowered to a GEMM of unrolled windows × unrolled
+//! kernels (the paper's `N_MVM = E²·M·C` view): [`conv2d`] gathers
+//! [`CONV_BLOCK`] receptive fields at a time with [`gather_window`] and
+//! hands each block to [`MacEngine::inner_products`].
 
 use crate::layer::{Layer, LayerKind, PoolKind, Shape};
 use crate::network::Network;
 use crate::quant::Precision;
 use crate::tensor::Tensor;
 use pixel_units::rng::SplitMix64;
+
+/// Convolution windows gathered per [`MacEngine::inner_products`] call.
+pub const CONV_BLOCK: usize = 64;
 
 /// Computes inner products on behalf of the forward pass.
 pub trait MacEngine {
@@ -19,13 +27,56 @@ pub trait MacEngine {
     /// was constructed for.
     fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64;
 
+    /// Every inner product of a block of rows against a set of kernels.
+    ///
+    /// `rows` and `kernels` hold rows and kernels of `len` values back to
+    /// back; with `filters = kernels.len() / len`, `out[r·filters + m]`
+    /// receives row `r` · kernel `m`. `len` and `filters` must be
+    /// positive.
+    ///
+    /// The default calls [`Self::inner_product`] row-major, kernel-minor
+    /// — (row 0, kernel 0), (row 0, kernel 1), …, (row 1, kernel 0), … —
+    /// the order a window-at-a-time convolution visits them, so engines
+    /// with per-call state (activity tallies, noise draws) see the same
+    /// call sequence either way. An override must produce the same
+    /// values.
+    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
+        each_pair(rows, kernels, len, out, |row, kernel| {
+            self.inner_product(row, kernel)
+        });
+    }
+
     /// Engine name for reports.
     fn name(&self) -> &str {
         "mac-engine"
     }
 }
 
+/// Fills `out[r·filters + m]` with `dot(row r, kernel m)`, row-major,
+/// kernel-minor.
+fn each_pair(
+    rows: &[u64],
+    kernels: &[u64],
+    len: usize,
+    out: &mut [u64],
+    mut dot: impl FnMut(&[u64], &[u64]) -> u64,
+) {
+    let filters = kernels.len() / len;
+    for (row, outputs) in rows.chunks_exact(len).zip(out.chunks_exact_mut(filters)) {
+        for (kernel, slot) in kernels.chunks_exact(len).zip(outputs) {
+            *slot = dot(row, kernel);
+        }
+    }
+}
+
 /// Plain integer reference engine.
+///
+/// Its [`MacEngine::inner_products`] picks the arithmetic from the
+/// operands of each call: when every value is below 2^15 and
+/// `len·max(rows)·max(kernels) < 2^31`, an i16×i16→i32 kernel computes
+/// the block exactly (no partial sum of non-negative terms can exceed the
+/// full sum); otherwise the u64 loop of [`MacEngine::inner_product`]
+/// does.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirectMac;
 
@@ -34,9 +85,79 @@ impl MacEngine for DirectMac {
         neurons.iter().zip(synapses).map(|(&n, &s)| n * s).sum()
     }
 
+    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
+        let max = |values: &[u64]| values.iter().copied().max().unwrap_or(0);
+        if narrow_fits(len, max(rows), max(kernels)) {
+            narrow_gemm(&to_i16(rows), &to_i16(kernels), len, out);
+        } else {
+            each_pair(rows, kernels, len, out, |row, kernel| {
+                self.inner_product(row, kernel)
+            });
+        }
+    }
+
     fn name(&self) -> &str {
         "direct"
     }
+}
+
+/// Whether `len`-term inner products of operands at most `max_a` and
+/// `max_w` are exact in i16×i16→i32 arithmetic: both fit an i16 and the
+/// largest possible sum stays below 2^31.
+fn narrow_fits(len: usize, max_a: u64, max_w: u64) -> bool {
+    const I16_LIMIT: u64 = 1 << 15;
+    max_a < I16_LIMIT
+        && max_w < I16_LIMIT
+        && len as u128 * u128::from(max_a) * u128::from(max_w) < 1 << 31
+}
+
+/// Narrows values already checked by [`narrow_fits`].
+fn to_i16(values: &[u64]) -> Vec<i16> {
+    #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+    values.iter().map(|&v| v as i16).collect()
+}
+
+/// Every row · kernel product of narrow operands, laid out as
+/// [`MacEngine::inner_products`] lays them out. Kernel-outer keeps one
+/// kernel in L1 while the block's rows stream from L2; rows go two at a
+/// time so each kernel load feeds two multiply-adds.
+fn narrow_gemm(rows: &[i16], kernels: &[i16], len: usize, out: &mut [u64]) {
+    let filters = kernels.len() / len;
+    for (m, kernel) in kernels.chunks_exact(len).enumerate() {
+        let mut pairs = rows.chunks_exact(2 * len);
+        let mut outputs = out.chunks_exact_mut(2 * filters);
+        for (pair, slots) in (&mut pairs).zip(&mut outputs) {
+            let (a, b) = pair.split_at(len);
+            let (x, y) = dot2(a, b, kernel);
+            let (first, second) = slots.split_at_mut(filters);
+            first[m] = widen(x);
+            second[m] = widen(y);
+        }
+        let last = pairs.remainder();
+        if !last.is_empty() {
+            let (x, _) = dot2(last, last, kernel);
+            outputs.into_remainder()[m] = widen(x);
+        }
+    }
+}
+
+/// Two narrow inner products sharing one kernel.
+fn dot2(a: &[i16], b: &[i16], kernel: &[i16]) -> (i32, i32) {
+    let n = kernel.len();
+    let (a, b) = (&a[..n], &b[..n]);
+    let (mut x, mut y) = (0i32, 0i32);
+    for i in 0..n {
+        let w = i32::from(kernel[i]);
+        x += i32::from(a[i]) * w;
+        y += i32::from(b[i]) * w;
+    }
+    (x, y)
+}
+
+/// A narrow sum, non-negative by construction, as the engine's u64.
+#[allow(clippy::cast_sign_loss)]
+fn widen(sum: i32) -> u64 {
+    sum as u64
 }
 
 /// Weights for one compute layer.
@@ -96,17 +217,10 @@ impl LayerWeights {
         }
     }
 
-    fn conv_kernel(&self, filter: usize) -> &[u64] {
+    /// The first `filters` unrolled kernels of `window` values, back to back.
+    fn conv_kernels(&self, filters: usize, window: usize) -> &[u64] {
         match self {
-            Self::Conv {
-                kernel,
-                channels,
-                data,
-                ..
-            } => {
-                let len = kernel * kernel * channels;
-                &data[filter * len..(filter + 1) * len]
-            }
+            Self::Conv { data, .. } => &data[..filters * window],
             // lint:allow(P003) programmer-error contract: wrong weight variant for layer kind
             _ => panic!("not convolution weights"),
         }
@@ -144,7 +258,65 @@ impl std::fmt::Display for ShapeError {
 
 impl std::error::Error for ShapeError {}
 
-/// Executes one convolution layer.
+/// Copies the receptive field of output position `(oh, ow)` into `out`
+/// in `[kh][kw][channel]` order, the layout of an unrolled kernel.
+/// Positions outside `input` read as zero padding. A window lying wholly
+/// inside the input copies `kernel·channels` contiguous values per kernel
+/// row; only border windows go element by element.
+///
+/// # Panics
+///
+/// Panics if `out` is not `kernel²·channels` long.
+pub fn gather_window(
+    input: &Tensor,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+    oh: usize,
+    ow: usize,
+    out: &mut [u64],
+) {
+    let Shape { h, w, c } = input.shape();
+    let run = kernel * c;
+    assert_eq!(out.len(), kernel * run, "window buffer length");
+    // Top-left corner in padded coordinates.
+    let (top, left) = (oh * stride, ow * stride);
+    if top >= padding
+        && left >= padding
+        && top + kernel <= h + padding
+        && left + kernel <= w + padding
+    {
+        let (ih, iw) = (top - padding, left - padding);
+        let data = input.data();
+        for (kh, dst) in out.chunks_exact_mut(run).enumerate() {
+            let start = ((ih + kh) * w + iw) * c;
+            dst.copy_from_slice(&data[start..start + run]);
+        }
+        return;
+    }
+    let mut slots = out.iter_mut();
+    for kh in 0..kernel {
+        for kw in 0..kernel {
+            #[allow(clippy::cast_possible_wrap)]
+            let ih = (top + kh) as isize - padding as isize;
+            #[allow(clippy::cast_possible_wrap)]
+            let iw = (left + kw) as isize - padding as isize;
+            for (ch, slot) in (0..c).zip(&mut slots) {
+                *slot = input.get_padded(ih, iw, ch);
+            }
+        }
+    }
+}
+
+/// Executes one convolution layer as a GEMM of unrolled windows ×
+/// unrolled kernels.
+///
+/// Output positions are taken in raster order, [`CONV_BLOCK`] at a time:
+/// each block's receptive fields are gathered into one reused patch
+/// buffer and sent to `engine` in one [`MacEngine::inner_products`] call,
+/// which writes the block's outputs in place. With the default
+/// `inner_products` the engine sees exactly the per-window call sequence
+/// — window by window, filter by filter.
 ///
 /// # Errors
 ///
@@ -173,32 +345,31 @@ pub fn conv2d(
         });
     }
     let e = layer.output_feature_size();
-    let channels = layer.input.c;
+    let window = kernel * kernel * layer.input.c;
     let mut out = Tensor::zeros(Shape::square(e, filters));
-    let window = kernel * kernel * channels;
-    let mut neurons = vec![0u64; window];
-
-    for oh in 0..e {
-        for ow in 0..e {
-            // Gather the receptive field once per spatial position.
-            let mut idx = 0;
-            for kh in 0..kernel {
-                for kw in 0..kernel {
-                    #[allow(clippy::cast_possible_wrap)]
-                    let ih = (oh * stride + kh) as isize - padding as isize;
-                    #[allow(clippy::cast_possible_wrap)]
-                    let iw = (ow * stride + kw) as isize - padding as isize;
-                    for c in 0..channels {
-                        neurons[idx] = input.get_padded(ih, iw, c);
-                        idx += 1;
-                    }
-                }
-            }
-            for m in 0..filters {
-                let v = engine.inner_product(&neurons, weights.conv_kernel(m));
-                out.set(oh, ow, m, v);
-            }
+    if window == 0 || filters == 0 {
+        // Empty sums: every output is already zero.
+        return Ok(out);
+    }
+    let kernels = weights.conv_kernels(filters, window);
+    let mut patches = vec![0u64; CONV_BLOCK.min(e * e) * window];
+    // Output is HWC with `filters` values per position, so each chunk
+    // holds one block's `out[r·filters + m]`.
+    for (block, outputs) in out.data_mut().chunks_mut(CONV_BLOCK * filters).enumerate() {
+        let rows = &mut patches[..outputs.len() / filters * window];
+        for (r, row) in rows.chunks_exact_mut(window).enumerate() {
+            let position = block * CONV_BLOCK + r;
+            gather_window(
+                input,
+                kernel,
+                stride,
+                padding,
+                position / e,
+                position % e,
+                row,
+            );
         }
+        engine.inner_products(rows, kernels, window, outputs);
     }
     Ok(out)
 }
@@ -480,6 +651,225 @@ mod tests {
         assert_eq!(out.shape(), Shape::square(2, 1));
         // Every 3×3 window sees the full 2×2 ones block.
         assert_eq!(out.get(0, 0, 0), 4);
+    }
+
+    /// The window-at-a-time reference: [`DirectMac`]'s u64 inner product
+    /// behind the default [`MacEngine::inner_products`].
+    struct PerWindow;
+
+    impl MacEngine for PerWindow {
+        fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
+            DirectMac.inner_product(neurons, synapses)
+        }
+    }
+
+    /// Records every `inner_product` call and answers with its index.
+    #[derive(Default)]
+    struct Recorder {
+        calls: std::cell::RefCell<Vec<(Vec<u64>, Vec<u64>)>>,
+    }
+
+    impl MacEngine for Recorder {
+        fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
+            let mut calls = self.calls.borrow_mut();
+            calls.push((neurons.to_vec(), synapses.to_vec()));
+            calls.len() as u64 - 1
+        }
+    }
+
+    /// The receptive field of `(oh, ow)` read element by element.
+    fn padded_window(layer: &Layer, input: &Tensor, oh: usize, ow: usize) -> Vec<u64> {
+        let LayerKind::Conv {
+            kernel,
+            stride,
+            padding,
+            ..
+        } = layer.kind
+        else {
+            unreachable!("conv layers only")
+        };
+        let mut values = Vec::new();
+        for kh in 0..kernel {
+            for kw in 0..kernel {
+                let ih = (oh * stride + kh) as isize - padding as isize;
+                let iw = (ow * stride + kw) as isize - padding as isize;
+                for c in 0..layer.input.c {
+                    values.push(input.get_padded(ih, iw, c));
+                }
+            }
+        }
+        values
+    }
+
+    #[test]
+    fn default_inner_products_is_row_major_kernel_minor() {
+        let rows = [1, 2, 3, 4, 5, 6];
+        let kernels = [7, 8, 9, 10];
+        let recorder = Recorder::default();
+        let mut out = [u64::MAX; 6];
+        recorder.inner_products(&rows, &kernels, 2, &mut out);
+        assert_eq!(
+            out,
+            [0, 1, 2, 3, 4, 5],
+            "out[r·filters + m] is call r·filters + m"
+        );
+        let calls = recorder.calls.into_inner();
+        let expected: Vec<(Vec<u64>, Vec<u64>)> = rows
+            .chunks(2)
+            .flat_map(|r| kernels.chunks(2).map(move |k| (r.to_vec(), k.to_vec())))
+            .collect();
+        assert_eq!(calls, expected);
+    }
+
+    #[test]
+    fn conv_calls_the_engine_window_by_window_filter_by_filter() {
+        // 9×9 windows = 81: one full block of 64 and a partial one.
+        let layer = Layer::conv_padded("c", Shape::square(9, 2), 3, 3, 1, 1);
+        let mut rng = SplitMix64::seed_from_u64(5);
+        let input = Tensor::from_fn(layer.input, |_, _, _| rng.range_u64(0, 15));
+        let weights = LayerWeights::generate(&layer, || rng.range_u64(0, 15));
+        let recorder = Recorder::default();
+        let out = conv2d(&layer, &input, &weights, &recorder).unwrap();
+        let e = layer.output_feature_size();
+        let mut expected = Vec::new();
+        for oh in 0..e {
+            for ow in 0..e {
+                let window = padded_window(&layer, &input, oh, ow);
+                for kernel in weights.conv_kernels(3, 18).chunks(18) {
+                    expected.push((window.clone(), kernel.to_vec()));
+                }
+            }
+        }
+        assert_eq!(recorder.calls.into_inner(), expected);
+        let order: Vec<u64> = (0..expected.len() as u64).collect();
+        assert_eq!(out.data(), order.as_slice(), "outputs land in HWC order");
+    }
+
+    #[test]
+    fn gather_window_copies_interiors_and_pads_borders() {
+        let layer = Layer::conv("c", Shape::square(4, 1), 1, 2, 1);
+        let input = Tensor::from_fn(layer.input, |h, w, _| (h * 4 + w) as u64);
+        let mut row = [0; 4];
+        gather_window(&input, 2, 1, 0, 0, 0, &mut row);
+        assert_eq!(row, [0, 1, 4, 5], "top-left window");
+
+        let mut rng = SplitMix64::seed_from_u64(21);
+        for (h, c, r, u, p) in [
+            (7, 3, 3, 1, 1),
+            (8, 2, 5, 2, 2),
+            (5, 4, 1, 2, 0),
+            (3, 1, 5, 1, 0),
+        ] {
+            let layer = Layer::conv_padded("c", Shape::square(h, c), 1, r, u, p);
+            let input = Tensor::from_fn(layer.input, |_, _, _| rng.range_u64(1, 99));
+            let e = layer.output_feature_size();
+            let mut row = vec![0; r * r * c];
+            for oh in 0..e {
+                for ow in 0..e {
+                    gather_window(&input, r, u, p, oh, ow, &mut row);
+                    assert_eq!(
+                        row,
+                        padded_window(&layer, &input, oh, ow),
+                        "h={h} r={r} p={p}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Seeded property test: the blocked `DirectMac` convolution equals the
+    /// window-at-a-time reference over padding, stride, 1×1 kernels, block
+    /// tails, and operands on both sides of the narrow kernel's bounds.
+    #[test]
+    fn direct_mac_blocks_match_the_per_window_reference() {
+        let mut rng = SplitMix64::seed_from_u64(0xD1EC7);
+        // Operand maxima: typical precisions, the i16 edge and past it.
+        let limits = [1, 15, 255, 4095, (1 << 15) - 1, 1 << 15, 1 << 20];
+        for case in 0..120 {
+            let h = rng.range_usize(1, 14);
+            let c = rng.range_usize(1, 5);
+            let r = rng.range_usize(1, 5.min(h + 2));
+            let u = rng.range_usize(1, 3);
+            let p = rng.range_usize(0, (r - 1).min(2));
+            let m = rng.range_usize(1, 6);
+            let layer = Layer::conv_padded("c", Shape::square(h, c), m, r, u, p);
+            let max_a = limits[rng.range_usize(0, limits.len() - 1)];
+            let max_w = limits[rng.range_usize(0, limits.len() - 1)];
+            let input = Tensor::from_fn(layer.input, |_, _, _| rng.range_u64(0, max_a));
+            let weights = LayerWeights::generate(&layer, || rng.range_u64(0, max_w));
+            let want = conv2d(&layer, &input, &weights, &PerWindow).unwrap();
+            let got = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
+            assert_eq!(
+                got, want,
+                "case {case}: h={h} c={c} m={m} r={r} u={u} p={p} max_a={max_a} max_w={max_w}"
+            );
+        }
+        // E² of 1, 64 (one exact block), 81 and 4225 (a one-window tail).
+        for (h, r) in [(1, 1), (9, 2), (10, 2), (65, 1)] {
+            let layer = Layer::conv("c", Shape::square(h, 3), 2, r, 1);
+            let input = Tensor::from_fn(layer.input, |_, _, _| rng.range_u64(0, 15));
+            let weights = LayerWeights::generate(&layer, || rng.range_u64(0, 15));
+            assert_eq!(
+                conv2d(&layer, &input, &weights, &DirectMac).unwrap(),
+                conv2d(&layer, &input, &weights, &PerWindow).unwrap(),
+                "h={h} r={r}"
+            );
+        }
+    }
+
+    #[test]
+    fn narrow_bound_is_exact_at_the_edge_and_falls_back_past_it() {
+        const TOP: u64 = (1 << 15) - 1;
+        assert!(narrow_fits(2, TOP, TOP), "2·(2^15−1)² < 2^31");
+        assert!(
+            !narrow_fits(1, 1 << 15, 1),
+            "an operand of 2^15 is not an i16"
+        );
+        assert!(!narrow_fits(1, 1, 1 << 15));
+        assert!(narrow_fits(8, 1 << 14, (1 << 14) - 1), "2^31 − 2^17");
+        assert!(!narrow_fits(8, 1 << 14, 1 << 14), "len·max·max = 2^31");
+        assert!(!narrow_fits(3, TOP, TOP));
+
+        // Constant operands make every window's sum the bound itself.
+        // (shape, operand, weight, narrow?): a 1×1 kernel over 2 channels
+        // has len 2, a 2×2 kernel over 2 channels len 8.
+        for (kernel, channels, a, w, narrow) in [
+            (1, 2, TOP, TOP, true),
+            (1, 2, TOP + 1, TOP, false),
+            (2, 2, 1 << 14, (1 << 14) - 1, true),
+            (2, 2, 1 << 14, 1 << 14, false),
+            (3, 1, 1 << 14, 1 << 14, false),
+        ] {
+            let len = kernel * kernel * channels;
+            assert_eq!(narrow_fits(len, a, w), narrow, "len={len} a={a} w={w}");
+            let layer = Layer::conv("c", Shape::square(9, channels), 3, kernel, 1);
+            let input = Tensor::from_fn(layer.input, |_, _, _| a);
+            let weights = LayerWeights::generate(&layer, || w);
+            let got = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
+            assert!(
+                got.data().iter().all(|&v| v == len as u64 * a * w),
+                "len={len} a={a} w={w}"
+            );
+            assert_eq!(got, conv2d(&layer, &input, &weights, &PerWindow).unwrap());
+        }
+    }
+
+    #[test]
+    fn patch_count_equals_paper_mvm_per_filter_channel() {
+        // N_MVM = E²·M·C: the block lowering makes one inner product per
+        // (window, filter), each covering all C channels.
+        use crate::analysis::{analyze_layer, FcCountConvention};
+        let layer = Layer::conv("c", Shape::square(10, 8), 4, 3, 1);
+        let input = Tensor::from_fn(layer.input, |_, _, _| 1);
+        let weights = LayerWeights::generate(&layer, || 1);
+        let recorder = Recorder::default();
+        conv2d(&layer, &input, &weights, &recorder).unwrap();
+        let counts = analyze_layer(&layer, FcCountConvention::Paper);
+        assert_eq!(
+            counts.mvm,
+            (recorder.calls.into_inner().len() * 8) as u64,
+            "E²·M calls × C"
+        );
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! * [`tensor`], [`quant`], [`inference`] — an integer tensor type and a
 //!   quantized forward-pass engine with a pluggable MAC, so inference can
 //!   be executed bit-true through the EE/OE/OO functional MAC units.
+//!   Convolutions run as blocks of unrolled windows × unrolled kernels
+//!   (the `N_MVM = E²MC` view).
 //!
 //! # Example
 //!
@@ -34,7 +36,6 @@
 
 pub mod analysis;
 pub mod dataset;
-pub mod im2col;
 pub mod inference;
 pub mod layer;
 pub mod metrics;

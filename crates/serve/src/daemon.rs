@@ -331,9 +331,9 @@ pub fn run(
     Ok((report, data))
 }
 
-/// Polls for connections until `stop`: each accepted stream is
-/// registered in `writers` and gets a reader thread stamping arrivals
-/// with `clock` at socket-read time.
+/// Polls for connections until `stop`: each accepted stream is set to
+/// `TCP_NODELAY`, registered in `writers` and gets a reader thread
+/// stamping arrivals with `clock` at socket-read time.
 fn accept_loop(
     listener: &TcpListener,
     stop: &AtomicBool,
@@ -346,6 +346,10 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _addr)) => {
                 pixel_obs::add("serve.daemon.connections", 1);
+                // Responses are small frames written as they complete:
+                // Nagle's algorithm would hold each one back until the
+                // client's delayed ACK of the previous one.
+                let _ = stream.set_nodelay(true);
                 let conn = next_conn;
                 next_conn += 1;
                 if let Ok(writer) = stream.try_clone() {

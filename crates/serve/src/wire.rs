@@ -133,7 +133,8 @@ pub fn drain_frame() -> String {
     "{\"schema\":\"pixel.serve.ctrl\",\"op\":\"drain\"}".to_owned()
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all`, so a
+/// socket sends prefix and body together rather than as two segments.
 ///
 /// # Errors
 ///
@@ -143,8 +144,10 @@ pub fn write_frame(writer: &mut impl Write, body: &str) -> std::io::Result<()> {
     assert!(bytes.len() <= MAX_FRAME, "oversized frame");
     #[allow(clippy::cast_possible_truncation)]
     let len = (bytes.len() as u32).to_be_bytes();
-    writer.write_all(&len)?;
-    writer.write_all(bytes)
+    let mut frame = Vec::with_capacity(len.len() + bytes.len());
+    frame.extend_from_slice(&len);
+    frame.extend_from_slice(bytes);
+    writer.write_all(&frame)
 }
 
 /// Reads one length-prefixed frame. `Ok(None)` on clean EOF at a frame
@@ -198,6 +201,31 @@ mod tests {
         let second = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(parse_client_frame(&second), Some(ClientFrame::Drain));
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+    }
+
+    /// Counts the `write` calls a frame takes.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut writes = Writes::default();
+        write_frame(&mut writes, "{\"op\":\"drain\"}").unwrap();
+        assert_eq!(writes.0.len(), 1, "prefix and body go out together");
+        let mut cursor = &writes.0[0][..];
+        let body = read_frame(&mut cursor).unwrap();
+        assert_eq!(body.as_deref(), Some("{\"op\":\"drain\"}"));
     }
 
     #[test]
