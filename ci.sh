@@ -216,6 +216,29 @@ if [ -f BENCH_functional.json ]; then
 fi
 ./target/release/reproduce bench --check target/BENCH_functional.json
 
+echo "== bench profile smoke"
+# `reproduce bench --profile` prints the span table after the timings.
+# The fabric's conv group loop must show all four stage spans under
+# `fabric_conv2d/rows`; full paths are rebuilt from the table's
+# two-space indentation. The report goes to a scratch file, so the
+# gated run above stays unprofiled.
+prof_out=$(./target/release/reproduce bench --quick --profile --jobs 1 --out target/bench_profile.json)
+span_paths=$(echo "$prof_out" | awk -F'|' '
+  /^span / { in_tree = 1; next }
+  in_tree && NF < 2 { in_tree = 0 }
+  in_tree {
+    name = $1; sub(/ +$/, "", name)
+    match(name, /^ */); depth = RLENGTH / 2
+    part[depth] = substr(name, RLENGTH + 1)
+    path = part[0]
+    for (i = 1; i <= depth; i++) path = path "/" part[i]
+    print path
+  }')
+for stage in gather pack transport fire; do
+  echo "$span_paths" | grep -qx "fabric_conv2d/rows/$stage" \
+    || { echo "bench --profile missing span fabric_conv2d/rows/$stage" >&2; exit 1; }
+done
+
 echo "== benchmark"
 # The repository benchmark is a package of its own, so no step above
 # compiles it: test it here, so a library change that breaks an API it

@@ -26,8 +26,9 @@
 //! `reproduce lint [ARGS...]` forwards to the `pixel-lint` static
 //! analyzer (see `reproduce lint --help`).
 //!
-//! `reproduce bench [--quick] [--jobs N] [--out FILE]` times the hot
-//! paths and writes a `BENCH_functional.json` regression artifact;
+//! `reproduce bench [--quick] [--profile] [--jobs N] [--out FILE]` times
+//! the hot paths and writes a `BENCH_functional.json` regression
+//! artifact (`--profile` prints the span table after the timings);
 //! `reproduce bench --compare OLD NEW` diffs two such artifacts.
 //!
 //! `reproduce oracle [--quick] [--seed N]` runs the live `pixel-served`

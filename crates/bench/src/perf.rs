@@ -44,8 +44,8 @@ pub const BATCH_IMAGES: usize = 16;
 
 /// Minimum in-run ops/s ratio of `fabric_conv_X` (batched) over
 /// `fabric_conv_X_scalar` (the per-window OMAC reference) that
-/// `--check` enforces per design. The measured ratios are 8–10× (EE;
-/// its per-window engine is the fastest) and 29–42× (OE/OO), so 6×
+/// `--check` enforces per design. The measured ratios are 29–34× (EE;
+/// its per-window engine is the fastest) and 121–184× (OE/OO), so 6×
 /// leaves noise headroom while still catching any regression to
 /// per-window execution.
 pub const MIN_BATCH_SPEEDUP: f64 = 6.0;
@@ -481,10 +481,13 @@ fn print_results(results: &[BenchResult]) {
 /// in-run invariants.
 ///
 /// ```text
-/// reproduce bench [--quick] [--jobs N] [--out FILE]
+/// reproduce bench [--quick] [--profile] [--jobs N] [--out FILE]
 /// reproduce bench --compare OLD NEW [--threshold PCT]
 /// reproduce bench --check FILE
 /// ```
+///
+/// `--profile` records spans and counters during the timing run and
+/// prints the profile table after the timings.
 ///
 /// Returns a process exit code: comparison is advisory on slowdowns but
 /// exits nonzero on unreadable/malformed files, missing benches, or a
@@ -494,6 +497,7 @@ fn print_results(results: &[BenchResult]) {
 #[must_use]
 pub fn run_cli(args: &[String]) -> u8 {
     let mut quick = false;
+    let mut profile = false;
     let mut jobs = 1usize;
     let mut out_path = String::from("BENCH_functional.json");
     let mut compare_paths: Option<(String, String)> = None;
@@ -503,6 +507,7 @@ pub fn run_cli(args: &[String]) -> u8 {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
+            "--profile" => profile = true,
             "--jobs" => {
                 let Some(value) = it.next() else {
                     eprintln!("--jobs requires a worker count");
@@ -552,7 +557,7 @@ pub fn run_cli(args: &[String]) -> u8 {
             }
             other => {
                 eprintln!(
-                    "unknown bench argument {other:?}; usage: reproduce bench [--quick] [--jobs N] [--out FILE] | --compare OLD NEW [--threshold PCT] | --check FILE"
+                    "unknown bench argument {other:?}; usage: reproduce bench [--quick] [--profile] [--jobs N] [--out FILE] | --compare OLD NEW [--threshold PCT] | --check FILE"
                 );
                 return 2;
             }
@@ -600,8 +605,17 @@ pub fn run_cli(args: &[String]) -> u8 {
             }
         }
     } else {
+        // Profiling records every span the timed code opens, so a
+        // profiled run's timings carry that overhead.
+        if profile {
+            pixel_obs::enable();
+        }
         let results = run(quick, jobs);
         print_results(&results);
+        if profile {
+            println!("== profile");
+            print!("{}", pixel_obs::profile_table());
+        }
         let json = to_json(&results, quick, jobs);
         if let Err(err) = std::fs::write(&out_path, &json) {
             eprintln!("cannot write {out_path}: {err}");

@@ -5,6 +5,9 @@
 //! The snapshots were captured from the `reproduce` binary before the
 //! cost models moved behind the backend trait (`reproduce <key>`, header
 //! line stripped); `serve` was pinned when the serving simulator landed.
+//! `noise`, `audit` and `pam` pin the artifacts that reach the optical
+//! signal types and the bit-true OMAC engines; they were captured before
+//! on-off-keyed pulse trains gained their packed form.
 //! Any divergence — a reordered float addition, a worker-count-dependent
 //! result — fails here with a diff.
 
@@ -13,7 +16,7 @@ use pixel_core::sweep::set_default_jobs;
 /// Artifact key, renderer, and its pinned pre-refactor output.
 type Snapshot = (&'static str, fn() -> String, &'static str);
 
-const SNAPSHOTS: [Snapshot; 12] = [
+const SNAPSHOTS: [Snapshot; 15] = [
     (
         "table1",
         pixel_bench::table1,
@@ -74,6 +77,17 @@ const SNAPSHOTS: [Snapshot; 12] = [
         pixel_bench::fleet,
         include_str!("snapshots/fleet.txt"),
     ),
+    (
+        "noise",
+        pixel_bench::noise,
+        include_str!("snapshots/noise.txt"),
+    ),
+    (
+        "audit",
+        pixel_bench::audit,
+        include_str!("snapshots/audit.txt"),
+    ),
+    ("pam", pixel_bench::pam, include_str!("snapshots/pam.txt")),
 ];
 
 fn first_diff(actual: &str, expected: &str) -> String {

@@ -177,6 +177,10 @@ impl FunctionalFabric {
             while done < count {
                 let len = (count - done).min(PLANE_WINDOWS);
                 let packed = &mut rows[..len * window];
+                // Stage spans open per group under the enclosing `rows`
+                // (or worker) span, so the profile splits a group's time
+                // into gather, pack, transport and fire.
+                let gather_span = pixel_obs::span("gather");
                 for (g, row) in packed.chunks_exact_mut(window).enumerate() {
                     let index = start + done + g;
                     let (image, position) = (index / per_image, index % per_image);
@@ -190,8 +194,14 @@ impl FunctionalFabric {
                         row,
                     );
                 }
+                drop(gather_span);
+                let pack_span = pixel_obs::span("pack");
                 group.repack(packed, window, len, bits);
+                drop(pack_span);
+                let transport_span = pixel_obs::span("transport");
                 self.transport_planes(&plan, &mut group, &mut scratch);
+                drop(transport_span);
+                let _fire_span = pixel_obs::span("fire");
                 for (m, &streamed) in kernels.iter().enumerate() {
                     let tile = &tiles[m % tiles.len()];
                     // The tile holding filter m%T time-multiplexes:
@@ -263,7 +273,8 @@ impl FunctionalFabric {
 
     /// Ships a bit-plane window group across the MWSR medium and recovers
     /// it at the compute tile. Each word position transmits its `bits`
-    /// planes as pulse trains of one slot per packed window, muxed on the
+    /// planes as on-off-keyed pulse trains of one slot per packed window
+    /// (packed trains, so each plane travels as one word), muxed on the
     /// position's wavelength, then demuxed, detected and written back
     /// into the group. Positions beyond the plan's wavelength capacity
     /// ride later firing rounds on the same bands (time multiplexing):
@@ -290,8 +301,7 @@ impl FunctionalFabric {
             let round = (window - start).min(capacity);
             for a in 0..bits {
                 for i in 0..round {
-                    // lint:allow(P104) start + i < start + round <= window == blocks().len()
-                    train.write_bits(group.blocks()[start + i].plane(a), len);
+                    train.write_bits(group.position(start + i)[a], len);
                     #[allow(clippy::cast_possible_truncation)]
                     signal.set_channel(WavelengthId(i as u16), train);
                 }
@@ -305,8 +315,7 @@ impl FunctionalFabric {
                         .detect_binary(arrived, Power::from_microwatts(100.0))
                         // lint:allow(P002) noiseless binary channel decodes losslessly
                         .expect("clean binary channel");
-                    // lint:allow(P104) start + i < start + round <= window == blocks_mut().len()
-                    group.blocks_mut()[start + i].set_plane(a, plane);
+                    group.position_mut(start + i)[a] = plane;
                 }
             }
             start += round;

@@ -6,10 +6,10 @@
 //! position `i` across all windows lands in one `u64` plane, and a
 //! single word-level AND/XOR advances the same slot of 64 MACs at once
 //! (the SIMD-within-a-register counterpart of the Kogge–Stone
-//! carry-lookahead rewrite). [`BitplaneBlock`] is the transposed word
-//! position, [`WindowGroup`] a whole window's worth of blocks, and
-//! [`PlaneAccumulator`] the bit-sliced ripple/full-adder accumulator the
-//! plane-parallel engines share. Arithmetic is exact, so the batched
+//! carry-lookahead rewrite). [`WindowGroup`] holds a whole window's
+//! transposed word positions in one flat plane array, and
+//! [`PlaneAccumulator`] is the bit-sliced ripple/full-adder accumulator
+//! the plane-parallel engines share. Arithmetic is exact, so the batched
 //! path is bitwise identical to the scalar one by construction; only
 //! the *activity accounting* differs per design, and that lives with
 //! each engine.
@@ -25,131 +25,30 @@ fn value_mask(bits: u32) -> u64 {
     }
 }
 
-/// One word position transposed across up to 64 windows: plane `a` holds
-/// bit `a` of the position's word in every window (window `w` ↦ plane
-/// bit `w`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BitplaneBlock {
-    planes: Vec<u64>,
-    len: usize,
+/// Lit slots summed over every window's serialization of one word
+/// position: `Σ_a popcount(plane_a)` — the plane-parallel form of
+/// summing per-window popcounts.
+fn lit_slots(position: &[u64]) -> u64 {
+    position.iter().map(|p| u64::from(p.count_ones())).sum()
 }
 
-impl BitplaneBlock {
-    /// Packs `values` (one word per window, at most 64) into `bits`
-    /// planes. Word bits above `bits` are dropped, exactly as the scalar
-    /// transport's `write_bits` truncates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty or longer than [`PLANE_WINDOWS`], or
-    /// if `bits` is outside `1..=16` (the functional engines' range).
-    #[must_use]
-    pub fn pack(values: &[u64], bits: u32) -> Self {
-        let mut block = Self::default();
-        block.repack(values, bits);
-        block
-    }
-
-    /// [`Self::pack`] into this block, reusing its plane allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Self::pack`].
-    pub fn repack(&mut self, values: &[u64], bits: u32) {
-        assert!(
-            (1..=PLANE_WINDOWS).contains(&values.len()),
-            "1..=64 windows per plane block"
-        );
-        assert!((1..=16).contains(&bits), "plane blocks carry 1..=16 bits");
-        self.planes.clear();
-        self.planes.resize(bits as usize, 0);
-        self.len = values.len();
-        let mask = value_mask(bits);
-        for (w, &value) in values.iter().enumerate() {
-            let mut rest = value & mask;
-            while rest != 0 {
-                let a = rest.trailing_zeros() as usize;
-                self.planes[a] |= 1 << w;
-                rest &= rest - 1;
-            }
-        }
-    }
-
-    /// Unpacks the block back into one word per window.
-    pub fn unpack_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        for w in 0..self.len {
-            let mut value = 0u64;
-            for (a, &plane) in self.planes.iter().enumerate() {
-                value |= ((plane >> w) & 1) << a;
-            }
-            out.push(value);
-        }
-    }
-
-    /// The planes, LSB first.
-    #[must_use]
-    pub fn planes(&self) -> &[u64] {
-        &self.planes
-    }
-
-    /// Plane `a` (bit `a` of every window's word).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not below the packed bit width.
-    #[must_use]
-    pub fn plane(&self, a: usize) -> u64 {
-        self.planes[a]
-    }
-
-    /// Replaces plane `a` — the transport layer writes back what the
-    /// photodetector recovered, so the computed value is the value that
-    /// crossed the optical medium.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not below the packed bit width.
-    pub fn set_plane(&mut self, a: usize, plane: u64) {
-        self.planes[a] = plane;
-    }
-
-    /// Windows packed into this block.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no windows are packed (never after [`Self::pack`]).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Lit slots summed over every window's serialization of this word:
-    /// `Σ_a popcount(plane_a)` — the plane-parallel form of summing
-    /// per-window popcounts.
-    #[must_use]
-    pub fn lit_slots(&self) -> u64 {
-        self.planes.iter().map(|p| u64::from(p.count_ones())).sum()
-    }
-
-    /// Adjacent-slot toggles summed over every window's serialization:
-    /// `Σ_a popcount(plane_a ⊕ plane_{a+1})`.
-    #[must_use]
-    pub fn toggle_slots(&self) -> u64 {
-        self.planes
-            .windows(2)
-            .map(|pair| u64::from((pair[0] ^ pair[1]).count_ones()))
-            .sum()
-    }
+/// Adjacent-slot toggles summed over every window's serialization of
+/// one word position: `Σ_a popcount(plane_a ⊕ plane_{a+1})`.
+fn toggle_slots(position: &[u64]) -> u64 {
+    position
+        .windows(2)
+        .map(|pair| u64::from((pair[0] ^ pair[1]).count_ones()))
+        .sum()
 }
 
-/// A group of up to 64 windows transposed into plane blocks: block `i`
-/// carries word position `i` of every window.
+/// A group of up to 64 windows transposed into one flat plane array.
+/// Word position `i` owns planes `[i·bits, (i+1)·bits)`; plane `a` of a
+/// position holds bit `a` of that position's word in every window
+/// (window `w` ↦ plane bit `w`).
 #[derive(Debug, Default)]
 pub struct WindowGroup {
-    blocks: Vec<BitplaneBlock>,
+    planes: Vec<u64>,
+    window: usize,
     len: usize,
     bits: u32,
 }
@@ -157,12 +56,14 @@ pub struct WindowGroup {
 impl WindowGroup {
     /// Packs `len` windows of `window` words each from `rows` (window-
     /// major: window `w` occupies `rows[w*window..(w+1)*window]`),
-    /// reusing this group's allocations.
+    /// reusing this group's allocation. Word bits above `bits` are
+    /// dropped, exactly as the scalar transport's `write_bits` truncates.
     ///
     /// # Panics
     ///
-    /// Panics if `rows.len() != window * len`, if `window` is zero, or
-    /// under [`BitplaneBlock::repack`]'s `len`/`bits` conditions.
+    /// Panics if `rows.len() != window * len`, if `window` is zero, if
+    /// `len` is outside `1..=64`, or if `bits` is outside `1..=16` (the
+    /// functional engines' range).
     pub fn repack(&mut self, rows: &[u64], window: usize, len: usize, bits: u32) {
         assert!(window > 0, "windows carry at least one word");
         assert_eq!(rows.len(), window * len, "rows must hold len windows");
@@ -171,21 +72,18 @@ impl WindowGroup {
             "1..=64 windows per group"
         );
         assert!((1..=16).contains(&bits), "plane groups carry 1..=16 bits");
-        self.blocks.resize_with(window, BitplaneBlock::default);
+        let width = bits as usize;
+        self.planes.clear();
+        self.planes.resize(window * width, 0);
+        self.window = window;
         self.len = len;
         self.bits = bits;
-        let mask = value_mask(bits);
-        for (i, block) in self.blocks.iter_mut().enumerate() {
-            block.planes.clear();
-            block.planes.resize(bits as usize, 0);
-            block.len = len;
-            for w in 0..len {
-                // lint:allow(P104) rows.len() == window·len is asserted above; w < len, i < window
-                let mut rest = rows[w * window + i] & mask;
-                while rest != 0 {
-                    let a = rest.trailing_zeros() as usize;
-                    block.planes[a] |= 1 << w;
-                    rest &= rest - 1;
+        // Window-outer, so `rows` is read sequentially; every word ORs
+        // its `bits` low bits into lane `w` without a data-dependent branch.
+        for (w, row) in rows.chunks_exact(window).enumerate() {
+            for (position, &value) in self.planes.chunks_exact_mut(width).zip(row) {
+                for (a, plane) in position.iter_mut().enumerate() {
+                    *plane |= ((value >> a) & 1) << w;
                 }
             }
         }
@@ -203,17 +101,32 @@ impl WindowGroup {
         group
     }
 
-    /// The plane blocks, one per word position.
+    /// The `bits` planes of word position `i`, LSB first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the window size.
     #[must_use]
-    pub fn blocks(&self) -> &[BitplaneBlock] {
-        &self.blocks
+    pub fn position(&self, i: usize) -> &[u64] {
+        let width = self.bits as usize;
+        &self.planes[i * width..(i + 1) * width]
     }
 
-    /// Mutable plane blocks (the transport layer ships and rewrites
-    /// planes in place).
+    /// Mutable planes of word position `i` (the transport layer ships
+    /// and rewrites planes in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the window size.
     #[must_use]
-    pub fn blocks_mut(&mut self) -> &mut [BitplaneBlock] {
-        &mut self.blocks
+    pub fn position_mut(&mut self, i: usize) -> &mut [u64] {
+        let width = self.bits as usize;
+        &mut self.planes[i * width..(i + 1) * width]
+    }
+
+    /// Every word position's planes, in position order.
+    fn positions(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.planes.chunks_exact(self.bits as usize)
     }
 
     /// Windows packed into the group.
@@ -231,7 +144,7 @@ impl WindowGroup {
     /// Words per window.
     #[must_use]
     pub fn window(&self) -> usize {
-        self.blocks.len()
+        self.window
     }
 
     /// Packed operand precision.
@@ -243,17 +156,12 @@ impl WindowGroup {
     /// Unpacks the group back to window-major rows (inverse of
     /// [`Self::pack`]).
     pub fn unpack_into(&self, rows: &mut Vec<u64>) {
-        let window = self.window();
         rows.clear();
-        rows.resize(window * self.len, 0);
-        for (i, block) in self.blocks.iter().enumerate() {
-            for (a, &plane) in block.planes.iter().enumerate() {
-                let mut rest = plane;
-                while rest != 0 {
-                    let w = rest.trailing_zeros() as usize;
-                    // lint:allow(P104) rows was resized to window·len above; plane bits only exist for w < len (repack masks lanes >= len)
-                    rows[w * window + i] |= 1 << a;
-                    rest &= rest - 1;
+        rows.resize(self.window * self.len, 0);
+        for (w, row) in rows.chunks_exact_mut(self.window).enumerate() {
+            for (value, position) in row.iter_mut().zip(self.positions()) {
+                for (a, &plane) in position.iter().enumerate() {
+                    *value |= ((plane >> w) & 1) << a;
                 }
             }
         }
@@ -336,7 +244,7 @@ impl PlaneAccumulator {
 }
 
 /// The shared plane-parallel inner-product kernel: for every set synapse
-/// bit `b` of word position `i`, add block `i`'s planes shifted by `b`
+/// bit `b` of word position `i`, add position `i`'s planes shifted by `b`
 /// into the lane accumulators — each `add_shifted` is the batched form
 /// of 64 scalar shift-accumulate cycles. Synapse bits above the group's
 /// precision are ignored, exactly as the scalar engines' `0..bits`
@@ -359,11 +267,11 @@ pub fn plane_inner_product(
     );
     let mask = value_mask(group.bits());
     acc.clear();
-    for (block, &synapse) in group.blocks().iter().zip(synapses) {
+    for (position, &synapse) in group.positions().zip(synapses) {
         let mut rest = synapse & mask;
         while rest != 0 {
             let b = rest.trailing_zeros() as usize;
-            acc.add_shifted(&block.planes, b);
+            acc.add_shifted(position, b);
             rest &= rest - 1;
         }
     }
@@ -379,10 +287,10 @@ pub fn plane_inner_product(
 pub(crate) fn gated_stream_totals(group: &WindowGroup, synapses: &[u64]) -> (u64, u64) {
     let mask = value_mask(group.bits());
     let (mut lit, mut toggles) = (0u64, 0u64);
-    for (block, &synapse) in group.blocks().iter().zip(synapses) {
+    for (position, &synapse) in group.positions().zip(synapses) {
         let gates = u64::from((synapse & mask).count_ones());
-        lit += gates * block.lit_slots();
-        toggles += gates * block.toggle_slots();
+        lit += gates * lit_slots(position);
+        toggles += gates * toggle_slots(position);
     }
     (lit, toggles)
 }
@@ -393,26 +301,11 @@ mod tests {
     use pixel_units::rng::SplitMix64;
 
     #[test]
-    fn block_pack_unpack_round_trips() {
-        let mut rng = SplitMix64::seed_from_u64(0xB17);
-        let mut out = Vec::new();
-        for _ in 0..200 {
-            let bits = rng.range_u32(1, 16);
-            let len = rng.range_usize(1, PLANE_WINDOWS);
-            let limit = (1u64 << bits) - 1;
-            let values: Vec<u64> = (0..len).map(|_| rng.range_u64(0, limit)).collect();
-            let block = BitplaneBlock::pack(&values, bits);
-            block.unpack_into(&mut out);
-            assert_eq!(out, values, "bits={bits} len={len}");
-        }
-    }
-
-    #[test]
     fn group_pack_unpack_round_trips() {
         let mut rng = SplitMix64::seed_from_u64(0x6B0);
         let mut group = WindowGroup::default();
         let mut out = Vec::new();
-        for _ in 0..50 {
+        for _ in 0..200 {
             let bits = rng.range_u32(1, 16);
             let window = rng.range_usize(1, 20);
             let len = rng.range_usize(1, PLANE_WINDOWS);
@@ -421,33 +314,63 @@ mod tests {
             group.repack(&rows, window, len, bits);
             assert_eq!(group.len(), len);
             assert_eq!(group.window(), window);
+            let label = format!("bits={bits} window={window} len={len}");
+            for i in 0..window {
+                for (a, &plane) in group.position(i).iter().enumerate() {
+                    let expected =
+                        (0..len).fold(0u64, |p, w| p | (((rows[w * window + i] >> a) & 1) << w));
+                    assert_eq!(plane, expected, "{label} i={i} a={a}");
+                }
+            }
             group.unpack_into(&mut out);
-            assert_eq!(out, rows, "bits={bits} window={window} len={len}");
+            assert_eq!(out, rows, "{label}");
         }
     }
 
     #[test]
     fn pack_truncates_to_the_packed_precision() {
         // 0b1_0110 at 4 bits packs as 0b0110, as write_bits truncates.
-        let block = BitplaneBlock::pack(&[0b1_0110], 4);
+        let group = WindowGroup::pack(&[0b1_0110, 0b11_0001], 1, 2, 4);
         let mut out = Vec::new();
-        block.unpack_into(&mut out);
-        assert_eq!(out, vec![0b0110]);
+        group.unpack_into(&mut out);
+        assert_eq!(out, vec![0b0110, 0b0001]);
     }
 
     #[test]
-    fn block_popcount_tallies_match_per_window_sums() {
-        let values = [0b1010u64, 0b0001, 0b1111, 0];
-        let block = BitplaneBlock::pack(&values, 4);
-        let lit: u64 = values.iter().map(|v| u64::from(v.count_ones())).sum();
-        let toggles: u64 = values
-            .iter()
-            .map(|v| u64::from(((v ^ (v >> 1)) & 0b111).count_ones()))
-            .sum();
-        assert_eq!(block.lit_slots(), lit);
-        assert_eq!(block.toggle_slots(), toggles);
-        assert_eq!(block.len(), 4);
-        assert!(!block.is_empty());
+    fn position_mut_rewrites_one_position() {
+        let mut group = WindowGroup::pack(&[0b01, 0b10, 0b11, 0b00], 2, 2, 2);
+        group.position_mut(1).copy_from_slice(&[0b11, 0b00]);
+        let mut out = Vec::new();
+        group.unpack_into(&mut out);
+        assert_eq!(out, vec![0b01, 0b01, 0b11, 0b01]);
+        assert!(!group.is_empty());
+    }
+
+    #[test]
+    fn position_popcount_tallies_match_per_window_sums() {
+        let mut rng = SplitMix64::seed_from_u64(0x7A11);
+        for _ in 0..200 {
+            let bits = rng.range_u32(1, 16);
+            let window = rng.range_usize(1, 8);
+            let len = rng.range_usize(1, PLANE_WINDOWS);
+            let limit = (1u64 << bits) - 1;
+            let rows: Vec<u64> = (0..window * len).map(|_| rng.range_u64(0, limit)).collect();
+            let group = WindowGroup::pack(&rows, window, len, bits);
+            let label = format!("bits={bits} window={window} len={len}");
+            for i in 0..window {
+                let words = (0..len).map(|w| rows[w * window + i]);
+                let lit: u64 = words.clone().map(|v| u64::from(v.count_ones())).sum();
+                let toggles: u64 = words
+                    .map(|v| u64::from(((v ^ (v >> 1)) & (limit >> 1)).count_ones()))
+                    .sum();
+                assert_eq!(lit_slots(group.position(i)), lit, "lit {label} i={i}");
+                assert_eq!(
+                    toggle_slots(group.position(i)),
+                    toggles,
+                    "toggles {label} i={i}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -464,8 +387,8 @@ mod tests {
             for _ in 0..rng.range_usize(1, 8) {
                 let values: Vec<u64> = (0..len).map(|_| rng.range_u64(0, limit)).collect();
                 let shift = rng.range_usize(0, 8);
-                let block = BitplaneBlock::pack(&values, bits);
-                acc.add_shifted(block.planes(), shift);
+                let group = WindowGroup::pack(&values, 1, len, bits);
+                acc.add_shifted(group.position(0), shift);
                 for (sum, &v) in expected.iter_mut().zip(&values) {
                     *sum += v << shift;
                 }

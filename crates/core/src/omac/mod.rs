@@ -23,7 +23,7 @@ pub mod oe;
 pub mod oo;
 
 pub use activity::ActivityCounter;
-pub use bitplane::{BitplaneBlock, PlaneAccumulator, WindowGroup, PLANE_WINDOWS};
+pub use bitplane::{PlaneAccumulator, WindowGroup, PLANE_WINDOWS};
 pub use ee::EeMac;
 pub use oe::OeMac;
 pub use oo::OoMac;

@@ -138,7 +138,7 @@ impl OoMac {
             .add_comparator_decisions(combined.len() as u64);
         self.activity.add_oe_conversion();
         self.converter
-            .decode(combined.amplitudes())
+            .decode(&combined.amplitudes())
             // lint:allow(P002) amplitude levels bounded by bits-per-lane accumulation
             .expect("amplitude levels bounded by bits per lane")
     }

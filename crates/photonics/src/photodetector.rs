@@ -56,10 +56,16 @@ impl Photodetector {
     /// (with `unit_pulse` being the power of one launched pulse at the
     /// detector) is a 1. Returns the decoded word, LSB in slot 0, or `None`
     /// if a slot holds more than one pulse (binary receivers saturate).
+    /// A packed on-off-keyed train holds only 0/1 slots, so its mask is
+    /// the word.
     #[must_use]
+    #[inline]
     pub fn detect_binary(&self, train: &PulseTrain, unit_pulse: Power) -> Option<u64> {
         if unit_pulse < self.sensitivity {
             return None;
+        }
+        if let Some(word) = train.packed_word() {
+            return Some(word);
         }
         let mut word = 0u64;
         for (i, amp) in train.iter().enumerate() {
@@ -151,6 +157,39 @@ mod tests {
         let t = PulseTrain::from_bits(0b1, 1);
         assert_eq!(pd.detect_binary(&t, Power::from_microwatts(1.0)), None);
         assert_eq!(pd.detect_levels(&t, Power::from_microwatts(1.0), 4), None);
+    }
+
+    #[test]
+    fn binary_detection_agrees_on_packed_and_slot_trains() {
+        use crate::signal::{WavelengthId, WdmSignal};
+        use pixel_units::rng::SplitMix64;
+        let pd = Photodetector::default();
+        let (bright, dim) = (Power::from_microwatts(100.0), Power::from_microwatts(1.0));
+        let mut rng = SplitMix64::seed_from_u64(0xDE7);
+        for len in 0..=64 {
+            for _ in 0..8 {
+                let word = if len == 0 {
+                    0
+                } else {
+                    rng.next_u64() >> (64 - len)
+                };
+                let packed = PulseTrain::from_bits(word, len);
+                let slots: PulseTrain = packed.iter().collect();
+                assert_eq!(pd.detect_binary(&packed, bright), Some(word), "len={len}");
+                assert_eq!(pd.detect_binary(&slots, bright), Some(word), "len={len}");
+                assert_eq!(pd.detect_binary(&packed, dim), None, "len={len}");
+                assert_eq!(pd.detect_binary(&slots, dim), None, "len={len}");
+                // Two packed trains muxed onto one wavelength collide at
+                // level 2 wherever both are lit.
+                if word != 0 {
+                    let mut signal = WdmSignal::new();
+                    signal.mux(WavelengthId(1), packed.clone());
+                    signal.mux(WavelengthId(1), PulseTrain::from_bits(word, len));
+                    let arrived = signal.demux(WavelengthId(1));
+                    assert_eq!(pd.detect_binary(&arrived, bright), None, "len={len}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! units, so superposition is additive) present in optical clock cycle `t`.
 //! Binary data is launched LSB-first, matching the paper's description of
 //! the MZI accumulator that starts "with the LSB (bit position 0)".
+//! On-off-keyed trains of up to 64 slots are held packed, one bit per
+//! slot, so launching, muxing, demuxing and detecting a binary word is
+//! word-level work.
 //!
 //! A [`WdmSignal`] carries one pulse train per wavelength, modelling the
 //! wavelength-division-multiplexed home channels of the OMAC design.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Identifies a WDM wavelength channel (λ₀, λ₁, …).
@@ -30,13 +33,53 @@ impl fmt::Display for WavelengthId {
     }
 }
 
+/// Slots a packed on-off-keyed train can hold (one mask bit each).
+const PACKED_SLOTS: usize = 64;
+
+fn low_mask(bits: usize) -> u64 {
+    if bits >= PACKED_SLOTS {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
+}
+
+/// A packed on-off-keyed train: slot `t < len` carries one unit pulse
+/// iff bit `t` of `mask` is set. Mask bits at or above `len` are clear.
+#[derive(Debug, Clone, Copy)]
+struct Ook {
+    mask: u64,
+    len: usize,
+}
+
+impl Ook {
+    fn amplitude(self, t: usize) -> f64 {
+        if t < self.len && (self.mask >> t) & 1 == 1 {
+            1.0
+        } else {
+            0.0
+        }
+    }
+}
+
 /// A time-slotted train of optical pulse amplitudes on one wavelength.
 ///
 /// Amplitudes are in linear power units where one launched bit pulse has
 /// amplitude 1.0; combining signals in an MZI coupler adds amplitudes.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// The values alone choose how a train is stored. An on-off-keyed train
+/// of at most 64 slots, as [`Self::from_bits`], [`Self::write_bits`] and
+/// [`Self::dark`] launch it, is a slot mask plus a length. Every
+/// multi-level operation ([`Self::superpose`], [`Self::add_shifted`],
+/// [`Self::delayed`], [`Self::attenuated`], [`Self::from_amplitudes`])
+/// produces `f64` slots. Every observer, equality included, answers the
+/// same for both forms.
+#[derive(Debug, Clone, Default)]
 pub struct PulseTrain {
+    /// Slot amplitudes of an `f64` train. Empty while the train is
+    /// packed, but it keeps its capacity for the next multi-level write.
     slots: Vec<f64>,
+    packed: Option<Ook>,
 }
 
 impl PulseTrain {
@@ -49,15 +92,18 @@ impl PulseTrain {
     /// Creates a train of `len` dark (zero-amplitude) slots.
     #[must_use]
     pub fn dark(len: usize) -> Self {
-        Self {
-            slots: vec![0.0; len],
-        }
+        let mut train = Self::new();
+        train.set_dark(len);
+        train
     }
 
     /// Creates a train from raw amplitude slots.
     #[must_use]
     pub fn from_amplitudes(slots: Vec<f64>) -> Self {
-        Self { slots }
+        Self {
+            slots,
+            packed: None,
+        }
     }
 
     /// Launches the low `bits` bits of `value` LSB-first: slot 0 carries bit
@@ -68,11 +114,9 @@ impl PulseTrain {
     /// Panics if `bits > 64`.
     #[must_use]
     pub fn from_bits(value: u64, bits: usize) -> Self {
-        assert!(bits <= 64, "at most 64 bits per word");
-        let slots = (0..bits)
-            .map(|i| if (value >> i) & 1 == 1 { 1.0 } else { 0.0 })
-            .collect();
-        Self { slots }
+        let mut train = Self::new();
+        train.write_bits(value, bits);
+        train
     }
 
     /// Re-launches the low `bits` bits of `value` LSB-first into this
@@ -82,74 +126,109 @@ impl PulseTrain {
     /// # Panics
     ///
     /// Panics if `bits > 64`.
+    #[inline]
     pub fn write_bits(&mut self, value: u64, bits: usize) {
-        assert!(bits <= 64, "at most 64 bits per word");
-        self.slots.clear();
-        self.slots
-            .extend((0..bits).map(|i| if (value >> i) & 1 == 1 { 1.0 } else { 0.0 }));
+        assert!(bits <= PACKED_SLOTS, "at most 64 bits per word");
+        self.pack(value & low_mask(bits), bits);
     }
 
     /// Turns this train into `len` dark slots, reusing its storage (the
     /// in-place counterpart of [`Self::dark`]).
     pub fn set_dark(&mut self, len: usize) {
-        self.slots.clear();
-        self.slots.resize(len, 0.0);
+        if len <= PACKED_SLOTS {
+            self.pack(0, len);
+        } else {
+            self.packed = None;
+            self.slots.clear();
+            self.slots.resize(len, 0.0);
+        }
     }
 
     /// Copies another train's slots into this one, reusing storage.
+    #[inline]
     pub fn copy_from(&mut self, other: &Self) {
         self.slots.clear();
-        self.slots.extend_from_slice(&other.slots);
+        self.packed = other.packed;
+        if other.packed.is_none() {
+            self.slots.extend_from_slice(&other.slots);
+        }
     }
 
     /// Superposes `other`, delayed by `shift` slots, onto this train in
     /// place — the buffer-reuse form of `self.superpose(&other.delayed(shift))`,
     /// growing the train with dark slots as needed.
     pub fn add_shifted(&mut self, other: &Self, shift: usize) {
-        let needed = shift + other.slots.len();
-        if self.slots.len() < needed {
-            self.slots.resize(needed, 0.0);
+        let slots = self.unpack();
+        let needed = shift + other.len();
+        if slots.len() < needed {
+            slots.resize(needed, 0.0);
         }
-        for (t, &a) in other.slots.iter().enumerate() {
-            // lint:allow(P104) slots was resized to shift + other.len() just above
-            self.slots[t + shift] += a;
+        for (slot, a) in slots[shift..needed].iter_mut().zip(other.iter()) {
+            *slot += a;
         }
+    }
+
+    fn pack(&mut self, mask: u64, len: usize) {
+        self.slots.clear();
+        self.packed = Some(Ook { mask, len });
+    }
+
+    /// Switches to the `f64` form in place and returns its slots.
+    fn unpack(&mut self) -> &mut Vec<f64> {
+        if let Some(ook) = self.packed.take() {
+            self.slots.clear();
+            self.slots.extend((0..ook.len).map(|t| ook.amplitude(t)));
+        }
+        &mut self.slots
+    }
+
+    /// The word a packed on-off-keyed train carries, LSB in slot 0
+    /// (`None` for an `f64` train).
+    pub(crate) fn packed_word(&self) -> Option<u64> {
+        self.packed.map(|ook| ook.mask)
     }
 
     /// Number of time slots in the train.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.packed.map_or(self.slots.len(), |ook| ook.len)
     }
 
     /// Returns `true` if the train has no slots.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
     /// Amplitude in slot `t` (0.0 beyond the end — the fibre is dark).
     #[must_use]
     pub fn amplitude(&self, t: usize) -> f64 {
-        self.slots.get(t).copied().unwrap_or(0.0)
+        match self.packed {
+            Some(ook) => ook.amplitude(t),
+            None => self.slots.get(t).copied().unwrap_or(0.0),
+        }
     }
 
     /// Iterates over slot amplitudes.
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.slots.iter().copied()
+        (0..self.len()).map(|t| self.amplitude(t))
     }
 
-    /// The raw slot amplitudes in time order.
+    /// The slot amplitudes in time order (borrowed from an `f64` train,
+    /// expanded from a packed one).
     #[must_use]
-    pub fn amplitudes(&self) -> &[f64] {
-        &self.slots
+    pub fn amplitudes(&self) -> Cow<'_, [f64]> {
+        match self.packed {
+            Some(_) => Cow::Owned(self.iter().collect()),
+            None => Cow::Borrowed(&self.slots),
+        }
     }
 
     /// Total slot amplitude of the train (sum of slot amplitudes — a
     /// dimensionless count of lit pulse-slots, not a watt-valued power).
     #[must_use]
     pub fn total_amplitude(&self) -> f64 {
-        self.slots.iter().sum()
+        self.iter().sum()
     }
 
     /// Gates the train with an on/off modulator: `on = false` extinguishes
@@ -166,28 +245,23 @@ impl PulseTrain {
     /// Attenuates every slot by a linear factor (waveguide loss).
     #[must_use]
     pub fn attenuated(&self, linear_factor: f64) -> Self {
-        Self {
-            slots: self.slots.iter().map(|a| a * linear_factor).collect(),
-        }
+        self.iter().map(|a| a * linear_factor).collect()
     }
 
     /// Delays the train by `slots` whole time slots (dark fill at the front).
     /// This models a delay-matched path between cascaded MZIs.
     #[must_use]
     pub fn delayed(&self, slots: usize) -> Self {
-        let mut out = vec![0.0; slots];
-        out.extend_from_slice(&self.slots);
-        Self { slots: out }
+        std::iter::repeat_n(0.0, slots).chain(self.iter()).collect()
     }
 
     /// Superposes two trains slot-by-slot (additive coupling in an MZI).
     #[must_use]
     pub fn superpose(&self, other: &Self) -> Self {
         let len = self.len().max(other.len());
-        let slots = (0..len)
+        (0..len)
             .map(|t| self.amplitude(t) + other.amplitude(t))
-            .collect();
-        Self { slots }
+            .collect()
     }
 
     /// Rounds each slot amplitude to the nearest integer pulse count, as a
@@ -202,6 +276,10 @@ impl PulseTrain {
     /// [`Self::quantized_levels`] into a reused buffer (cleared first).
     pub fn quantized_levels_into(&self, out: &mut Vec<u32>) {
         out.clear();
+        if let Some(ook) = self.packed {
+            out.extend((0..ook.len).map(|t| u32::from((ook.mask >> t) & 1 == 1)));
+            return;
+        }
         out.extend(self.slots.iter().map(|a| {
             debug_assert!(*a >= -1e-9, "negative optical power");
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -250,18 +328,25 @@ impl PulseTrain {
     }
 }
 
+/// Trains are equal when their slot amplitudes are, whichever form holds
+/// them.
+impl PartialEq for PulseTrain {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
 impl FromIterator<f64> for PulseTrain {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        Self {
-            slots: iter.into_iter().collect(),
-        }
+        Self::from_amplitudes(iter.into_iter().collect())
     }
 }
 
 /// A wavelength-division-multiplexed bundle of pulse trains.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct WdmSignal {
-    channels: BTreeMap<WavelengthId, PulseTrain>,
+    /// Entry `i` is wavelength `WavelengthId(i)`; `None` while it is dark.
+    channels: Vec<Option<PulseTrain>>,
 }
 
 impl WdmSignal {
@@ -271,58 +356,84 @@ impl WdmSignal {
         Self::default()
     }
 
+    #[inline]
+    fn entry(&mut self, id: WavelengthId) -> &mut Option<PulseTrain> {
+        let index = id.index();
+        if self.channels.len() <= index {
+            self.channels.resize_with(index + 1, || None);
+        }
+        &mut self.channels[index]
+    }
+
     /// Multiplexes `train` onto channel `id`, superposing with any signal
     /// already on that wavelength.
     pub fn mux(&mut self, id: WavelengthId, train: PulseTrain) {
-        self.channels
-            .entry(id)
-            .and_modify(|existing| *existing = existing.superpose(&train))
-            .or_insert(train);
+        match self.entry(id) {
+            Some(existing) => *existing = existing.superpose(&train),
+            empty => *empty = Some(train),
+        }
     }
 
-    /// Drops (demultiplexes) channel `id`, returning a dark train if absent.
+    /// Drops (demultiplexes) channel `id`, returning a zero-slot train if
+    /// nothing was muxed onto it.
     #[must_use]
     pub fn demux(&self, id: WavelengthId) -> PulseTrain {
-        self.channels.get(&id).cloned().unwrap_or_default()
+        self.channel(id).cloned().unwrap_or_default()
     }
 
     /// Borrows channel `id` without cloning (`None` when the wavelength
     /// is dark) — the receive-side counterpart of [`Self::set_channel`]
     /// for allocation-free transport loops.
     #[must_use]
+    #[inline]
     pub fn channel(&self, id: WavelengthId) -> Option<&PulseTrain> {
-        self.channels.get(&id)
+        self.channels.get(id.index()).and_then(Option::as_ref)
     }
 
     /// Overwrites channel `id` with a copy of `train`, reusing the slot
     /// storage already allocated on that wavelength. Unlike [`Self::mux`]
     /// this *replaces* rather than superposes — the refresh a firing tile
     /// performs between rounds on its own band.
+    #[inline]
     pub fn set_channel(&mut self, id: WavelengthId, train: &PulseTrain) {
-        self.channels
-            .entry(id)
-            .and_modify(|existing| existing.copy_from(train))
-            .or_insert_with(|| train.clone());
+        match self.entry(id) {
+            Some(existing) => existing.copy_from(train),
+            empty => *empty = Some(train.clone()),
+        }
     }
 
     /// Number of active wavelength channels.
     #[must_use]
     pub fn channel_count(&self) -> usize {
-        self.channels.len()
+        self.channels.iter().flatten().count()
     }
 
     /// Iterates over `(wavelength, train)` pairs in channel order.
     pub fn iter(&self) -> impl Iterator<Item = (WavelengthId, &PulseTrain)> {
-        self.channels.iter().map(|(id, t)| (*id, t))
+        self.channels.iter().enumerate().filter_map(|(i, train)| {
+            // Every entry index came from a `u16` wavelength id.
+            #[allow(clippy::cast_possible_truncation)]
+            let id = WavelengthId(i as u16);
+            train.as_ref().map(|t| (id, t))
+        })
     }
 
     /// Aggregate slot amplitude across all channels.
     #[must_use]
     pub fn total_amplitude(&self) -> f64 {
         self.channels
-            .values()
+            .iter()
+            .flatten()
             .map(PulseTrain::total_amplitude)
             .sum()
+    }
+}
+
+/// Signals are equal when they carry equal trains on the same
+/// wavelengths.
+impl PartialEq for WdmSignal {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
@@ -339,6 +450,205 @@ impl FromIterator<(WavelengthId, PulseTrain)> for WdmSignal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pixel_units::rng::SplitMix64;
+
+    /// The same 0/1 slots in both forms: a packed train and an `f64` one.
+    fn both_forms(word: u64, len: usize) -> (PulseTrain, PulseTrain) {
+        let packed = PulseTrain::from_bits(word, len);
+        let slots = PulseTrain::from_amplitudes(
+            (0..len)
+                .map(|t| if (word >> t) & 1 == 1 { 1.0 } else { 0.0 })
+                .collect(),
+        );
+        assert!(packed.packed_word().is_some(), "len={len}");
+        assert!(slots.packed_word().is_none(), "len={len}");
+        (packed, slots)
+    }
+
+    fn random_word(rng: &mut SplitMix64, len: usize) -> u64 {
+        rng.next_u64() & low_mask(len)
+    }
+
+    /// Every observer reads the same slots from `a` and `b`.
+    fn assert_same_observations(a: &PulseTrain, b: &PulseTrain, label: &str) {
+        assert_eq!(a.len(), b.len(), "len {label}");
+        assert_eq!(a.is_empty(), b.is_empty(), "is_empty {label}");
+        for t in 0..a.len() + 2 {
+            assert_eq!(a.amplitude(t), b.amplitude(t), "amplitude({t}) {label}");
+        }
+        assert!(a.iter().eq(b.iter()), "iter {label}");
+        assert_eq!(a.amplitudes(), b.amplitudes(), "amplitudes {label}");
+        assert_eq!(a.to_bits(), b.to_bits(), "to_bits {label}");
+        assert_eq!(a.quantized_levels(), b.quantized_levels(), "levels {label}");
+        let (mut la, mut lb) = (vec![7u32; 3], Vec::new());
+        a.quantized_levels_into(&mut la);
+        b.quantized_levels_into(&mut lb);
+        assert_eq!(la, lb, "levels_into {label}");
+        assert_eq!(a.positional_value(), b.positional_value(), "value {label}");
+        assert_eq!(a.peak_level(), b.peak_level(), "peak {label}");
+        assert_eq!(
+            a.total_amplitude().to_bits(),
+            b.total_amplitude().to_bits(),
+            "total {label}"
+        );
+        assert_eq!(a, b, "eq {label}");
+        assert_eq!(b, a, "eq reversed {label}");
+    }
+
+    #[test]
+    fn packed_and_slot_trains_agree_on_every_observer() {
+        let mut rng = SplitMix64::seed_from_u64(0x00C);
+        for len in 0..=64 {
+            for _ in 0..8 {
+                let word = random_word(&mut rng, len);
+                let (packed, slots) = both_forms(word, len);
+                let label = format!("word={word:#x} len={len}");
+                assert_same_observations(&packed, &slots, &label);
+                assert_eq!(packed.to_bits(), Some(word), "{label}");
+                // The in-place writers keep or produce the packed form.
+                let mut scratch = PulseTrain::from_amplitudes(vec![2.0; 70]);
+                scratch.write_bits(word, len);
+                assert_eq!(scratch.packed_word(), Some(word), "{label}");
+                assert_same_observations(&scratch, &slots, &label);
+                scratch.copy_from(&slots);
+                assert!(scratch.packed_word().is_none(), "{label}");
+                assert_same_observations(&scratch, &packed, &label);
+                scratch.copy_from(&packed);
+                assert_eq!(scratch.packed_word(), Some(word), "{label}");
+                scratch.set_dark(len);
+                assert_eq!(scratch.packed_word(), Some(0), "{label}");
+                assert_same_observations(
+                    &scratch,
+                    &PulseTrain::from_amplitudes(vec![0.0; len]),
+                    &label,
+                );
+                assert_same_observations(&packed.gated(false), &slots.gated(false), &label);
+                assert_same_observations(&packed.gated(true), &slots.gated(true), &label);
+                // A different word of the same length is a different train.
+                if len > 0 {
+                    let (flipped, _) = both_forms(word ^ 1, len);
+                    assert_ne!(flipped, slots, "{label}");
+                    assert_ne!(flipped, packed, "{label}");
+                }
+                assert_ne!(PulseTrain::dark(len + 1), PulseTrain::dark(len), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_level_operations_agree_and_produce_slots() {
+        let mut rng = SplitMix64::seed_from_u64(0x3A7);
+        for _ in 0..300 {
+            // Results end by slot 62, so every positional value fits a u64.
+            let len = rng.range_usize(0, 56);
+            let other_len = rng.range_usize(0, 56);
+            let shift = rng.range_usize(0, 6);
+            let (packed, slots) = both_forms(random_word(&mut rng, len), len);
+            let (other_packed, other_slots) =
+                both_forms(random_word(&mut rng, other_len), other_len);
+            let label = format!("len={len} other={other_len} shift={shift}");
+            let results = [
+                (
+                    packed.superpose(&other_packed),
+                    slots.superpose(&other_slots),
+                ),
+                (
+                    packed.superpose(&other_slots),
+                    slots.superpose(&other_packed),
+                ),
+                (packed.delayed(shift), slots.delayed(shift)),
+                (packed.attenuated(0.5), slots.attenuated(0.5)),
+                (
+                    PulseTrain::from_amplitudes(packed.amplitudes().into_owned()),
+                    slots.clone(),
+                ),
+            ];
+            for (i, (a, b)) in results.iter().enumerate() {
+                assert!(a.packed_word().is_none(), "op {i} {label}");
+                assert_same_observations(a, b, &format!("op {i} {label}"));
+            }
+            let (mut acc_packed, mut acc_slots) = (packed.clone(), slots.clone());
+            acc_packed.add_shifted(&other_packed, shift);
+            acc_slots.add_shifted(&other_slots, shift);
+            assert!(acc_packed.packed_word().is_none(), "{label}");
+            assert_same_observations(&acc_packed, &acc_slots, &label);
+            assert_eq!(
+                acc_packed,
+                slots.superpose(&other_slots.delayed(shift)),
+                "{label}"
+            );
+            // Muxing onto an occupied wavelength superposes.
+            let mut signal = WdmSignal::new();
+            signal.mux(WavelengthId(3), packed.clone());
+            signal.mux(WavelengthId(3), other_packed.clone());
+            let arrived = signal.demux(WavelengthId(3));
+            assert!(arrived.packed_word().is_none(), "{label}");
+            assert_same_observations(&arrived, &slots.superpose(&other_slots), &label);
+        }
+    }
+
+    #[test]
+    fn trains_longer_than_a_word_stay_slots() {
+        for len in [65, 66, 100, 200] {
+            let dark = PulseTrain::dark(len);
+            assert!(dark.packed_word().is_none(), "len={len}");
+            assert_eq!(dark, PulseTrain::from_amplitudes(vec![0.0; len]));
+            let mut t = PulseTrain::from_bits(0b1, 1);
+            t.set_dark(len);
+            assert!(t.packed_word().is_none(), "len={len}");
+            assert_eq!(t.len(), len);
+            let long = PulseTrain::from_bits(u64::MAX, 64).delayed(len - 64);
+            assert!(long.packed_word().is_none(), "len={len}");
+            assert_eq!(long.len(), len);
+            assert_eq!(long.to_bits(), None, "len={len}: a lit slot past 63");
+            let mut copy = PulseTrain::from_bits(1, 1);
+            copy.copy_from(&long);
+            assert!(copy.packed_word().is_none(), "len={len}");
+            assert_eq!(copy, long);
+        }
+    }
+
+    #[test]
+    fn wdm_channels_keep_order_replace_and_superpose_on_sparse_ids() {
+        let ids = [
+            WavelengthId(40),
+            WavelengthId(2),
+            WavelengthId(17),
+            WavelengthId(0),
+        ];
+        let mut s = WdmSignal::new();
+        for (k, &id) in ids.iter().enumerate() {
+            s.set_channel(id, &PulseTrain::from_bits(k as u64 + 1, 4));
+        }
+        assert_eq!(s.channel_count(), 4);
+        let order: Vec<u16> = s.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(order, vec![0, 2, 17, 40], "channel order");
+        assert!(s.channel(WavelengthId(1)).is_none());
+        assert!(s.channel(WavelengthId(41)).is_none());
+        assert!(s.demux(WavelengthId(1000)).is_empty());
+        // set_channel replaces, mux superposes.
+        s.set_channel(WavelengthId(17), &PulseTrain::from_bits(0b1000, 4));
+        assert_eq!(s.demux(WavelengthId(17)).to_bits(), Some(0b1000));
+        s.mux(WavelengthId(17), PulseTrain::from_bits(0b1001, 4));
+        assert_eq!(
+            s.demux(WavelengthId(17)).quantized_levels(),
+            vec![1, 0, 0, 2]
+        );
+        assert_eq!(s.channel_count(), 4);
+        // Equality ignores how far the dense store has grown.
+        let a: WdmSignal = [(WavelengthId(1), PulseTrain::from_bits(1, 2))]
+            .into_iter()
+            .collect();
+        let mut b = a.clone();
+        b.channels.resize(90, None);
+        b.set_channel(
+            WavelengthId(1),
+            &PulseTrain::from_amplitudes(vec![1.0, 0.0]),
+        );
+        assert_eq!(a, b);
+        b.mux(WavelengthId(60), PulseTrain::new());
+        assert_ne!(a, b);
+    }
 
     #[test]
     fn bits_round_trip_lsb_first() {

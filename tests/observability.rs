@@ -12,6 +12,9 @@ use pixel::dnn::layer::{Layer, Shape};
 use pixel::dnn::tensor::Tensor;
 use pixel::units::rng::SplitMix64;
 
+/// The per-group stages of the fabric's conv loop, in execution order.
+const STAGES: [&str; 4] = ["gather", "pack", "transport", "fire"];
+
 fn run_fabric_conv() {
     let mut rng = SplitMix64::seed_from_u64(11);
     let layer = Layer::conv_padded("Conv", Shape::square(6, 2), 3, 3, 1, 1);
@@ -75,6 +78,13 @@ fn global_registry_observes_the_instrumented_stack() {
     assert!(snap
         .span("fabric_conv2d/rows")
         .is_some_and(|s| s.count == 3));
+    // Stage spans nest under `rows`, one of each per plane group: every
+    // run packs its 36 windows into one partial group, so three designs
+    // give three of each.
+    for stage in STAGES {
+        let path = format!("fabric_conv2d/rows/{stage}");
+        assert_eq!(snap.span(&path).map(|s| s.count), Some(3), "{path}");
+    }
     // Analysis ran under the accelerator evaluation.
     assert!(snap.span("analyze").is_some());
 
@@ -83,6 +93,10 @@ fn global_registry_observes_the_instrumented_stack() {
     run_fabric_conv();
     let frozen = pixel::obs::snapshot();
     assert_eq!(frozen.counter("fabric.windows"), Some(108));
+    for stage in STAGES {
+        let path = format!("fabric_conv2d/rows/{stage}");
+        assert_eq!(frozen.span(&path).map(|s| s.count), Some(3), "{path}");
+    }
     pixel::obs::reset();
     assert!(pixel::obs::snapshot().counters.is_empty());
 }
