@@ -2,7 +2,8 @@
 //!
 //! Times the repository's hot paths — the bit-true functional MACs, the
 //! bit-plane fabric convolution against the per-window OMAC reference,
-//! full quantized forwards of every paper CNN, and the serving
+//! full quantized forwards of every paper CNN (LeNet also bit-true on
+//! the fabric, FC layers included), and the serving
 //! simulator's event loop — and writes true medians (plus means) to a
 //! `BENCH_functional.json` artifact (schema [`SCHEMA`]).
 //!
@@ -22,7 +23,9 @@ use crate::timing;
 use pixel_core::config::{AcceleratorConfig, Design};
 use pixel_core::functional_fabric::FunctionalFabric;
 use pixel_core::omac::engine_for;
-use pixel_dnn::inference::{conv2d, forward, replay_layers, DirectMac, LayerWeights, MacEngine};
+use pixel_dnn::inference::{
+    conv2d, forward, forward_batch, replay_layers, DirectMac, LayerWeights, MacEngine,
+};
 use pixel_dnn::layer::{Layer, Shape};
 use pixel_dnn::quant::Precision;
 use pixel_dnn::tensor::Tensor;
@@ -38,8 +41,10 @@ use std::time::Duration;
 /// `median_ns` and is rejected.
 pub const SCHEMA: &str = "pixel-bench/2";
 
-/// Images per iteration of the batched fabric-conv benches: enough that
-/// every bit-plane group is full (1600 windows = 25 exact groups of 64).
+/// Images per iteration of the batched fabric benches: enough that every
+/// bit-plane group of the conv case is full (1600 windows = 25 exact
+/// groups of 64). The fabric LeNet batch uses it too; there LeNet's last
+/// conv and both FC layers fill one partial group of 16 rows.
 pub const BATCH_IMAGES: usize = 16;
 
 /// Minimum in-run ops/s ratio of `fabric_conv_X` (batched) over
@@ -56,8 +61,10 @@ pub const MIN_BATCH_SPEEDUP: f64 = 6.0;
 /// transport and the bit-plane engine paths — while the `_scalar`
 /// variants time the per-window OMAC reference
 /// (`pixel_dnn::inference::conv2d` on the design's
-/// [`engine_for`] engine) on one image of the same case.
-pub const EXPECTED: [&str; 17] = [
+/// [`engine_for`] engine) on one image of the same case. The
+/// `forward_lenet_{ee,oe,oo}` keys time a [`BATCH_IMAGES`]-image LeNet
+/// `forward_batch` with the fabric as the engine, FC layers included.
+pub const EXPECTED: [&str; 20] = [
     "functional_mac_direct",
     "functional_mac_ee",
     "functional_mac_oe",
@@ -69,6 +76,9 @@ pub const EXPECTED: [&str; 17] = [
     "fabric_conv_oe_scalar",
     "fabric_conv_oo_scalar",
     "forward_lenet_direct",
+    "forward_lenet_ee",
+    "forward_lenet_oe",
+    "forward_lenet_oo",
     "forward_vgg16_direct",
     "forward_alexnet_direct",
     "forward_zfnet_direct",
@@ -203,6 +213,21 @@ pub fn run(quick: bool, jobs: usize) -> Vec<BenchResult> {
     });
     out.push(result("forward_lenet_direct", m, 1));
 
+    // The same LeNet, a batch of BATCH_IMAGES at once, bit-true through
+    // the fabric: every conv and FC layer crosses the optical medium.
+    let lenet_batch: Vec<Tensor> = (0..BATCH_IMAGES)
+        .map(|_| Tensor::from_fn(in_shape, |_, _, _| rng.range_u64(0, precision.max_value())))
+        .collect();
+    for (design, name) in Design::ALL.into_iter().zip(EXPECTED[11..14].iter()) {
+        let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
+        let m = timing::measure_median(budget, reps, || {
+            forward_batch(&net, &lenet_batch, &lenet_weights, &fabric, precision)
+                // lint:allow(P002) zoo networks are shape-consistent by construction
+                .expect("lenet forward is shape-consistent")
+        });
+        out.push(result(name, m, BATCH_IMAGES as u64));
+    }
+
     // The five remaining paper CNNs, via the layer replay (their Table-I
     // derived layer lists are not chainable end to end): every layer
     // executes once on operands of its declared shape — the network's
@@ -211,8 +236,8 @@ pub fn run(quick: bool, jobs: usize) -> Vec<BenchResult> {
         .into_iter()
         .filter(|net| net.name() != "LeNet")
         .collect();
-    debug_assert_eq!(others.len(), EXPECTED[11..16].len());
-    for (net, name) in others.iter().zip(EXPECTED[11..16].iter()) {
+    debug_assert_eq!(others.len(), EXPECTED[14..19].len());
+    for (net, name) in others.iter().zip(EXPECTED[14..19].iter()) {
         let m = timing::measure_single(|| {
             replay_layers(net, &DirectMac, precision, 2026)
                 // lint:allow(P002) zoo layer tables are self-consistent by construction

@@ -1,19 +1,22 @@
-//! End-to-end functional execution of a convolution layer on the fabric.
+//! Bit-true execution of CNN layers, convolution and fully-connected, on
+//! the photonic fabric.
 //!
-//! Ties every functional piece together the way Fig. 2(b)/Fig. 3 describe:
-//! the layer's windows are scheduled onto tiles (one filter per tile,
-//! §III-A), each tile's weights sit in its register file, neuron words are
+//! Ties every functional piece together the way Fig. 2(b)/Fig. 3 describe.
+//! The fabric is a [`MacEngine`]: [`pixel_dnn::inference`] lowers each
+//! layer to rows (convolution windows or fully-connected inputs), and each
+//! block of rows is packed into bit-plane groups whose neuron words are
 //! serialized to pulse trains, multiplexed onto the MWSR waveguide on the
-//! firing tile's wavelength block, recovered at the compute tile, and
-//! pushed through the design's bit-true OMAC. The result must equal a
-//! plain integer convolution — the strongest "the architecture actually
-//! computes the CNN" statement in the repository.
+//! firing tile's wavelength block, recovered at the compute tiles, and
+//! pushed through the design's bit-true OMAC, one kernel per tile
+//! (§III-A) with its weights in the tile's register file. The result must
+//! equal plain integer inference — the strongest "the architecture
+//! actually computes the CNN" statement in the repository.
 
 use crate::config::AcceleratorConfig;
 use crate::omac::{WindowGroup, PLANE_WINDOWS};
 use crate::tile::Tile;
-use pixel_dnn::inference::{gather_window, LayerWeights, ShapeError};
-use pixel_dnn::layer::{Layer, LayerKind, Shape};
+use pixel_dnn::inference::{conv_windows, LayerWeights, MacEngine, ShapeError};
+use pixel_dnn::layer::Layer;
 use pixel_dnn::tensor::Tensor;
 use pixel_photonics::photodetector::Photodetector;
 use pixel_photonics::signal::{PulseTrain, WavelengthId, WdmSignal};
@@ -21,23 +24,15 @@ use pixel_photonics::wdm::BandPlan;
 use pixel_units::Power;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A fabric of functional tiles executing convolutions filter-per-tile.
+/// A fabric of functional tiles executing layers kernel-per-tile.
 pub struct FunctionalFabric {
     config: AcceleratorConfig,
     detector: Photodetector,
     /// Words recovered by the receive-side photodetector across this
-    /// fabric's lifetime — the transport-fidelity witness: after a
-    /// convolution it must equal windows × window size, proving every
+    /// fabric's lifetime — the transport-fidelity witness: it must equal
+    /// the rows × row length of every GEMM the fabric ran, proving every
     /// neuron word crossed the optical medium.
     detected_words: AtomicU64,
-}
-
-/// Per-worker transport buffers, reused across every plane group of a
-/// convolution instead of allocating trains per group.
-#[derive(Default)]
-struct TransportScratch {
-    train: PulseTrain,
-    signal: WdmSignal,
 }
 
 impl std::fmt::Debug for FunctionalFabric {
@@ -61,9 +56,10 @@ impl FunctionalFabric {
 
     /// Total neuron words recovered by the receive-side detector so far.
     ///
-    /// Every word of every window must cross serialize → mux → demux →
-    /// detect, so after [`Self::conv2d_batch`] this advances by exactly
-    /// `images × output positions × window size`.
+    /// Every word of every row must cross serialize → mux → demux →
+    /// detect, so [`Self::conv2d_batch`] advances this by exactly
+    /// `images × output positions × window size`, and a fully-connected
+    /// layer by `images × inputs`.
     #[must_use]
     pub fn detected_words(&self) -> u64 {
         self.detected_words.load(Ordering::Relaxed)
@@ -73,18 +69,15 @@ impl FunctionalFabric {
     /// end to end through the photonic transport and the bit-true OMACs.
     ///
     /// Windows are enumerated image-major (window index = image·e² +
-    /// oh·e + ow) and packed [`PLANE_WINDOWS`] at a time into bit-plane
+    /// oh·e + ow) and lowered by [`conv_windows`] with this fabric as the
+    /// engine, so they pack [`PLANE_WINDOWS`] at a time into bit-plane
     /// groups *across* image boundaries; the batch's last group carries
-    /// whatever windows remain. Each group crosses the MWSR medium once
-    /// and every word-level engine operation advances all of its
-    /// windows. The window list is split into contiguous runs of whole
-    /// groups over `std::thread::scope` workers (the
-    /// [`crate::sweep::SweepEngine`] discipline), each with its own tiles
-    /// and transport scratch. The arithmetic is exact, so each output
-    /// equals a plain integer convolution of the matching input, bitwise,
-    /// for every `jobs`. Operand words wider than `bits_per_lane` are
-    /// truncated to it: the bit planes and the register file carry no
-    /// more bits.
+    /// whatever windows remain. The window list is split into contiguous
+    /// runs of whole groups over `std::thread::scope` workers (the
+    /// [`crate::sweep::SweepEngine`] discipline), so which windows share a
+    /// group never changes with `jobs`. The arithmetic is exact, so each
+    /// output equals a plain integer convolution of the matching input,
+    /// bitwise, for every `jobs`.
     ///
     /// # Errors
     ///
@@ -101,174 +94,51 @@ impl FunctionalFabric {
         weights: &LayerWeights,
         jobs: usize,
     ) -> Result<Vec<Tensor>, ShapeError> {
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let LayerKind::Conv {
-            filters,
-            kernel,
-            stride,
-            padding,
-        } = layer.kind
-        else {
-            // lint:allow(P003) caller contract: the fabric executes convolution layers only
-            panic!("functional fabric executes convolution layers");
-        };
-        for input in inputs {
-            if input.shape() != layer.input {
-                return Err(ShapeError {
-                    layer: layer.name.clone(),
-                    got: input.shape(),
-                    want: layer.input,
-                });
-            }
-        }
-
         let _span = pixel_obs::span("fabric_conv2d");
-        let setup_span = pixel_obs::span("plan");
-        let bits = self.config.bits_per_lane;
-        let e = layer.output_feature_size();
-        let channels = layer.input.c;
-        let window = kernel * kernel * channels;
-        let per_image = e * e;
-        let total_windows = inputs.len() * per_image;
-
-        // The firing side groups window elements into per-wavelength
-        // lanes: `lanes` words per firing round per firing tile.
-        let plan = BandPlan::new(
-            self.config
-                .tiles
-                .min(window.div_ceil(self.config.lanes))
-                .max(1),
-            self.config.lanes,
-        );
-
-        // Kernel slices resolved once, outside the window loops.
-        let kernels: Vec<&[u64]> = (0..filters)
-            .map(|m| kernel_of(weights, m, window))
-            .collect();
-        drop(setup_span);
-
-        // Every output element of every image, flat in
-        // `[image][oh][ow][filter]` order.
-        let mut out = vec![0u64; total_windows * filters];
-
-        // Fills `chunk` with the outputs of the contiguous window range
-        // starting at `start`. Tiles and transport scratch are
-        // per-worker: the OMAC engines carry interior activity tallies
-        // and must not be shared across threads.
-        let run_windows = |start: usize, chunk: &mut [u64]| {
-            // One tile per filter (round-robin beyond the physical count —
-            // time multiplexing, identical hardware), built once per call
-            // rather than per group.
-            let tiles: Vec<Tile> = (0..filters.min(self.config.tiles))
-                .map(|m| {
-                    let mut tile = Tile::new(self.config, window);
-                    tile.load_weights(kernels[m]);
-                    tile
-                })
-                .collect();
-            let count = chunk.len() / filters;
-            let mut scratch = TransportScratch::default();
-            let mut rows = vec![0u64; PLANE_WINDOWS * window];
-            let mut group = WindowGroup::default();
-            let mut values = Vec::with_capacity(PLANE_WINDOWS);
-            let mut done = 0;
-            while done < count {
-                let len = (count - done).min(PLANE_WINDOWS);
-                let packed = &mut rows[..len * window];
-                // Stage spans open per group under the enclosing `rows`
-                // (or worker) span, so the profile splits a group's time
-                // into gather, pack, transport and fire.
-                let gather_span = pixel_obs::span("gather");
-                for (g, row) in packed.chunks_exact_mut(window).enumerate() {
-                    let index = start + done + g;
-                    let (image, position) = (index / per_image, index % per_image);
-                    gather_window(
-                        &inputs[image],
-                        kernel,
-                        stride,
-                        padding,
-                        position / e,
-                        position % e,
-                        row,
-                    );
-                }
-                drop(gather_span);
-                let pack_span = pixel_obs::span("pack");
-                group.repack(packed, window, len, bits);
-                drop(pack_span);
-                let transport_span = pixel_obs::span("transport");
-                self.transport_planes(&plan, &mut group, &mut scratch);
-                drop(transport_span);
-                let _fire_span = pixel_obs::span("fire");
-                for (m, &streamed) in kernels.iter().enumerate() {
-                    let tile = &tiles[m % tiles.len()];
-                    // The tile holding filter m%T time-multiplexes:
-                    // resident weights for its own filter, the same
-                    // datapath with streamed weights for the rest.
-                    if m < tiles.len() {
-                        tile.fire_planes(&group, &mut values);
-                    } else {
-                        tile.fire_planes_streamed(&group, streamed, &mut values);
-                    }
-                    for (g, &value) in values.iter().enumerate() {
-                        // lint:allow(P104) chunk holds count·filters outputs; done+g < count and m < filters by the loop bounds
-                        chunk[(done + g) * filters + m] = value;
-                    }
-                }
-                done += len;
-            }
-        };
+        let plan_span = pixel_obs::span("plan");
+        let shape = layer.output_shape();
+        let filters = shape.c.max(1);
+        let mut out = vec![0u64; inputs.len() * shape.elements()];
+        // Worker chunks stay aligned to whole plane groups, so only the
+        // batch's last group is ever partial.
+        let groups = (out.len() / filters).div_ceil(PLANE_WINDOWS);
+        let jobs = jobs.clamp(1, groups.max(1));
+        let windows_per_worker = groups.div_ceil(jobs) * PLANE_WINDOWS;
+        drop(plan_span);
 
         // Phase-level child span: under the parent this aggregates as
         // `fabric_conv2d/rows`, so the profile tree separates window
-        // compute from band planning. Worker threads carry fresh scope
-        // stacks, so their spans name the full path explicitly (the
+        // compute from planning. Worker threads carry fresh scope stacks,
+        // so their spans name the full path explicitly (the
         // `sweep/worker` idiom).
         let rows_span = pixel_obs::span("rows");
-        // Worker chunks stay aligned to whole plane groups, so only the
-        // batch's last group is ever partial and which windows share a
-        // group never changes with `jobs`.
-        let groups = total_windows.div_ceil(PLANE_WINDOWS);
-        let jobs = jobs.clamp(1, groups);
-        let windows_per_worker = groups.div_ceil(jobs) * PLANE_WINDOWS;
         if jobs == 1 {
-            run_windows(0, &mut out);
+            conv_windows(layer, inputs, weights, self, 0, &mut out)?;
         } else {
             // Contiguous window chunks, one worker each: concatenation of
             // the chunk outputs restores window order deterministically,
             // exactly as SweepEngine::map does for sweep points.
             std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (w, chunk) in out.chunks_mut(windows_per_worker * filters).enumerate() {
-                    let run = &run_windows;
-                    handles.push(scope.spawn(move || {
-                        let _worker = pixel_obs::span("fabric_conv2d/rows/worker");
-                        run(w * windows_per_worker, chunk);
-                    }));
-                }
-                for handle in handles {
+                let handles: Vec<_> = out
+                    .chunks_mut(windows_per_worker * filters)
+                    .enumerate()
+                    .map(|(w, chunk)| {
+                        scope.spawn(move || {
+                            let _worker = pixel_obs::span("fabric_conv2d/rows/worker");
+                            let first = w * windows_per_worker;
+                            conv_windows(layer, inputs, weights, self, first, chunk)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().try_for_each(|handle| {
                     handle
                         .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                }
-            });
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+            })?;
         }
         drop(rows_span);
-
-        if pixel_obs::enabled() {
-            pixel_obs::add("fabric.windows", total_windows as u64);
-            pixel_obs::add("fabric.mac_ops", (total_windows * filters) as u64);
-        }
-        Ok(out
-            .chunks(per_image * filters)
-            .map(|chunk| {
-                let mut t = Tensor::zeros(Shape::square(e, filters));
-                t.data_mut().copy_from_slice(chunk);
-                t
-            })
-            .collect())
+        Ok(Tensor::unbatch(shape, inputs.len(), &out))
     }
 
     /// Ships a bit-plane window group across the MWSR medium and recovers
@@ -283,19 +153,14 @@ impl FunctionalFabric {
     /// of `len` slots carry the payload of `len` words, so
     /// `detected_words` advances by `window × len` — every word of every
     /// packed window counts.
-    fn transport_planes(
-        &self,
-        plan: &BandPlan,
-        group: &mut WindowGroup,
-        scratch: &mut TransportScratch,
-    ) {
+    fn transport_planes(&self, plan: &BandPlan, group: &mut WindowGroup) {
         let len = group.len();
         let bits = group.bits() as usize;
         let window = group.window();
         let words = (window * len) as u64;
         pixel_obs::add("fabric.transport_words", words);
         let capacity = plan.total_wavelengths();
-        let TransportScratch { train, signal } = scratch;
+        let (mut train, mut signal) = (PulseTrain::default(), WdmSignal::default());
         let mut start = 0;
         while start < window {
             let round = (window - start).min(capacity);
@@ -303,7 +168,7 @@ impl FunctionalFabric {
                 for i in 0..round {
                     train.write_bits(group.position(start + i)[a], len);
                     #[allow(clippy::cast_possible_truncation)]
-                    signal.set_channel(WavelengthId(i as u16), train);
+                    signal.set_channel(WavelengthId(i as u16), &train);
                 }
                 for i in 0..round {
                     #[allow(clippy::cast_possible_truncation)]
@@ -327,11 +192,73 @@ impl FunctionalFabric {
     }
 }
 
-fn kernel_of(weights: &LayerWeights, filter: usize, window: usize) -> &[u64] {
-    match weights {
-        LayerWeights::Conv { data, .. } => &data[filter * window..(filter + 1) * window],
-        // lint:allow(P003) caller contract: convolution weights accompany conv layers
-        _ => panic!("convolution weights required"),
+impl MacEngine for FunctionalFabric {
+    /// One row through [`Self::inner_products`].
+    fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
+        let mut out = [0];
+        if !neurons.is_empty() {
+            self.inner_products(neurons, synapses, neurons.len(), &mut out);
+        }
+        out[0]
+    }
+
+    /// Rows pack [`PLANE_WINDOWS`] at a time into bit-plane groups. Each
+    /// group crosses the MWSR medium once, then fires on every kernel's
+    /// tile, and every word-level engine operation advances all of its
+    /// rows. One tile holds each kernel up to the physical tile count;
+    /// past it, tile `m % tiles` time-multiplexes — the same datapath with
+    /// streamed weights. Operand words wider than `bits_per_lane` are
+    /// truncated to it: the bit planes and the register file carry no
+    /// more bits.
+    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
+        let bits = self.config.bits_per_lane;
+        let filters = kernels.len() / len;
+        // The firing side groups row words into per-wavelength lanes:
+        // `lanes` words per firing round per firing tile.
+        let plan = BandPlan::new(
+            self.config
+                .tiles
+                .min(len.div_ceil(self.config.lanes))
+                .max(1),
+            self.config.lanes,
+        );
+        let tiles: Vec<Tile> = kernels
+            .chunks_exact(len)
+            .take(self.config.tiles)
+            .map(|kernel| {
+                let mut tile = Tile::new(self.config, len);
+                tile.load_weights(kernel);
+                tile
+            })
+            .collect();
+        let mut group = WindowGroup::default();
+        let mut values = Vec::with_capacity(PLANE_WINDOWS);
+        let blocks = rows.chunks(PLANE_WINDOWS * len);
+        for (block, outputs) in blocks.zip(out.chunks_mut(PLANE_WINDOWS * filters)) {
+            // Stage spans open per group under the caller's span, so the
+            // profile splits a group's time into pack, transport and fire.
+            let pack_span = pixel_obs::span("pack");
+            group.repack(block, len, block.len() / len, bits);
+            drop(pack_span);
+            let transport_span = pixel_obs::span("transport");
+            self.transport_planes(&plan, &mut group);
+            drop(transport_span);
+            let _fire_span = pixel_obs::span("fire");
+            let on_tiles = kernels.chunks_exact(len).zip(tiles.iter().cycle());
+            for (m, (kernel, tile)) in on_tiles.enumerate() {
+                if m < tiles.len() {
+                    tile.fire_planes(&group, &mut values);
+                } else {
+                    tile.fire_planes_streamed(&group, kernel, &mut values);
+                }
+                let column = outputs.iter_mut().skip(m).step_by(filters);
+                for (slot, &value) in column.zip(&values) {
+                    *slot = value;
+                }
+            }
+        }
+        pixel_obs::add("fabric.windows", (rows.len() / len) as u64);
+        pixel_obs::add("fabric.mac_ops", out.len() as u64);
     }
 }
 
@@ -341,6 +268,7 @@ mod tests {
     use crate::config::Design;
     use crate::omac::engine_for;
     use pixel_dnn::inference::{conv2d, DirectMac};
+    use pixel_dnn::layer::Shape;
     use pixel_units::rng::SplitMix64;
 
     fn random_case(seed: u64) -> (Layer, Tensor, LayerWeights) {
@@ -485,6 +413,79 @@ mod tests {
             .conv2d_batch(&layer, &[], &weights, 1)
             .unwrap()
             .is_empty());
+    }
+
+    /// Seeded property test: the fabric equals the integer reference over
+    /// precision (1–16 bits/lane), lane count (1–64), tile count (2 or 16,
+    /// so kernels past the tiles stream), padding, stride, 1×1 kernels and
+    /// fully-connected GEMMs, with batches that mostly end in a partial
+    /// plane group; every row word crosses the medium.
+    #[test]
+    fn fabric_matches_direct_mac_over_seeded_layers() {
+        let mut rng = SplitMix64::seed_from_u64(0xFAB);
+        let mut partial = 0;
+        for case in 0..48 {
+            let bits = rng.range_u64(1, 16) as u32;
+            let lanes = rng.range_usize(1, 64);
+            let tiles = [2, 16][rng.range_usize(0, 1)];
+            let config =
+                AcceleratorConfig::new(Design::ALL[case % 3], lanes, bits).with_tiles(tiles);
+            let limit = (1 << bits) - 1;
+            let fabric = FunctionalFabric::new(config);
+            let label = format!("case {case}: bits={bits} lanes={lanes} tiles={tiles}");
+            let (rows, words) = if case % 4 == 3 {
+                // A fully-connected layer: one GEMM, images as rows.
+                let layer = Layer::fc("FC", rng.range_usize(1, 48), rng.range_usize(1, 24));
+                let images = rng.range_usize(1, 80);
+                let len = layer.input.elements();
+                let inputs: Vec<u64> = (0..images * len).map(|_| rng.range_u64(0, limit)).collect();
+                let LayerWeights::Fc { data, outputs, .. } =
+                    LayerWeights::generate(&layer, || rng.range_u64(0, limit))
+                else {
+                    unreachable!("FC layers carry FC weights")
+                };
+                let mut want = vec![0; images * outputs];
+                DirectMac.inner_products(&inputs, &data, len, &mut want);
+                let mut got = vec![u64::MAX; images * outputs];
+                fabric.inner_products(&inputs, &data, len, &mut got);
+                assert_eq!(got, want, "{label} FC {len}→{outputs} × {images}");
+                (images, images * len)
+            } else {
+                let h = rng.range_usize(1, 10);
+                let r = rng.range_usize(1, 4.min(h + 2));
+                let p = rng.range_usize(0, (r - 1).min(2));
+                let (c, u, m) = (
+                    rng.range_usize(1, 3),
+                    rng.range_usize(1, 3),
+                    rng.range_usize(1, 20),
+                );
+                let layer = Layer::conv_padded("Conv", Shape::square(h, c), m, r, u, p);
+                let images = rng.range_usize(1, 3);
+                let inputs: Vec<Tensor> = (0..images)
+                    .map(|_| Tensor::from_fn(layer.input, |_, _, _| rng.range_u64(0, limit)))
+                    .collect();
+                let weights = LayerWeights::generate(&layer, || rng.range_u64(0, limit));
+                let jobs = rng.range_usize(1, 4);
+                let got = fabric
+                    .conv2d_batch(&layer, &inputs, &weights, jobs)
+                    .unwrap();
+                for (input, got) in inputs.iter().zip(&got) {
+                    let want = conv2d(&layer, input, &weights, &DirectMac).unwrap();
+                    assert_eq!(
+                        got, &want,
+                        "{label} h={h} c={c} m={m} r={r} u={u} p={p} jobs={jobs}"
+                    );
+                }
+                let windows = images * layer.output_feature_size().pow(2);
+                (windows, windows * r * r * c)
+            };
+            assert_eq!(fabric.detected_words(), words as u64, "{label}");
+            partial += usize::from(!rows.is_multiple_of(PLANE_WINDOWS));
+        }
+        assert!(
+            partial >= 40,
+            "only {partial} batches end in a partial group"
+        );
     }
 
     #[test]

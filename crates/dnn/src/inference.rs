@@ -2,19 +2,25 @@
 //!
 //! Every inner product of the forward pass is routed through a
 //! [`MacEngine`], so the same network can be executed with plain integer
-//! arithmetic ([`DirectMac`]) or bit-true through the EE/OE/OO functional
-//! MAC units in `pixel-core` — and the outputs compared element-for-element.
+//! arithmetic ([`DirectMac`]), bit-true through the EE/OE/OO functional
+//! MAC units, or through the whole photonic fabric in `pixel-core` — and
+//! the outputs compared element-for-element.
 //!
-//! A convolution is lowered to a GEMM of unrolled windows × unrolled
-//! kernels (the paper's `N_MVM = E²·M·C` view): [`conv2d`] gathers
-//! [`CONV_BLOCK`] receptive fields at a time with [`gather_window`] and
-//! hands each block to [`MacEngine::inner_products`].
+//! This module is the one place a layer is lowered to GEMM rows, for one
+//! image or a batch. A convolution becomes unrolled windows × unrolled
+//! kernels (the paper's `N_MVM = E²·M·C` view): [`conv_windows`] gathers
+//! [`CONV_BLOCK`] receptive fields at a time with [`gather_window`],
+//! image-major across the batch, and hands each block to
+//! [`MacEngine::inner_products`]. A fully-connected layer is one
+//! `inner_products` call with the batch's images as rows and the weight
+//! rows as kernels.
 
 use crate::layer::{Layer, LayerKind, PoolKind, Shape};
 use crate::network::Network;
 use crate::quant::Precision;
 use crate::tensor::Tensor;
 use pixel_units::rng::SplitMix64;
+use std::slice::from_ref;
 
 /// Convolution windows gathered per [`MacEngine::inner_products`] call.
 pub const CONV_BLOCK: usize = 64;
@@ -71,12 +77,14 @@ fn each_pair(
 
 /// Plain integer reference engine.
 ///
-/// Its [`MacEngine::inner_products`] picks the arithmetic from the
-/// operands of each call: when every value is below 2^15 and
-/// `len·max(rows)·max(kernels) < 2^31`, an i16×i16→i32 kernel computes
-/// the block exactly (no partial sum of non-negative terms can exceed the
-/// full sum); otherwise the u64 loop of [`MacEngine::inner_product`]
-/// does.
+/// Its [`MacEngine::inner_products`] picks the arithmetic from the shape
+/// and operands of each call: when the block has at least two rows, every
+/// value is below 2^15 and `len·max(rows)·max(kernels) < 2^31`, an
+/// i16×i16→i32 kernel computes the block exactly (no partial sum of
+/// non-negative terms can exceed the full sum); otherwise the u64 loop of
+/// [`MacEngine::inner_product`] does. A one-row call, such as a
+/// single-image FC layer, would spend more narrowing the kernels than the
+/// narrow kernel saves.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirectMac;
 
@@ -86,8 +94,7 @@ impl MacEngine for DirectMac {
     }
 
     fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
-        let max = |values: &[u64]| values.iter().copied().max().unwrap_or(0);
-        if narrow_fits(len, max(rows), max(kernels)) {
+        if narrows(rows, kernels, len) {
             narrow_gemm(&to_i16(rows), &to_i16(kernels), len, out);
         } else {
             each_pair(rows, kernels, len, out, |row, kernel| {
@@ -99,6 +106,13 @@ impl MacEngine for DirectMac {
     fn name(&self) -> &str {
         "direct"
     }
+}
+
+/// Whether [`DirectMac`] computes a block in narrow arithmetic: it has at
+/// least two rows and its operands pass [`narrow_fits`].
+fn narrows(rows: &[u64], kernels: &[u64], len: usize) -> bool {
+    let max = |values: &[u64]| values.iter().copied().max().unwrap_or(0);
+    rows.len() >= 2 * len && narrow_fits(len, max(rows), max(kernels))
 }
 
 /// Whether `len`-term inner products of operands at most `max_a` and
@@ -217,20 +231,13 @@ impl LayerWeights {
         }
     }
 
-    /// The first `filters` unrolled kernels of `window` values, back to back.
-    fn conv_kernels(&self, filters: usize, window: usize) -> &[u64] {
+    /// The first `count` weights: unrolled kernels (convolution) or
+    /// matrix rows (fully-connected) back to back, kernel-major.
+    fn kernels(&self, count: usize) -> &[u64] {
         match self {
-            Self::Conv { data, .. } => &data[..filters * window],
-            // lint:allow(P003) programmer-error contract: wrong weight variant for layer kind
-            _ => panic!("not convolution weights"),
-        }
-    }
-
-    fn fc_row(&self, output: usize) -> &[u64] {
-        match self {
-            Self::Fc { inputs, data, .. } => &data[output * inputs..(output + 1) * inputs],
-            // lint:allow(P003) programmer-error contract: wrong weight variant for layer kind
-            _ => panic!("not fully-connected weights"),
+            Self::Conv { data, .. } | Self::Fc { data, .. } => &data[..count],
+            // lint:allow(P003) programmer-error contract: compute layers come with their weights
+            Self::None => panic!("compute layers need weights"),
         }
     }
 }
@@ -244,6 +251,27 @@ pub struct ShapeError {
     pub got: Shape,
     /// Shape required.
     pub want: Shape,
+}
+
+impl ShapeError {
+    /// Checks `input` against `layer`'s declared input shape. A
+    /// fully-connected layer reads its input flat, so any shape with the
+    /// right element count fits it.
+    fn check(layer: &Layer, input: &Tensor) -> Result<(), Self> {
+        let fits = if matches!(layer.kind, LayerKind::Fc { .. }) {
+            input.data().len() == layer.input.elements()
+        } else {
+            input.shape() == layer.input
+        };
+        if fits {
+            return Ok(());
+        }
+        Err(Self {
+            layer: layer.name.clone(),
+            got: input.shape(),
+            want: layer.input,
+        })
+    }
 }
 
 impl std::fmt::Display for ShapeError {
@@ -308,11 +336,13 @@ pub fn gather_window(
     }
 }
 
-/// Executes one convolution layer as a GEMM of unrolled windows ×
-/// unrolled kernels.
+/// The convolution lowering every engine shares: fills `out` with the
+/// outputs of windows `first..` of the batch's image-major window list
+/// (window `image·E² + oh·E + ow`), `filters` values per window in HWC
+/// order.
 ///
-/// Output positions are taken in raster order, [`CONV_BLOCK`] at a time:
-/// each block's receptive fields are gathered into one reused patch
+/// Windows are taken [`CONV_BLOCK`] at a time — a block may span images —
+/// and each block's receptive fields are gathered into one reused patch
 /// buffer and sent to `engine` in one [`MacEngine::inner_products`] call,
 /// which writes the block's outputs in place. With the default
 /// `inner_products` the engine sees exactly the per-window call sequence
@@ -320,13 +350,20 @@ pub fn gather_window(
 ///
 /// # Errors
 ///
-/// Returns [`ShapeError`] if the input tensor does not match the layer.
-pub fn conv2d(
+/// Returns [`ShapeError`] if any input tensor does not match the layer.
+///
+/// # Panics
+///
+/// Panics if `layer` is not a convolution or `out` reaches past the last
+/// window.
+pub fn conv_windows(
     layer: &Layer,
-    input: &Tensor,
+    inputs: &[Tensor],
     weights: &LayerWeights,
     engine: &dyn MacEngine,
-) -> Result<Tensor, ShapeError> {
+    first: usize,
+    out: &mut [u64],
+) -> Result<(), ShapeError> {
     let LayerKind::Conv {
         filters,
         kernel,
@@ -334,47 +371,81 @@ pub fn conv2d(
         padding,
     } = layer.kind
     else {
-        // lint:allow(P003) caller contract: conv2d dispatches on LayerKind::Conv
-        panic!("conv2d called on a non-conv layer");
+        // lint:allow(P003) caller contract: conv_windows lowers LayerKind::Conv
+        panic!("conv_windows called on a non-conv layer");
     };
-    if input.shape() != layer.input {
-        return Err(ShapeError {
-            layer: layer.name.clone(),
-            got: input.shape(),
-            want: layer.input,
-        });
+    for input in inputs {
+        ShapeError::check(layer, input)?;
     }
-    let e = layer.output_feature_size();
     let window = kernel * kernel * layer.input.c;
-    let mut out = Tensor::zeros(Shape::square(e, filters));
     if window == 0 || filters == 0 {
         // Empty sums: every output is already zero.
-        return Ok(out);
+        return Ok(());
     }
-    let kernels = weights.conv_kernels(filters, window);
-    let mut patches = vec![0u64; CONV_BLOCK.min(e * e) * window];
-    // Output is HWC with `filters` values per position, so each chunk
-    // holds one block's `out[r·filters + m]`.
-    for (block, outputs) in out.data_mut().chunks_mut(CONV_BLOCK * filters).enumerate() {
+    let e = layer.output_feature_size();
+    let count = out.len() / filters;
+    assert!(first + count <= e * e * inputs.len(), "no such window");
+    let mut windows = inputs
+        .iter()
+        .flat_map(|input| (0..e).flat_map(move |oh| (0..e).map(move |ow| (input, oh, ow))))
+        .skip(first);
+    let kernels = weights.kernels(layer.weight_count());
+    let mut patches = vec![0u64; CONV_BLOCK.min(count) * window];
+    for outputs in out.chunks_mut(CONV_BLOCK * filters) {
         let rows = &mut patches[..outputs.len() / filters * window];
-        for (r, row) in rows.chunks_exact_mut(window).enumerate() {
-            let position = block * CONV_BLOCK + r;
-            gather_window(
-                input,
-                kernel,
-                stride,
-                padding,
-                position / e,
-                position % e,
-                row,
-            );
+        let gather_span = pixel_obs::span("gather");
+        for (row, (input, oh, ow)) in rows.chunks_exact_mut(window).zip(&mut windows) {
+            gather_window(input, kernel, stride, padding, oh, ow, row);
         }
+        drop(gather_span);
         engine.inner_products(rows, kernels, window, outputs);
     }
+    Ok(())
+}
+
+/// Executes one convolution layer through [`conv_windows`].
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if the input tensor does not match the layer.
+///
+/// # Panics
+///
+/// Panics if `layer` is not a convolution.
+pub fn conv2d(
+    layer: &Layer,
+    input: &Tensor,
+    weights: &LayerWeights,
+    engine: &dyn MacEngine,
+) -> Result<Tensor, ShapeError> {
+    let mut out = Tensor::zeros(layer.output_shape());
+    conv_windows(layer, from_ref(input), weights, engine, 0, out.data_mut())?;
     Ok(out)
 }
 
-/// Executes one fully-connected layer.
+/// The fully-connected lowering: one [`MacEngine::inner_products`] call
+/// with each input, read flat in HWC order, as a row and the weight rows
+/// as kernels, so `out` receives the outputs image by image.
+fn fc_rows(
+    layer: &Layer,
+    inputs: &[Tensor],
+    weights: &LayerWeights,
+    engine: &dyn MacEngine,
+    out: &mut [u64],
+) -> Result<(), ShapeError> {
+    for input in inputs {
+        ShapeError::check(layer, input)?;
+    }
+    let len = layer.input.elements();
+    if len > 0 && !out.is_empty() {
+        let rows: Vec<u64> = inputs.iter().flat_map(Tensor::data).copied().collect();
+        engine.inner_products(&rows, weights.kernels(layer.weight_count()), len, out);
+    }
+    Ok(())
+}
+
+/// Executes one fully-connected layer as a one-row GEMM; the input may
+/// have any shape with the layer's element count.
 ///
 /// # Errors
 ///
@@ -385,24 +456,9 @@ pub fn fully_connected(
     weights: &LayerWeights,
     engine: &dyn MacEngine,
 ) -> Result<Tensor, ShapeError> {
-    let LayerKind::Fc { outputs } = layer.kind else {
-        // lint:allow(P003) caller contract: fully_connected dispatches on LayerKind::Fc
-        panic!("fully_connected called on a non-FC layer");
-    };
-    // FC consumes the activations in flat HWC order whatever the input
-    // shape — borrow the backing data rather than flattening a copy.
-    let flat = input.data();
-    if flat.len() != layer.input.elements() {
-        return Err(ShapeError {
-            layer: layer.name.clone(),
-            got: input.shape(),
-            want: layer.input,
-        });
-    }
-    let values: Vec<u64> = (0..outputs)
-        .map(|o| engine.inner_product(flat, weights.fc_row(o)))
-        .collect();
-    Ok(Tensor::from_flat_vec(values))
+    let mut out = Tensor::zeros(layer.output_shape());
+    fc_rows(layer, from_ref(input), weights, engine, out.data_mut())?;
+    Ok(out)
 }
 
 /// Executes one pooling layer.
@@ -420,13 +476,7 @@ pub fn pool(layer: &Layer, input: &Tensor) -> Result<Tensor, ShapeError> {
         // lint:allow(P003) caller contract: pool dispatches on LayerKind::Pool
         panic!("pool called on a non-pool layer");
     };
-    if input.shape() != layer.input {
-        return Err(ShapeError {
-            layer: layer.name.clone(),
-            got: input.shape(),
-            want: layer.input,
-        });
-    }
+    ShapeError::check(layer, input)?;
     let e = layer.output_feature_size();
     let c_count = layer.input.c;
     // A kernel/stride that overhangs the input would index out of bounds
@@ -467,12 +517,7 @@ pub fn pool(layer: &Layer, input: &Tensor) -> Result<Tensor, ShapeError> {
     Ok(out)
 }
 
-/// Runs a full quantized forward pass. After every compute layer the
-/// activations are requantized back to `precision` (uniform right shift),
-/// emulating fixed-point inference.
-///
-/// `weights` must supply one entry per layer (pool layers use
-/// [`LayerWeights::None`]).
+/// Runs a full quantized forward pass: [`forward_batch`] of one image.
 ///
 /// # Errors
 ///
@@ -488,45 +533,26 @@ pub fn forward(
     engine: &dyn MacEngine,
     precision: Precision,
 ) -> Result<Tensor, ShapeError> {
-    assert_eq!(
-        weights.len(),
-        network.len(),
-        "one weight set per layer (use LayerWeights::None for pools)"
-    );
-    let _forward_span = pixel_obs::span("forward");
-    let mut current = input.clone();
-    for (layer, w) in network.layers().iter().zip(weights) {
-        let _layer_span = pixel_obs::span(&layer.name);
-        pixel_obs::add("dnn.forward.layers", 1);
-        current = match layer.kind {
-            LayerKind::Conv { .. } => {
-                let mut t = conv2d(layer, &current, w, engine)?;
-                precision.requantize(&mut t);
-                t
-            }
-            LayerKind::Fc { .. } => {
-                // FC layers accept any shape with the right element count.
-                let mut t = fully_connected(layer, &current, w, engine)?;
-                precision.requantize(&mut t);
-                t
-            }
-            LayerKind::Pool { .. } => pool(layer, &current)?,
-        };
-    }
-    Ok(current)
+    Ok(forward_batch(network, from_ref(input), weights, engine, precision)?.remove(0))
 }
 
-/// Runs [`forward`] over a batch of input images, in order.
+/// Runs a quantized forward pass over a batch of independent input
+/// images sharing one weight set — the serving-scale traffic shape.
 ///
-/// The images are independent inferences sharing one weight set — the
-/// serving-scale traffic shape. Each image runs through [`forward`] on
-/// its own, one window at a time through `engine`; nothing is batched
-/// across images, and each output equals `forward` of the matching
-/// input.
+/// The batch advances layer by layer, and each layer runs once over every
+/// image: a convolution's windows are lowered image-major, so a
+/// [`CONV_BLOCK`] may span images, and a fully-connected layer is one GEMM
+/// with the images as rows. After every compute layer each image's
+/// activations are requantized back to `precision` (uniform right shift),
+/// emulating fixed-point inference. Each output equals the forward pass
+/// of the matching input on its own.
+///
+/// `weights` must supply one entry per layer (pool layers use
+/// [`LayerWeights::None`]).
 ///
 /// # Errors
 ///
-/// Returns the first [`ShapeError`] any image produces.
+/// Returns the first [`ShapeError`] a layer produces.
 ///
 /// # Panics
 ///
@@ -538,9 +564,65 @@ pub fn forward_batch(
     engine: &dyn MacEngine,
     precision: Precision,
 ) -> Result<Vec<Tensor>, ShapeError> {
-    inputs
-        .iter()
-        .map(|input| forward(network, input, weights, engine, precision))
+    assert_eq!(
+        weights.len(),
+        network.len(),
+        "one weight set per layer (use LayerWeights::None for pools)"
+    );
+    let _forward_span = pixel_obs::span("forward");
+    let mut current = inputs.to_vec();
+    for (layer, w) in network.layers().iter().zip(weights) {
+        let _layer_span = pixel_obs::span(&layer.name);
+        pixel_obs::add("dnn.forward.layers", 1);
+        let flat = run_layer(layer, &current, w, engine)?;
+        current = Tensor::unbatch(layer.output_shape(), current.len(), &flat);
+        if layer.is_compute() {
+            for t in &mut current {
+                precision.requantize(t);
+            }
+        }
+    }
+    Ok(current)
+}
+
+/// The per-layer step [`forward_batch`] and [`replay_layers`] share: runs
+/// `layer` over every input through `engine` and returns the raw outputs
+/// image by image, back to back.
+fn run_layer(
+    layer: &Layer,
+    inputs: &[Tensor],
+    weights: &LayerWeights,
+    engine: &dyn MacEngine,
+) -> Result<Vec<u64>, ShapeError> {
+    let mut out = vec![0u64; inputs.len() * layer.output_shape().elements()];
+    match layer.kind {
+        LayerKind::Conv { .. } => conv_windows(layer, inputs, weights, engine, 0, &mut out)?,
+        LayerKind::Fc { .. } => fc_rows(layer, inputs, weights, engine, &mut out)?,
+        LayerKind::Pool { .. } => {
+            out.clear();
+            for input in inputs {
+                out.extend_from_slice(pool(layer, input)?.data());
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Fully-connected weights a replay generates at once (8 MiB of `u64`s).
+const REPLAY_SLICE_WEIGHTS: usize = 1 << 20;
+
+/// `layer` as [`replay_layers`] runs it: a fully-connected layer whose
+/// matrix exceeds [`REPLAY_SLICE_WEIGHTS`] becomes consecutive slices of
+/// its outputs, each a layer of its own; any other layer runs whole.
+fn replay_slices(layer: &Layer) -> Vec<Layer> {
+    let LayerKind::Fc { outputs } = layer.kind else {
+        return vec![layer.clone()];
+    };
+    let inputs = layer.input.elements();
+    let per_slice = (REPLAY_SLICE_WEIGHTS / inputs.max(1)).max(1);
+    (0..outputs)
+        .step_by(per_slice)
+        .map(|start| Layer::fc(&layer.name, inputs, per_slice.min(outputs - start)))
         .collect()
 }
 
@@ -553,12 +635,13 @@ pub fn forward_batch(
 /// flattened, so the layer sequence of most networks is not chainable
 /// end to end the way [`forward`] requires. A *replay* sidesteps that:
 /// each layer runs on synthetic activations and weights of its true
-/// shape, which performs exactly the network's tabulated MAC work —
-/// what a timed "forward of the paper CNN" needs — without inventing
-/// cross-layer dataflow the table does not specify. Fully-connected
-/// rows are generated on the fly (never materializing the `[output ×
-/// input]` matrix), so even VGG16's 103M-weight FC1 replays in O(row)
-/// memory.
+/// shape, through the same per-layer step as [`forward_batch`], which
+/// performs exactly the network's tabulated MAC work — what a timed
+/// "forward of the paper CNN" needs — without inventing cross-layer
+/// dataflow the table does not specify. Fully-connected weights are
+/// generated slice by slice of outputs (never materializing the whole
+/// `[output × input]` matrix), so even VGG16's 103M-weight FC1 replays
+/// in bounded memory; the slices' outputs are requantized together.
 ///
 /// The returned checksum folds every output element, making the work
 /// observable (nothing can be optimized away) and the replay's
@@ -578,31 +661,18 @@ pub fn replay_layers(
     let limit = precision.max_value();
     let mut checksum = 0u64;
     for layer in network.layers() {
-        let input = Tensor::from_fn(layer.input, |_, _, _| rng.range_u64(0, limit));
-        let out = match layer.kind {
-            LayerKind::Conv { .. } => {
-                let w = LayerWeights::generate(layer, || rng.range_u64(0, limit));
-                let mut t = conv2d(layer, &input, &w, engine)?;
-                precision.requantize(&mut t);
-                t
-            }
-            LayerKind::Fc { outputs } => {
-                let flat = input.data();
-                let mut row = vec![0u64; flat.len()];
-                let values = (0..outputs)
-                    .map(|_| {
-                        for slot in &mut row {
-                            *slot = rng.range_u64(0, limit);
-                        }
-                        engine.inner_product(flat, &row)
-                    })
-                    .collect();
-                let mut t = Tensor::from_flat_vec(values);
-                precision.requantize(&mut t);
-                t
-            }
-            LayerKind::Pool { .. } => pool(layer, &input)?,
-        };
+        let input = [Tensor::from_fn(layer.input, |_, _, _| {
+            rng.range_u64(0, limit)
+        })];
+        let mut values = Vec::new();
+        for slice in replay_slices(layer) {
+            let w = LayerWeights::generate(&slice, || rng.range_u64(0, limit));
+            values.extend(run_layer(&slice, &input, &w, engine)?);
+        }
+        let mut out = Tensor::from_flat_vec(values);
+        if layer.is_compute() {
+            precision.requantize(&mut out);
+        }
         for &v in out.data() {
             checksum = checksum.rotate_left(7) ^ v;
         }
@@ -735,7 +805,7 @@ mod tests {
         for oh in 0..e {
             for ow in 0..e {
                 let window = padded_window(&layer, &input, oh, ow);
-                for kernel in weights.conv_kernels(3, 18).chunks(18) {
+                for kernel in weights.kernels(3 * 18).chunks(18) {
                     expected.push((window.clone(), kernel.to_vec()));
                 }
             }
@@ -779,7 +849,8 @@ mod tests {
 
     /// Seeded property test: the blocked `DirectMac` convolution equals the
     /// window-at-a-time reference over padding, stride, 1×1 kernels, block
-    /// tails, and operands on both sides of the narrow kernel's bounds.
+    /// tails, batches of 1–3 images whose blocks span image boundaries,
+    /// and operands on both sides of the narrow kernel's bounds.
     #[test]
     fn direct_mac_blocks_match_the_per_window_reference() {
         let mut rng = SplitMix64::seed_from_u64(0xD1EC7);
@@ -795,13 +866,21 @@ mod tests {
             let layer = Layer::conv_padded("c", Shape::square(h, c), m, r, u, p);
             let max_a = limits[rng.range_usize(0, limits.len() - 1)];
             let max_w = limits[rng.range_usize(0, limits.len() - 1)];
-            let input = Tensor::from_fn(layer.input, |_, _, _| rng.range_u64(0, max_a));
+            let images: Vec<Tensor> = (0..rng.range_usize(1, 3))
+                .map(|_| Tensor::from_fn(layer.input, |_, _, _| rng.range_u64(0, max_a)))
+                .collect();
             let weights = LayerWeights::generate(&layer, || rng.range_u64(0, max_w));
-            let want = conv2d(&layer, &input, &weights, &PerWindow).unwrap();
-            let got = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
+            let want: Vec<u64> = images
+                .iter()
+                .flat_map(|x| conv2d(&layer, x, &weights, &PerWindow).unwrap().to_flat())
+                .collect();
+            let mut got = vec![u64::MAX; want.len()];
+            conv_windows(&layer, &images, &weights, &DirectMac, 0, &mut got).unwrap();
             assert_eq!(
-                got, want,
-                "case {case}: h={h} c={c} m={m} r={r} u={u} p={p} max_a={max_a} max_w={max_w}"
+                got,
+                want,
+                "case {case}: images={} h={h} c={c} m={m} r={r} u={u} p={p} max_a={max_a} max_w={max_w}",
+                images.len()
             );
         }
         // E² of 1, 64 (one exact block), 81 and 4225 (a one-window tail).
@@ -851,6 +930,18 @@ mod tests {
                 "len={len} a={a} w={w}"
             );
             assert_eq!(got, conv2d(&layer, &input, &weights, &PerWindow).unwrap());
+        }
+
+        // The row edge: one row takes the u64 loop, two rows narrow, and
+        // both give the reference's values.
+        let kernels = [TOP, 1, 2, TOP];
+        for rows in [&[TOP, TOP][..], &[TOP, TOP, 3, TOP][..]] {
+            assert_eq!(narrows(rows, &kernels, 2), rows.len() == 4, "{rows:?}");
+            let mut got = vec![0; rows.len()];
+            DirectMac.inner_products(rows, &kernels, 2, &mut got);
+            let mut want = vec![0; rows.len()];
+            PerWindow.inner_products(rows, &kernels, 2, &mut want);
+            assert_eq!(got, want, "{rows:?}");
         }
     }
 
@@ -977,6 +1068,24 @@ mod tests {
         assert!(forward_batch(&net, &[], &weights, &DirectMac, precision)
             .unwrap()
             .is_empty());
+    }
+
+    /// An FC layer too large to generate at once replays in slices of
+    /// outputs to the checksum of the whole layer run at once.
+    #[test]
+    fn sliced_fc_replay_equals_the_whole_layer() {
+        let layer = Layer::fc("f", 1 << 12, 300);
+        assert_eq!(replay_slices(&layer).len(), 2, "256 + 44 outputs");
+        let precision = Precision::new(4);
+        let limit = precision.max_value();
+        let mut rng = SplitMix64::seed_from_u64(5);
+        let input = Tensor::from_fn(layer.input, |_, _, _| rng.range_u64(0, limit));
+        let weights = LayerWeights::generate(&layer, || rng.range_u64(0, limit));
+        let mut out = fully_connected(&layer, &input, &weights, &DirectMac).unwrap();
+        precision.requantize(&mut out);
+        let want = out.data().iter().fold(0u64, |c, &v| c.rotate_left(7) ^ v);
+        let net = Network::new("n", vec![layer]);
+        assert_eq!(replay_layers(&net, &DirectMac, precision, 5).unwrap(), want);
     }
 
     #[test]

@@ -54,6 +54,27 @@ impl Tensor {
         }
     }
 
+    /// Splits `data`, `count` images of `shape` back to back, into one
+    /// tensor per image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` holds fewer than `count` images.
+    #[must_use]
+    pub fn unbatch(shape: Shape, count: usize, data: &[u64]) -> Vec<Self> {
+        let mut rest = data;
+        (0..count)
+            .map(|_| {
+                let (image, tail) = rest.split_at(shape.elements());
+                rest = tail;
+                Self {
+                    shape,
+                    data: image.to_vec(),
+                }
+            })
+            .collect()
+    }
+
     /// The tensor's shape.
     #[must_use]
     pub fn shape(&self) -> Shape {
@@ -162,6 +183,17 @@ mod tests {
         assert_eq!(t.get_padded(0, 5, 0), 0);
         assert_eq!(t.get_padded(1, 1, 0), 4);
         assert_eq!(t.get_padded(0, 0, 9), 0);
+    }
+
+    #[test]
+    fn unbatch_splits_images_in_order() {
+        let shape = Shape::new(1, 2, 1);
+        let images = Tensor::unbatch(shape, 2, &[1, 2, 3, 4]);
+        assert_eq!(images.len(), 2);
+        assert_eq!(images[1].shape(), shape);
+        assert_eq!(images[1].to_flat(), vec![3, 4]);
+        let empty = Tensor::unbatch(Shape::new(1, 1, 0), 3, &[]);
+        assert_eq!(empty, vec![Tensor::zeros(Shape::new(1, 1, 0)); 3]);
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Cross-crate functional verification: quantized CNN inference must be
 //! bit-identical whether the MACs run as plain integers, as the EE
-//! Stripes datapath, or through the OE/OO optical device simulations.
+//! Stripes datapath, through the OE/OO optical device simulations, or
+//! through the whole photonic fabric.
 
 use pixel::core::config::{AcceleratorConfig, Design};
-use pixel::core::omac::engine_for;
-use pixel::dnn::inference::{forward, DirectMac, LayerWeights, MacEngine};
-use pixel::dnn::layer::{Layer, PoolKind, Shape};
+use pixel::core::functional_fabric::FunctionalFabric;
+use pixel::core::omac::{engine_for, PLANE_WINDOWS};
+use pixel::dnn::inference::{
+    forward, forward_batch, replay_layers, DirectMac, LayerWeights, MacEngine,
+};
+use pixel::dnn::layer::{Layer, LayerKind, PoolKind, Shape};
 use pixel::dnn::network::Network;
 use pixel::dnn::quant::Precision;
 use pixel::dnn::tensor::Tensor;
@@ -52,10 +56,117 @@ fn micro_cnn_is_bit_identical_across_all_engines() {
             forward(&net, &input, &weights, &DirectMac, precision).expect("consistent shapes");
 
         for design in Design::ALL {
-            let engine = engine_for(&AcceleratorConfig::new(design, 4, precision.bits()));
+            let config = AcceleratorConfig::new(design, 4, precision.bits());
+            let engine = engine_for(&config);
             let out = forward(&net, &input, &weights, engine.as_ref(), precision)
                 .expect("consistent shapes");
             assert_eq!(out, reference, "{design} seed {seed}");
+            let fabric = FunctionalFabric::new(config);
+            let out =
+                forward(&net, &input, &weights, &fabric, precision).expect("consistent shapes");
+            assert_eq!(out, reference, "fabric {design} seed {seed}");
+        }
+    }
+}
+
+/// Words one image sends across the fabric's medium in `layer`: every
+/// word of every convolution window, or the fully-connected input.
+fn words_per_image(layer: &Layer) -> u64 {
+    let words = match layer.kind {
+        LayerKind::Conv { kernel, .. } => {
+            layer.output_feature_size().pow(2) * kernel * kernel * layer.input.c
+        }
+        LayerKind::Fc { .. } => layer.input.elements(),
+        LayerKind::Pool { .. } => 0,
+    };
+    words as u64
+}
+
+/// GEMM rows one image contributes to `layer`: its convolution windows,
+/// or one fully-connected row.
+fn rows_per_image(layer: &Layer) -> usize {
+    match layer.kind {
+        LayerKind::Fc { .. } => 1,
+        _ => layer.output_feature_size().pow(2),
+    }
+}
+
+/// A whole LeNet, FC layers included, runs bit-true on the fabric: a
+/// 70-image batch fills one plane group and leaves a partial one in every
+/// compute layer, and every row word crosses the optical medium.
+#[test]
+fn whole_lenet_batch_is_bit_true_on_the_fabric() {
+    const IMAGES: usize = 70;
+    let net = zoo::lenet();
+    let precision = Precision::new(4);
+    let weights = random_weights(&net, precision, 70);
+    let images: Vec<Tensor> = (0..IMAGES as u64)
+        .map(|i| random_input(net.layers()[0].input, precision, 700 + i))
+        .collect();
+    for layer in net.compute_layers() {
+        let rows = rows_per_image(layer) * IMAGES;
+        assert!(
+            rows > PLANE_WINDOWS && !rows.is_multiple_of(PLANE_WINDOWS),
+            "{}: a full and a partial group",
+            layer.name
+        );
+    }
+    let want = forward_batch(&net, &images, &weights, &DirectMac, precision).expect("LeNet chains");
+    let words: u64 = net.layers().iter().map(words_per_image).sum::<u64>() * IMAGES as u64;
+    for design in Design::ALL {
+        let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, precision.bits()));
+        let got = forward_batch(&net, &images, &weights, &fabric, precision).expect("LeNet chains");
+        assert_eq!(got, want, "{design}");
+        assert_eq!(fabric.detected_words(), words, "{design}");
+    }
+}
+
+/// Largest layer, in MACs, a sampled replay runs on the fabric.
+const REPLAY_MACS: usize = 1 << 18;
+
+/// The conv, FC and pool layer of `net` with the fewest MACs per filter
+/// or output (the words one image sends per layer), then the fewest
+/// inputs, compute layers cut to the filters or outputs that fit
+/// [`REPLAY_MACS`].
+fn sampled_layers(net: &Network) -> Vec<Layer> {
+    let kinds: [fn(&LayerKind) -> bool; 3] = [
+        |k| matches!(k, LayerKind::Conv { .. }),
+        |k| matches!(k, LayerKind::Fc { .. }),
+        |k| matches!(k, LayerKind::Pool { .. }),
+    ];
+    kinds
+        .iter()
+        .map(|kind| {
+            let mut layer = net
+                .layers()
+                .iter()
+                .filter(|l| kind(&l.kind))
+                .min_by_key(|l| (words_per_image(l), l.input.elements()))
+                .cloned()
+                .expect("every zoo CNN has conv, FC and pool layers");
+            let fit = REPLAY_MACS / words_per_image(&layer).max(1) as usize;
+            if let LayerKind::Conv { filters: n, .. } | LayerKind::Fc { outputs: n } =
+                &mut layer.kind
+            {
+                *n = (*n).clamp(1, fit.max(1));
+            }
+            layer
+        })
+        .collect()
+}
+
+/// Sampled layers of every zoo CNN replay to the same checksum on the
+/// fabric as on the integer reference, on every design.
+#[test]
+fn zoo_layer_replays_match_on_the_fabric() {
+    let precision = Precision::new(4);
+    for net in zoo::all_networks() {
+        let sample = Network::new(net.name(), sampled_layers(&net));
+        let want = replay_layers(&sample, &DirectMac, precision, 17).expect("zoo shapes");
+        for design in Design::ALL {
+            let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, precision.bits()));
+            let got = replay_layers(&sample, &fabric, precision, 17).expect("zoo shapes");
+            assert_eq!(got, want, "{} {design}", net.name());
         }
     }
 }
@@ -69,9 +180,9 @@ fn real_lenet_windows_sampled_through_optical_engines() {
     let window_sizes: Vec<usize> = net
         .compute_layers()
         .map(|l| match l.kind {
-            pixel::dnn::layer::LayerKind::Conv { kernel, .. } => kernel * kernel * l.input.c,
-            pixel::dnn::layer::LayerKind::Fc { .. } => l.input.elements(),
-            pixel::dnn::layer::LayerKind::Pool { .. } => unreachable!(),
+            LayerKind::Conv { kernel, .. } => kernel * kernel * l.input.c,
+            LayerKind::Fc { .. } => l.input.elements(),
+            LayerKind::Pool { .. } => unreachable!(),
         })
         .collect();
     assert!(window_sizes.contains(&400), "LeNet conv3 window");
