@@ -57,11 +57,12 @@ rm -f "$smoke"
 trap - EXIT
 
 # Structural negative smoke: one violation per structural rule family —
-# a leaf-crate dependency (G003), a panic path from a bin entry (P101),
-# an unsanctioned thread spawn (C001), and a bogus DESIGN.md catalogue
-# entry (S001). Deny mode must flag every one. None of the scratch
-# files is referenced by a module tree, and DESIGN.md is restored from
-# the backup whichever way the step exits.
+# a leaf-crate dependency (G003), a library module no target reaches
+# (G005: the seeded units file, unreachable by construction), a panic
+# path from a bin entry (P101), an unsanctioned thread spawn (C001), and
+# a bogus DESIGN.md catalogue entry (S001). Deny mode must flag every
+# one. None of the scratch files is referenced by a module tree, and
+# DESIGN.md is restored from the backup whichever way the step exits.
 g_smoke=crates/units/src/lint_smoke_tmp.rs
 p_smoke=crates/bench/src/bin/lint_smoke_tmp.rs
 c_smoke=crates/core/src/lint_smoke_tmp.rs
@@ -84,7 +85,7 @@ if ./target/release/reproduce lint --deny > /tmp/lint_struct_smoke 2>&1; then
   echo "lint failed to flag the seeded structural violations" >&2
   exit 1
 fi
-for rule in G003 P101 C001 S001; do
+for rule in G003 G005 P101 C001 S001; do
   grep -q "$rule" /tmp/lint_struct_smoke || { echo "lint missed $rule" >&2; exit 1; }
 done
 rm -f "$g_smoke" "$p_smoke" "$c_smoke"

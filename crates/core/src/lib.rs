@@ -44,7 +44,6 @@ pub mod audit;
 pub mod calibration;
 pub mod coherent;
 pub mod config;
-pub mod dataflow;
 pub mod dse;
 pub mod edp;
 pub mod energy;
@@ -66,10 +65,8 @@ pub mod scaling;
 pub mod seed;
 pub mod sim;
 pub mod sweep;
-pub mod swmr;
 pub mod throughput;
 pub mod tile;
-pub mod validation;
 pub mod weight_streaming;
 
 pub use accelerator::{Accelerator, LayerReport, NetworkReport};

@@ -120,16 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn thermal_margin_is_sub_kelvin() {
-        // The double filter passes ≥50% per-pulse power only while the
-        // squared Lorentzian stays above threshold — a sub-kelvin margin,
-        // which is exactly why §II-A1 needs active heaters.
-        let margin = thermal_margin_kelvin(8, 0.05, 5.0);
-        assert!(margin > 0.0, "some margin exists");
-        assert!(margin < 1.5, "margin {margin} K should be tight");
-    }
-
-    #[test]
     fn margin_is_precision_independent() {
         // The threshold decision is per-slot, so word width doesn't move it.
         let m4 = thermal_margin_kelvin(4, 0.05, 5.0);

@@ -43,7 +43,6 @@ pub mod converter;
 pub mod dsent;
 pub mod gates;
 pub mod multiplier;
-pub mod pipeline;
 pub mod register;
 pub mod ripple;
 pub mod shifter;

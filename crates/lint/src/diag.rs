@@ -35,7 +35,7 @@ pub struct RuleInfo {
 }
 
 /// Every rule the analyzer knows, in report order.
-pub const RULES: [RuleInfo; 26] = [
+pub const RULES: [RuleInfo; 27] = [
     RuleInfo {
         id: "D001",
         summary: "no SystemTime / Instant::now outside crates/obs and crates/bench/src/timing.rs",
@@ -75,6 +75,10 @@ pub const RULES: [RuleInfo; 26] = [
     RuleInfo {
         id: "G004",
         summary: "no transitive reference between ee/oe/oo backend files through intermediate modules (A002 lifted to the module graph)",
+    },
+    RuleInfo {
+        id: "G005",
+        summary: "every non-root library module must be reachable over use/call edges from a bin, test, bench or example (checked when the tree has a target)",
     },
     RuleInfo {
         id: "U001",

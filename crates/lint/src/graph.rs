@@ -9,8 +9,10 @@
 //! * the **module graph** — one node per source file, edges from `use`
 //!   paths, path-qualified calls and `mod` declarations, resolved by
 //!   longest-module-path prefix — used for transitive backend
-//!   isolation (G004) and for lifting D002 from path heuristics to
-//!   use-graph reachability (C004).
+//!   isolation (G004), for lifting D002 from path heuristics to
+//!   use-graph reachability (C004), and for target reachability
+//!   (G005): every library module must be reached from a bin, test,
+//!   bench or example.
 //!
 //! Everything here is deterministic: files arrive sorted, adjacency is
 //! kept in `BTree` collections, and the artifact text depends only on
@@ -95,6 +97,17 @@ fn module_path(rel: &str) -> Vec<String> {
     segs
 }
 
+/// True for target files: bins (`src/bin/*`, `main.rs`), `tests/`,
+/// `benches/` and `examples/`. They feed reference edges, but nothing
+/// resolves into them.
+fn is_target(rel: &str) -> bool {
+    is_test_context(rel)
+        || rel.starts_with("src/bin/")
+        || rel.contains("/src/bin/")
+        || rel == "src/main.rs"
+        || rel.ends_with("/src/main.rs")
+}
+
 /// One analyzed source file, as the graph layer sees it.
 pub struct GraphFile<'a> {
     /// Workspace-relative path.
@@ -122,7 +135,7 @@ pub struct ArchGraph {
     pub crates: Vec<String>,
     /// Deduplicated crate edges, sorted by (from, to).
     pub edges: Vec<CrateEdge>,
-    /// G001/G002/G003/G004 and C004 findings.
+    /// G001–G005 and C004 findings.
     pub findings: Vec<Finding>,
     /// Number of backend files checked by G004.
     pub backend_files: usize,
@@ -135,6 +148,36 @@ struct ModuleGraph {
     crates: Vec<Option<String>>,
     /// Per file: module path.
     paths: Vec<Vec<String>>,
+    /// Per file: bare path heads that name a module path — a child
+    /// `mod x;` stands for `self::x`, and the last segment of a `use`
+    /// stands for the whole `use` path.
+    heads: Vec<BTreeMap<String, Vec<String>>>,
+}
+
+/// The bare heads file `f` brings into scope (see [`ModuleGraph::heads`]).
+fn scope_heads(f: &GraphFile<'_>) -> BTreeMap<String, Vec<String>> {
+    let mut heads: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for m in f.items.mods.iter().filter(|m| !m.inline) {
+        heads.insert(m.name.clone(), vec!["self".to_owned(), m.name.clone()]);
+    }
+    for u in &f.items.uses {
+        let mut path = u.segments.clone();
+        if path.last().is_some_and(|s| s == "self") {
+            path.pop(); // `use a::b::{self}` imports `b`
+        }
+        let Some(name) = path.last().filter(|s| *s != "*").cloned() else {
+            continue;
+        };
+        if path.len() < 2 || heads.contains_key(&name) {
+            continue;
+        }
+        // A use may start at a name already in scope (`mod ee; use ee::EeMac;`).
+        if let Some(prefix) = heads.get(&path[0]) {
+            path.splice(..1, prefix.clone());
+        }
+        heads.insert(name, path);
+    }
+    heads
 }
 
 impl ModuleGraph {
@@ -146,9 +189,9 @@ impl ModuleGraph {
             let krate = crate_of(f.rel);
             let mpath = module_path(f.rel);
             if let Some(k) = &krate {
-                // Bin targets are separate crate roots: nothing resolves
+                // Targets are separate crate roots: nothing resolves
                 // into them, so they don't join the module table.
-                if mpath.first().is_none_or(|s| s != "bin") {
+                if !is_target(f.rel) {
                     modules
                         .entry(k.clone())
                         .or_default()
@@ -166,12 +209,24 @@ impl ModuleGraph {
             modules,
             crates,
             paths,
+            heads: files.iter().map(scope_heads).collect(),
         }
     }
 
     /// Resolves a path (from a `use` or a qualified call) seen in file
-    /// `from` to a workspace file, or `None` for external paths.
+    /// `from` to a workspace file, or `None` for external paths. A bare
+    /// head that names a child `mod` or an imported name is expanded
+    /// first; `pixel::<name>::…` means `pixel_<name>::…` whenever that
+    /// crate exists.
     fn resolve(&self, from: usize, segments: &[String]) -> Option<usize> {
+        let expanded: Vec<String>;
+        let segments = match segments.split_first() {
+            Some((head, rest)) if self.heads[from].contains_key(head) => {
+                expanded = [&self.heads[from][head][..], rest].concat();
+                &expanded[..]
+            }
+            _ => segments,
+        };
         let (krate, abs): (String, Vec<String>) = match segments.first().map(String::as_str) {
             None | Some("std" | "core" | "alloc" | "*") => return None,
             Some("crate") => (self.crates[from].clone()?, segments[1..].to_vec()),
@@ -189,6 +244,13 @@ impl ModuleGraph {
                 }
                 p.extend_from_slice(rest);
                 (self.crates[from].clone()?, p)
+            }
+            Some("pixel")
+                if segments
+                    .get(1)
+                    .is_some_and(|s| self.modules.contains_key(&format!("pixel_{s}"))) =>
+            {
+                (format!("pixel_{}", segments[1]), segments[2..].to_vec())
             }
             Some(head) if head == "pixel" || head.starts_with("pixel_") => {
                 if !self.modules.contains_key(head) {
@@ -209,9 +271,10 @@ impl ModuleGraph {
 }
 
 /// Per-file outgoing reference edges (use paths + qualified calls),
-/// resolved within the workspace. `#[cfg(test)]` spans are excluded —
-/// test-only imports must not shape the architecture graph.
-/// Deterministic: sorted, deduplicated.
+/// resolved within the workspace. Target files get edges too (nothing
+/// resolves into them, so only G005 walks out of them). `#[cfg(test)]`
+/// spans are excluded — test-only imports must not shape the
+/// architecture graph. Deterministic: sorted, deduplicated.
 fn reference_edges(
     files: &[GraphFile<'_>],
     scans: &[&crate::lexer::Scan],
@@ -219,9 +282,6 @@ fn reference_edges(
 ) -> Vec<BTreeSet<usize>> {
     let mut out = vec![BTreeSet::new(); files.len()];
     for (i, f) in files.iter().enumerate() {
-        if is_test_context(f.rel) {
-            continue;
-        }
         for u in &f.items.uses {
             if !scans[i].is_test_line(u.line) {
                 if let Some(t) = graph.resolve(i, &u.segments) {
@@ -528,7 +588,52 @@ fn hash_reachability(
     }
 }
 
-/// Builds both graphs, runs G001–G004 and C004, and returns the
+/// G005 — every library module is reachable from a target: a search
+/// from the bins, tests, benches and examples over use/call edges (not
+/// `mod` ownership, since every crate root declares every module) must
+/// reach each non-root file under `crates/*/src` or `src/`. Runs only
+/// when the tree contains a target.
+fn target_reachability(
+    files: &[GraphFile<'_>],
+    graph: &ModuleGraph,
+    refs: &[BTreeSet<usize>],
+    findings: &mut Vec<Finding>,
+) {
+    let mut queue: Vec<usize> = (0..files.len())
+        .filter(|&i| is_target(files[i].rel))
+        .collect();
+    let mut reached: BTreeSet<usize> = queue.iter().copied().collect();
+    while let Some(node) = queue.pop() {
+        for &next in &refs[node] {
+            if reached.insert(next) {
+                queue.push(next);
+            }
+        }
+    }
+    if reached.is_empty() {
+        return;
+    }
+    for (i, f) in files.iter().enumerate() {
+        let Some(krate) = &graph.crates[i] else {
+            continue;
+        };
+        let path = &graph.paths[i];
+        if path.is_empty() || is_target(f.rel) || reached.contains(&i) {
+            continue;
+        }
+        findings.push(Finding {
+            file: f.rel.to_owned(),
+            line: 1,
+            rule: "G005",
+            message: format!(
+                "library module `{krate}::{}` is reached by no bin, test, bench or example; delete it or reach it from one",
+                path.join("::")
+            ),
+        });
+    }
+}
+
+/// Builds both graphs, runs G001–G005 and C004, and returns the
 /// [`ArchGraph`]. `files` must be sorted by `rel` (the walk order) and
 /// `scans[i]` must correspond to `files[i]`.
 #[must_use]
@@ -539,6 +644,7 @@ pub fn analyze(files: &[GraphFile<'_>], scans: &[&crate::lexer::Scan]) -> ArchGr
     let (crates, edges, mut findings) = crate_rules(files, scans, &graph);
     let backend_files = backend_isolation(files, &refs, &mut findings);
     hash_reachability(files, scans, &refs, &mods, &mut findings);
+    target_reachability(files, &graph, &refs, &mut findings);
     findings.sort();
     ArchGraph {
         crates,

@@ -22,7 +22,7 @@
 //! * **O-rules (observability hygiene)** — metric names handed to the
 //!   `pixel_obs` recording functions must follow the lowercase
 //!   dot-namespaced `crate.subsystem.metric` scheme (`O001`), so the
-//!   profile tables, traces, and OpenMetrics exposition stay uniform.
+//!   profile tables and traces stay uniform.
 //! * **P-rules (panic hygiene)** — non-test library code must not
 //!   `unwrap()` / `expect()` / `panic!` (`P001`–`P003`) unless the line
 //!   carries a justified `// lint:allow(P001) reason` suppression.
@@ -33,10 +33,11 @@
 //!
 //! * **G-rules (dependency graph)** — the workspace crate graph must be
 //!   acyclic (`G001`), respect the documented layering (`G002`), keep
-//!   the layer-0 leaves dependency-free (`G003`), and keep the
-//!   `ee`/`oe`/`oo` backends isolated even transitively (`G004`); the
-//!   graph is rendered as the snapshot-pinned `reproduce archgraph`
-//!   artifact.
+//!   the layer-0 leaves dependency-free (`G003`), keep the
+//!   `ee`/`oe`/`oo` backends isolated even transitively (`G004`), and
+//!   reach every library module from a bin, test, bench or example
+//!   (`G005`); the graph is rendered as the snapshot-pinned
+//!   `reproduce archgraph` artifact.
 //! * **P1xx (transitive panic paths)** — panic-capable expressions
 //!   *reachable* from artifact entry points via the call graph
 //!   (`P101`–`P103` mirror `P001`–`P003` and share their suppressions;

@@ -130,6 +130,126 @@ fn conforming_downward_edges_stay_clean() {
     }
 }
 
+fn g005_files(report: &WorkspaceReport) -> Vec<&str> {
+    report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "G005")
+        .map(|f| f.file.as_str())
+        .collect()
+}
+
+#[test]
+fn g005_flags_a_library_module_no_target_reaches() {
+    let r = analyze(&[
+        ("crates/core/src/island.rs", "pub fn f() {}\n"),
+        ("crates/core/src/lib.rs", "pub mod island;\npub mod used;\n"),
+        ("crates/core/src/used.rs", "pub fn f() {}\n"),
+        (
+            "tests/t.rs",
+            "use pixel_core::used::f;\n#[test]\nfn t() { f(); }\n",
+        ),
+    ]);
+    assert_eq!(
+        g005_files(&r),
+        ["crates/core/src/island.rs"],
+        "{:?}",
+        r.findings
+    );
+    let g005 = r.findings.iter().find(|f| f.rule == "G005");
+    assert!(g005.is_some_and(|f| f.line == 1 && f.message.contains("`pixel_core::island`")));
+}
+
+#[test]
+fn g005_resolves_meta_crate_paths() {
+    let r = analyze(&[
+        ("crates/core/src/lib.rs", "pub mod x;\n"),
+        ("crates/core/src/x.rs", "pub fn f() {}\n"),
+        ("examples/demo.rs", "fn main() { pixel::core::x::f(); }\n"),
+        ("src/lib.rs", "pub use pixel_core as core;\n"),
+    ]);
+    assert!(g005_files(&r).is_empty(), "{:?}", r.findings);
+}
+
+#[test]
+fn g005_resolves_a_child_mod_bare_head() {
+    let r = analyze(&[
+        ("crates/core/src/lib.rs", "pub mod model;\n"),
+        ("crates/core/src/model/ee.rs", "pub fn cost() {}\n"),
+        (
+            "crates/core/src/model/mod.rs",
+            "mod ee;\npub fn cost() { ee::cost(); }\n",
+        ),
+        ("tests/t.rs", "use pixel_core::model::cost;\n"),
+    ]);
+    assert!(g005_files(&r).is_empty(), "{:?}", r.findings);
+}
+
+#[test]
+fn g005_resolves_an_imported_module_name() {
+    let r = analyze(&[
+        ("crates/dnn/src/lib.rs", "pub mod zoo;\n"),
+        ("crates/dnn/src/zoo/lenet.rs", "pub fn build() {}\n"),
+        ("crates/dnn/src/zoo/mod.rs", "pub mod lenet;\n"),
+        (
+            "examples/demo.rs",
+            "use pixel_dnn::zoo;\nfn main() { zoo::lenet::build(); }\n",
+        ),
+    ]);
+    assert!(g005_files(&r).is_empty(), "{:?}", r.findings);
+}
+
+#[test]
+fn g005_counts_examples_benches_tests_and_bins_as_targets() {
+    for target in [
+        "examples/demo.rs",
+        "examples/benchmark/src/main.rs",
+        "crates/bench/benches/b.rs",
+        "tests/t.rs",
+        "crates/serve/src/bin/served.rs",
+    ] {
+        let r = analyze(&[
+            ("crates/core/src/lib.rs", "pub mod x;\n"),
+            ("crates/core/src/x.rs", "pub fn f() {}\n"),
+            (target, "use pixel_core::x::f;\nfn main() { f(); }\n"),
+        ]);
+        assert!(g005_files(&r).is_empty(), "{target}: {:?}", r.findings);
+    }
+}
+
+#[test]
+fn g005_ignores_uses_inside_cfg_test() {
+    let r = analyze(&[
+        (
+            "crates/core/src/a.rs",
+            "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    use crate::b::g;\n}\n",
+        ),
+        ("crates/core/src/b.rs", "pub fn g() {}\n"),
+        ("crates/core/src/lib.rs", "pub mod a;\npub mod b;\n"),
+        ("tests/t.rs", "use pixel_core::a::f;\n"),
+    ]);
+    assert_eq!(g005_files(&r), ["crates/core/src/b.rs"], "{:?}", r.findings);
+}
+
+#[test]
+fn g005_never_flags_a_crate_root() {
+    let r = analyze(&[
+        ("crates/core/src/lib.rs", "pub fn f() {}\n"),
+        ("src/lib.rs", "pub use pixel_core as core;\n"),
+        ("tests/t.rs", "#[test]\nfn t() {}\n"),
+    ]);
+    assert!(g005_files(&r).is_empty(), "{:?}", r.findings);
+}
+
+#[test]
+fn g005_stays_off_in_a_tree_without_targets() {
+    let r = analyze(&[
+        ("crates/core/src/island.rs", "pub fn f() {}\n"),
+        ("crates/core/src/lib.rs", "pub mod island;\n"),
+    ]);
+    assert!(!fired(&r, "G005"), "{:?}", r.findings);
+}
+
 // ---------------------------------------------------------------- P1xx
 
 #[test]

@@ -19,7 +19,6 @@
 //! sink ([`install_trace`]) streams `span_begin`/`span_end` events as
 //! JSONL and, on [`finish_trace`], appends one line per counter/gauge.
 
-pub mod expose;
 pub mod profile;
 pub mod registry;
 pub mod sink;
@@ -115,10 +114,4 @@ pub fn trace_event(line: &str) {
 /// Finishes (snapshot + flush + remove) the global trace sink.
 pub fn finish_trace() {
     global().finish_trace();
-}
-
-/// Renders the global registry as OpenMetrics-style plain text.
-#[must_use]
-pub fn render_text() -> String {
-    expose::render_text(&global().snapshot())
 }

@@ -34,7 +34,6 @@
 
 pub mod complex;
 pub mod constants;
-pub mod directed_logic;
 pub mod laser;
 pub mod link;
 pub mod mesh;

@@ -3,6 +3,9 @@
 //! forms the analytic energy model multiplies by. This closes the loop
 //! between simulation activity and the charged energy.
 
+use pixel::core::calibration::{pj, K_MRR_PJ_PER_BIT};
+use pixel::core::config::{AcceleratorConfig, Design};
+use pixel::core::energy::OperationEnergies;
 use pixel::core::omac::{ActivityMac, OeMac, OoMac};
 use pixel::dnn::inference::MacEngine;
 use pixel::units::rng::SplitMix64;
@@ -87,4 +90,31 @@ fn oo_does_b_times_fewer_conversions_than_oe() {
     );
     // Identical optical AND activity.
     assert_eq!(oe.activity().mrr_slots(), oo.activity().mrr_slots());
+}
+
+#[test]
+fn counted_mrr_slots_price_to_the_charged_multiply_energy() {
+    // Pricing each counted MRR slot at its two rings (2·K_MRR) must give
+    // exactly the multiply energy the analytic model charges.
+    let cases = [
+        (Design::Oe, 4usize, 8u32),
+        (Design::Oe, 2, 4),
+        (Design::Oe, 8, 16),
+        (Design::Oo, 4, 8),
+    ];
+    for (design, lanes, bits) in cases {
+        let config = AcceleratorConfig::new(design, lanes, bits);
+        let mac = design.model().functional_engine(&config);
+        // Full lanes of full-scale words, so padding adds no slots.
+        let multiplies = 12usize.div_ceil(lanes) * lanes;
+        let word = vec![(1u64 << bits) - 1; multiplies];
+        let _ = mac.inner_product(&word, &word);
+
+        let priced = pj(2.0 * K_MRR_PJ_PER_BIT) * mac.activity().mrr_slots() as f64;
+        let charged = OperationEnergies::for_config(&config).mul * multiplies as f64;
+        assert!(
+            (priced / charged - 1.0).abs() < 1e-12,
+            "{design:?} lanes={lanes} bits={bits}: priced {priced:?} vs charged {charged:?}"
+        );
+    }
 }

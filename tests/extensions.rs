@@ -1,10 +1,12 @@
 //! Integration tests across the extension modules: signed quantization on
-//! optical engines, the coherent-mesh comparator, batched throughput, and
-//! the schedule simulator against the analytic model.
+//! optical engines, the coherent-mesh comparator, batched throughput, the
+//! schedule simulator against the analytic model, and the thermal margin
+//! the ring heaters must hold.
 
 use pixel::core::coherent::CoherentEngine;
 use pixel::core::config::{AcceleratorConfig, Design};
 use pixel::core::omac::engine_for;
+use pixel::core::reliability::thermal_margin_kelvin;
 use pixel::core::sim::{simulate_network, SimConfig};
 use pixel::core::throughput::batched;
 use pixel::dnn::quant::Precision;
@@ -119,4 +121,14 @@ fn weight_streaming_feasible_at_max_fabric() {
     // VGG16 carries ~135 M weights (FC1 dominates); on ≥1024 channels the
     // burst finishes in ~0.13 ms at 1 GHz — negligible next to inference.
     assert!(t.as_millis() < 1.0, "pre-load {} ms", t.as_millis());
+}
+
+#[test]
+fn thermal_margin_is_sub_kelvin() {
+    // The double filter passes ≥50% per-pulse power only while the
+    // squared Lorentzian stays above threshold — a sub-kelvin margin,
+    // which is exactly why §II-A1 needs active heaters.
+    let margin = thermal_margin_kelvin(8, 0.05, 5.0);
+    assert!(margin > 0.0, "some margin exists");
+    assert!(margin < 1.5, "margin {margin} K should be tight");
 }
