@@ -12,6 +12,18 @@ cargo build --release --workspace
 echo "== test"
 cargo test -q --workspace
 
+echo "== loadgen drain race"
+# A multi-connection load generator that drains too early loses the
+# requests still in flight on other connections. That race showed in
+# about 7% of release runs of this test, so one pass cannot catch it:
+# run it 50 times against the release test binary.
+loadgen_test=$(cargo test --release -q -p pixel-serve --lib --no-run --message-format=json \
+  | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
+for _ in $(seq 1 50); do
+  "$loadgen_test" --exact loadgen::tests::multi_connection_load_is_fully_accounted -q > /dev/null \
+    || { echo "multi-connection loadgen lost requests at drain" >&2; exit 1; }
+done
+
 echo "== lint"
 # Deny mode: the checked-in baseline must stay empty and the tree clean,
 # including under the stale-suppression check (X002) — and the analysis

@@ -8,7 +8,7 @@
 //! shard per tick (single-step hysteresis — no flapping between
 //! watermarks, no multi-shard thundering herds).
 //!
-//! Transitions are charged honestly (see [`crate::shard`]): a woken
+//! Transitions are charged honestly (see [`pixel_serve::shard`]): a woken
 //! shard burns its floor through the whole `wake_latency` stabilization
 //! before serving anything, and a drained shard keeps burning until its
 //! queue empties plus a `drain_latency` shutdown tail. Joules/request

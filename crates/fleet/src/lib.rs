@@ -10,9 +10,6 @@
 //!
 //! The pieces:
 //!
-//! * [`shard`] — one serve machine plus the power ledger that meters
-//!   its static floor over *powered* time (wake stabilization and
-//!   drain tails included).
 //! * [`route`] — the [`RoutePolicy`] trait and the
 //!   four built-ins: round-robin, join-shortest-queue,
 //!   power-of-two-choices, and network-affinity (which preserves the
@@ -21,7 +18,11 @@
 //!   priority-aware admission gate at the router.
 //! * [`autoscale`] — the reactive watermark scaler and its honest
 //!   wake/drain transition charging.
-//! * [`sim`] — the fleet discrete-event loop; bitwise deterministic.
+//! * [`sim`] — the fleet front end plugged into
+//!   [`pixel_serve::sim::run`], the event loop that also serves a
+//!   single fabric; each shard is a [`pixel_serve::shard::Shard`] (a
+//!   serve machine plus the power ledger that meters its static floor
+//!   over *powered* time). Bitwise deterministic.
 //! * [`report`] — exact aggregation (merged HDR histograms, merged
 //!   window grids, split static/dynamic energy) into a
 //!   [`FleetReport`].
@@ -32,7 +33,6 @@
 pub mod autoscale;
 pub mod report;
 pub mod route;
-pub mod shard;
 pub mod sim;
 pub mod slo;
 pub mod sweep;
@@ -40,7 +40,6 @@ pub mod sweep;
 pub use autoscale::{AutoscaleConfig, ScaleAction};
 pub use report::{FleetReport, ShardStats, TenantSloStats};
 pub use route::{RouteKind, RoutePolicy, ShardView};
-pub use shard::{PowerState, Shard, ShardOutcome};
 pub use sim::{simulate_fleet, FleetConfig, FleetOutcome};
 pub use slo::{paper_slos, AdmissionControl, TenantSlo};
 pub use sweep::{

@@ -9,13 +9,13 @@
 //! energy the machines metered and the static floor each shard's power
 //! ledger charged over its *powered* time.
 
-use crate::shard::ShardOutcome;
 use crate::slo::TenantSlo;
 use pixel_core::config::Design;
 use pixel_serve::arrivals::Workload;
 use pixel_serve::flightrec::LatencyBreakdown;
 use pixel_serve::percentile::LatencyHistogram;
 use pixel_serve::report::LatencyPercentiles;
+use pixel_serve::shard::ShardOutcome;
 use pixel_serve::window::WindowSeries;
 use pixel_units::{Energy, Time};
 

@@ -1,39 +1,29 @@
-//! The fleet discrete-event loop: one router, N shard machines.
+//! The fleet front end: one router, N shard machines.
 //!
 //! A single seeded arrival stream feeds the router; the router's SLO
 //! admission gate ([`crate::slo::AdmissionControl`]) decides *whether*
 //! to take each request and the [`RoutePolicy`](crate::route::RoutePolicy)
-//! decides *where*. Each
-//! shard then runs the exact single-fabric serving semantics of
-//! [`pixel_serve::machine::ServeMachine`] on its own clock, while the
-//! fleet loop advances event to event across all shards:
-//!
-//! 1. **Immediate actions** (zero virtual time), ascending shard id:
-//!    power a drained-and-empty shard off, dispatch on any idle shard
-//!    whose batching policy says go, flush partial batches once the
-//!    arrival stream ends.
-//! 2. **The earliest timed event**, with a fixed class order breaking
-//!    time ties (completions, then wake-ends, then batching deadlines,
-//!    then autoscaler ticks, then arrivals) and shard id breaking ties
-//!    within a class.
-//!
-//! Both phases are pure functions of the shard states, so the whole
-//! trajectory — shard assignments included — is a pure function of
-//! `(workload, context overrides, config)`: bitwise identical across
+//! decides *where*; the [`autoscale`] policy wakes and drains shards on
+//! its tick. Both plug into [`pixel_serve::sim::run`] — the same event
+//! loop, tie order and end-of-stream rule that serve a single fabric —
+//! so each shard runs the exact single-fabric serving semantics of
+//! [`pixel_serve::machine::ServeMachine`] on its own clock, and the
+//! whole trajectory — shard assignments included — is a pure function
+//! of `(workload, context overrides, config)`: bitwise identical across
 //! runs, machines, and `--jobs` levels.
 
 use crate::autoscale::{self, AutoscaleConfig, ScaleAction};
 use crate::report::FleetReport;
 use crate::route::{RouteKind, ShardView};
-use crate::shard::{PowerState, Shard, ShardOutcome};
 use crate::slo::{AdmissionControl, TenantSlo};
 use pixel_core::config::AcceleratorConfig;
 use pixel_core::model::EvalContext;
 use pixel_serve::arrivals::{RequestSource, Workload};
-use pixel_serve::batching::{BatchPolicy, Decision};
-use pixel_serve::machine::MachineConfig;
+use pixel_serve::batching::BatchPolicy;
 use pixel_serve::queue::ShedPolicy;
-use pixel_units::{Time, VirtInstant};
+use pixel_serve::shard::{PowerState, Shard, ShardOutcome};
+use pixel_serve::sim::{self, ServeConfig};
+use pixel_units::Time;
 
 /// Parameters of one fleet simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,28 +81,6 @@ impl FleetConfig {
             window_bins: 64,
         }
     }
-
-    /// The shared per-shard [`MachineConfig`]: every shard gets the
-    /// same window base width (sized to the *fleet* expected makespan)
-    /// so the per-shard series merge bin-exactly.
-    #[must_use]
-    pub fn machine_config(&self, workload: &Workload) -> MachineConfig {
-        let window_bins = self.window_bins.max(2);
-        #[allow(clippy::cast_precision_loss)]
-        let expected_makespan = self.requests as f64 / self.rate_hz;
-        #[allow(clippy::cast_precision_loss)]
-        let base_width = (expected_makespan / window_bins as f64).max(1e-9);
-        MachineConfig {
-            policy: self.policy,
-            queue_capacity: self.queue_capacity,
-            shed: self.shed,
-            window_width: Time::new(base_width),
-            window_max_bins: window_bins * 2,
-            event_capacity: 0,
-            tenants: workload.tenants().len(),
-            networks: workload.networks().len(),
-        }
-    }
 }
 
 /// A finished fleet run: the report plus the per-request shard
@@ -125,20 +93,6 @@ pub struct FleetOutcome {
     /// Shard id per generated request, `-1` for router-shed.
     pub assignments: Vec<i32>,
 }
-
-/// The next timed event, ordered by `(time, class, shard)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TimedEvent {
-    at: VirtInstant,
-    class: u8,
-    shard: usize,
-}
-
-const CLASS_COMPLETION: u8 = 0;
-const CLASS_WAKE_END: u8 = 1;
-const CLASS_DEADLINE: u8 = 2;
-const CLASS_TICK: u8 = 3;
-const CLASS_ARRIVAL: u8 = 4;
 
 /// Runs one fleet simulation to completion (all arrivals generated,
 /// every shard drained) and reports the measurements plus the routing
@@ -165,7 +119,21 @@ pub fn simulate_fleet(
         workload.tenants().len(),
         "one SLO per workload tenant"
     );
-    let machine_config = config.machine_config(workload);
+    // Every shard sizes its window grid to the *fleet* expected
+    // makespan, so the per-shard series merge bin-exactly.
+    let machine_config = ServeConfig {
+        policy: config.policy,
+        queue_capacity: config.queue_capacity,
+        shed: config.shed,
+        window_bins: config.window_bins,
+        ..ServeConfig::new(
+            config.shards[0],
+            config.rate_hz,
+            config.requests,
+            config.seed,
+        )
+    }
+    .machine_config(workload, 0);
     // Every shard starts powered — the warm, fixed-provisioning state.
     // An enabled autoscaler earns its savings by *draining* idle shards
     // from the first tick onward; cold-starting at `min_active` would
@@ -182,159 +150,38 @@ pub fn simulate_fleet(
         workload.networks().len(),
     );
     let mut admission = AdmissionControl::new(&config.slos);
-    let mut source =
-        RequestSource::new(workload, config.rate_hz, config.requests, config.seed).peekable();
     let mut assignments: Vec<i32> = Vec::with_capacity(config.requests);
-    let mut next_tick = config
-        .autoscale
-        .enabled
-        .then(|| VirtInstant::EPOCH + config.autoscale.interval);
-    let mut frontier = VirtInstant::EPOCH;
+    let scaler = &config.autoscale;
+    let fleet_end = sim::run(
+        &mut shards,
+        RequestSource::new(workload, config.rate_hz, config.requests, config.seed),
+        |request, shards| {
+            pixel_obs::add("fleet.arrivals", 1);
+            let views = shard_views(shards);
+            let pressure = fleet_pressure(&views, config.queue_capacity);
+            if !admission.admit(request.tenant, pressure) {
+                pixel_obs::add("fleet.router_shed", 1);
+                assignments.push(-1);
+                return None;
+            }
+            let target = router.route(request, &views);
+            assert!(
+                views[target].routable,
+                "policy routed to an unroutable shard"
+            );
+            #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+            assignments.push(target as i32);
+            Some(target)
+        },
+        |now, shards| match autoscale::decide(scaler, &shard_views(shards)) {
+            ScaleAction::Wake(id) => shards[id].wake(now, scaler.wake_latency),
+            ScaleAction::Drain(id) => shards[id].begin_drain(),
+            ScaleAction::Hold => {}
+        },
+        scaler.enabled.then_some(scaler.interval),
+        scaler.drain_latency,
+    );
 
-    'event_loop: loop {
-        // Phase 1: immediate actions, ascending shard id; restart the
-        // phase after each action so ordering stays canonical.
-        'immediate: loop {
-            for shard in &mut shards {
-                if shard.try_power_off(frontier, config.autoscale.drain_latency) {
-                    continue 'immediate;
-                }
-                if !shard.can_serve() || shard.is_busy() || shard.queue_is_empty() {
-                    continue;
-                }
-                match shard.decide() {
-                    Decision::Dispatch => {
-                        shard.dispatch();
-                        continue 'immediate;
-                    }
-                    // A deadline still pending is a timed event; but once
-                    // no more work can arrive (stream drained, or the
-                    // shard is draining), flush the partial batch now.
-                    Decision::Hold | Decision::HoldUntil(_)
-                        if source.peek().is_none() || shard.state() == PowerState::Draining =>
-                    {
-                        shard.dispatch();
-                        continue 'immediate;
-                    }
-                    Decision::Hold | Decision::HoldUntil(_) => {}
-                }
-            }
-            break;
-        }
-
-        // Phase 2: find the earliest timed event.
-        let mut next: Option<TimedEvent> = None;
-        let mut consider = |candidate: TimedEvent| {
-            let better = match next {
-                None => true,
-                Some(best) => {
-                    (candidate.at, candidate.class, candidate.shard)
-                        < (best.at, best.class, best.shard)
-                }
-            };
-            if better {
-                next = Some(candidate);
-            }
-        };
-        let mut work_remains = source.peek().is_some();
-        for shard in &shards {
-            if let Some(at) = shard.planned_completion() {
-                consider(TimedEvent {
-                    at,
-                    class: CLASS_COMPLETION,
-                    shard: shard.id(),
-                });
-            }
-            if let PowerState::Waking { until } = shard.state() {
-                consider(TimedEvent {
-                    at: until,
-                    class: CLASS_WAKE_END,
-                    shard: shard.id(),
-                });
-            }
-            if shard.can_serve() && !shard.is_busy() && !shard.queue_is_empty() {
-                if let Decision::HoldUntil(expiry) = shard.decide() {
-                    consider(TimedEvent {
-                        at: expiry,
-                        class: CLASS_DEADLINE,
-                        shard: shard.id(),
-                    });
-                }
-            }
-            if !shard.queue_is_empty() || shard.is_busy() {
-                work_remains = true;
-            }
-        }
-        if work_remains {
-            if let Some(at) = next_tick {
-                consider(TimedEvent {
-                    at,
-                    class: CLASS_TICK,
-                    shard: 0,
-                });
-            }
-        }
-        if let Some(request) = source.peek() {
-            consider(TimedEvent {
-                at: request.arrival,
-                class: CLASS_ARRIVAL,
-                shard: 0,
-            });
-        }
-        let Some(event) = next else {
-            break 'event_loop;
-        };
-        frontier = frontier.max(event.at);
-        match event.class {
-            CLASS_COMPLETION => shards[event.shard].complete(),
-            CLASS_WAKE_END => shards[event.shard].finish_wake(),
-            CLASS_DEADLINE => {
-                shards[event.shard].advance_to(event.at);
-                shards[event.shard].dispatch();
-            }
-            CLASS_TICK => {
-                let views = shard_views(&shards);
-                match autoscale::decide(&config.autoscale, &views) {
-                    ScaleAction::Wake(id) => {
-                        shards[id].wake(event.at, config.autoscale.wake_latency);
-                    }
-                    ScaleAction::Drain(id) => shards[id].begin_drain(),
-                    ScaleAction::Hold => {}
-                }
-                next_tick = Some(event.at + config.autoscale.interval);
-            }
-            _ => {
-                // lint:allow(P002) the arrival event class is only proposed off a non-empty peek
-                let request = source.next().expect("peeked arrival");
-                pixel_obs::add("fleet.arrivals", 1);
-                let views = shard_views(&shards);
-                let pressure = fleet_pressure(&views, config.queue_capacity);
-                if admission.admit(request.tenant, pressure) {
-                    let target = router.route(&request, &views);
-                    assert!(
-                        views[target].routable,
-                        "policy routed to an unroutable shard"
-                    );
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
-                    assignments.push(target as i32);
-                    let _ = shards[target].admit(request);
-                } else {
-                    pixel_obs::add("fleet.router_shed", 1);
-                    assignments.push(-1);
-                }
-            }
-        }
-    }
-
-    // Close every power ledger at the fleet's end-of-run instant and
-    // finish the shard machines.
-    let fleet_end = shards
-        .iter()
-        .map(Shard::now)
-        .fold(frontier, VirtInstant::max);
-    for shard in &mut shards {
-        shard.close(fleet_end);
-    }
     let outcomes: Vec<ShardOutcome> = shards
         .into_iter()
         .map(|shard| {

@@ -27,7 +27,7 @@ use pixel_core::sweep::SweepEngine;
 use pixel_dnn::mix::NetworkMix;
 use pixel_dnn::zoo;
 use pixel_serve::arrivals::{Tenant, Workload};
-use pixel_serve::saturation::reference_capacity;
+use pixel_serve::saturation::{reference_capacity, saturated};
 use pixel_units::Time;
 
 /// Parameters of a fleet sweep.
@@ -159,7 +159,7 @@ impl FleetSection {
     pub fn knee(&self, policy: RouteKind) -> Option<f64> {
         self.curve(policy)
             .iter()
-            .find(|p| fleet_saturated(&p.report))
+            .find(|p| saturated(p.report.drop_rate(), p.report.goodput_ratio()))
             .map(|p| p.load)
     }
 
@@ -190,14 +190,6 @@ pub struct FleetSweep {
     pub sections: Vec<FleetSection>,
     /// The autoscaler energy study (4× OO, net-affinity).
     pub energy: Vec<EnergyPoint>,
-}
-
-/// Whether a fleet point counts as saturated: it sheds load anywhere
-/// (router or shard queues), or completes less than 97 % of offered —
-/// the same criterion as the single-fabric sweep.
-#[must_use]
-pub fn fleet_saturated(report: &FleetReport) -> bool {
-    report.drop_rate() > 0.001 || report.goodput_ratio() < 0.97
 }
 
 /// One planned simulation point.

@@ -6,8 +6,9 @@
 //! what offered load does a design stop keeping up, and what do tail
 //! latencies look like on the way there?**
 //!
-//! It is a small, std-only discrete-event simulator of a single-fabric
-//! serving system:
+//! It is a small, std-only discrete-event simulator of a serving
+//! system — one fabric here, N shards in `pixel-fleet`, through the same
+//! event loop:
 //!
 //! * [`arrivals`] — deterministic Poisson arrivals (seeded
 //!   [`pixel_units::rng::SplitMix64`], unit-rate exponential gaps scaled
@@ -22,8 +23,13 @@
 //! * [`machine`] — the pure serving state machine: all of the above
 //!   policies plus flight-recorder/window/latency accounting over *fed*
 //!   [`pixel_units::VirtInstant`]s, never reading a clock.
-//! * [`sim`] — the discrete-event driver. Feeds the machine virtual
-//!   instants; service times and energy come straight from the memoized
+//! * [`shard`] — one machine plus its service model and the power
+//!   ledger that meters its static laser/heater floor over *powered*
+//!   time (wake stabilization and drain tails included).
+//! * [`sim`] — the one discrete-event loop, over a slice of shards:
+//!   one always-on shard for [`simulate`], N behind a router and
+//!   autoscaler for `pixel-fleet`. Feeds the machines virtual instants;
+//!   service times and energy come straight from the memoized
 //!   [`pixel_core::model::EvalContext`] via the pipeline-fill batch
 //!   model in [`pixel_core::throughput`] (see [`service`]); no cost
 //!   formula is duplicated here.
@@ -68,6 +74,7 @@ pub mod queue;
 pub mod report;
 pub mod saturation;
 pub mod service;
+pub mod shard;
 pub mod sim;
 pub mod window;
 pub mod wire;
@@ -82,5 +89,6 @@ pub use queue::{AdmissionQueue, ShedPolicy};
 pub use report::{LatencyPercentiles, NetworkStats, ServeReport, TenantStats};
 pub use saturation::{metrics_jsonl, saturation_sweep, DesignCurve, SweepSpec};
 pub use service::ServiceModel;
+pub use shard::{PowerState, Shard, ShardOutcome};
 pub use sim::{simulate, simulate_with_flightrec, ServeConfig};
 pub use window::{WindowBin, WindowSeries};

@@ -18,6 +18,12 @@ use crate::flightrec::LatencyBreakdown;
 use crate::wire::{self, WireRequest};
 use pixel_units::rng::SplitMix64;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
+use std::time::Duration;
+
+/// Longest wait for the next answer before a multi-connection run drains
+/// anyway (a dead connection, or a policy holding a batch for the drain).
+const ANSWER_STALL: Duration = Duration::from_secs(5);
 
 /// Parameters of one load-generation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,9 +68,12 @@ pub struct LoadReport {
 ///
 /// With one connection this is the exact legacy single-stream path;
 /// with several, each connection paces its own seeded sub-stream on a
-/// shared monotonic clock, the `drain` control goes out once every
-/// sender has finished, and the per-connection tallies are merged
-/// (exact [`LatencyBreakdown`] histogram merge).
+/// shared monotonic clock, and the per-connection tallies are merged
+/// (exact [`LatencyBreakdown`] histogram merge). The `drain` control
+/// goes out only once every request has its answer: the daemon reads
+/// each connection on its own thread, so an earlier drain could overtake
+/// a request still in flight on another connection, leaving it
+/// unanswered.
 ///
 /// # Errors
 ///
@@ -96,11 +105,14 @@ pub fn run(
 
     let mut writers = Vec::with_capacity(connections);
     let mut readers = Vec::with_capacity(connections);
+    let (answered_tx, answered) = mpsc::channel();
     for _ in 0..connections {
         let stream = TcpStream::connect(addr)?;
         writers.push(stream.try_clone()?);
-        readers.push(std::thread::spawn(move || collect_responses(stream)));
+        let tx = Some(answered_tx.clone());
+        readers.push(std::thread::spawn(move || collect_responses(stream, tx)));
     }
+    drop(answered_tx);
 
     let clock = MonotonicClock::start();
     let sent = std::thread::scope(|scope| -> std::io::Result<u64> {
@@ -118,6 +130,10 @@ pub fn run(
         }
         Ok(sent)
     })?;
+    let mut unanswered = sent;
+    while unanswered > 0 && answered.recv_timeout(ANSWER_STALL).is_ok() {
+        unanswered -= 1;
+    }
     wire::write_frame(&mut writers[0], &wire::drain_frame())?;
 
     let mut report = LoadReport {
@@ -149,7 +165,7 @@ fn run_single(
 ) -> std::io::Result<LoadReport> {
     let stream = TcpStream::connect(addr)?;
     let mut writer = stream.try_clone()?;
-    let reader = std::thread::spawn(move || collect_responses(stream));
+    let reader = std::thread::spawn(move || collect_responses(stream, None));
 
     let clock = MonotonicClock::start();
     let sent = send_stream(
@@ -200,8 +216,11 @@ fn send_stream(
 }
 
 /// Drains one connection's response stream until the stats frame (or
-/// EOF), tallying outcomes.
-fn collect_responses(mut stream: TcpStream) -> (u64, u64, LatencyBreakdown, Option<String>) {
+/// EOF), tallying outcomes and signalling each one on `answered`.
+fn collect_responses(
+    mut stream: TcpStream,
+    answered: Option<mpsc::Sender<()>>,
+) -> (u64, u64, LatencyBreakdown, Option<String>) {
     let mut served: u64 = 0;
     let mut shed: u64 = 0;
     let mut breakdown = LatencyBreakdown::default();
@@ -213,6 +232,9 @@ fn collect_responses(mut stream: TcpStream) -> (u64, u64, LatencyBreakdown, Opti
                 breakdown.record(response.wait_ns, response.service_ns);
             } else {
                 shed += 1;
+            }
+            if let Some(answered) = &answered {
+                let _ = answered.send(());
             }
         } else if body.contains("\"schema\":\"pixel.serve.stats\"") {
             stats = Some(body);

@@ -190,8 +190,8 @@ pub fn run_oracle(spec: &OracleSpec) -> std::io::Result<Vec<OraclePoint>> {
 pub fn check_point(sim: &ServeReport, live: &ServeReport, time_scale: f64) -> Vec<OracleCheck> {
     let mut checks = Vec::new();
 
-    let sim_knee = saturated(sim);
-    let live_knee = saturated(live);
+    let sim_knee = saturated(sim.drop_rate(), sim.goodput_ratio());
+    let live_knee = saturated(live.drop_rate(), live.goodput_ratio());
     checks.push(OracleCheck {
         name: "knee",
         detail: format!(

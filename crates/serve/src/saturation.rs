@@ -139,13 +139,14 @@ pub fn reference_capacity(
     1.0 / busy_per_request
 }
 
-/// Whether a measured point counts as saturated: it sheds load, or
-/// completes less than 97 % of what was offered. The same criterion
-/// classifies simulated sweep points and the live daemon's measured
-/// points (the oracle's knee-agreement check relies on that).
+/// Whether a measured point counts as saturated: it sheds more than
+/// 0.1 % of arrivals, or completes less than 97 % of what was offered.
+/// The one criterion for simulated sweep points, the live daemon's
+/// measured points (the oracle's knee-agreement check relies on that)
+/// and fleet points.
 #[must_use]
-pub fn saturated(report: &ServeReport) -> bool {
-    report.drop_rate() > 0.001 || report.goodput_ratio() < 0.97
+pub fn saturated(drop_rate: f64, goodput_ratio: f64) -> bool {
+    drop_rate > 0.001 || goodput_ratio < 0.97
 }
 
 /// Sweeps offered load × design through the engine and assembles one
@@ -199,7 +200,10 @@ pub fn saturation_sweep(
                     report: report.clone(),
                 })
                 .collect();
-            let knee = points.iter().find(|p| saturated(&p.report)).map(|p| p.load);
+            let knee = points
+                .iter()
+                .find(|p| saturated(p.report.drop_rate(), p.report.goodput_ratio()))
+                .map(|p| p.load);
             DesignCurve {
                 design,
                 capacity_hz: capacity,

@@ -1,15 +1,16 @@
-//! One fleet shard: a serve machine plus its power ledger.
+//! One serving shard: a serve machine plus its power ledger.
 //!
 //! A [`Shard`] wraps a [`ServeMachine`] and its per-design
 //! [`ServiceModel`] behind a small power state machine. The serving
 //! semantics are untouched — admission, batching, shedding, and all
 //! windowed/latency accounting still live in the machine — but the
 //! shard additionally tracks *when the fabric is drawing its static
-//! (laser + heater) floor*. That ledger is what makes the fleet's
+//! (laser + heater) floor*. That ledger is what makes a fleet's
 //! joules/request honest: a photonic shard burns its wall-plug floor
 //! from the instant it is woken (the laser stabilizes while requests
 //! are already being routed to it) until one `drain_latency` after it
-//! empties, whether or not it served anything in between.
+//! empties, whether or not it served anything in between. The
+//! single-fabric simulator is one shard that stays `Active` throughout.
 //!
 //! The state machine:
 //!
@@ -24,14 +25,14 @@
 //! (arrivals queue while the laser stabilizes; dispatch waits for the
 //! wake to end), or `Draining` (existing queue drains, no new work).
 
+use crate::arrivals::{Request, Workload};
+use crate::batching::Decision;
+use crate::flightrec::FlightData;
+use crate::machine::{Admission, FinishMeta, MachineConfig, ServeMachine};
+use crate::report::ServeReport;
+use crate::service::ServiceModel;
 use pixel_core::config::AcceleratorConfig;
 use pixel_core::model::EvalContext;
-use pixel_serve::arrivals::{Request, Workload};
-use pixel_serve::batching::Decision;
-use pixel_serve::flightrec::FlightData;
-use pixel_serve::machine::{Admission, FinishMeta, MachineConfig, ServeMachine};
-use pixel_serve::report::ServeReport;
-use pixel_serve::service::ServiceModel;
 use pixel_units::{Energy, Power, Time, VirtInstant};
 
 /// Power state of one shard.
@@ -78,8 +79,6 @@ pub struct ShardOutcome {
     pub powered: Time,
     /// Static floor energy: `static_power × powered`.
     pub static_energy: Energy,
-    /// The shard's always-on wall-plug power when powered.
-    pub static_power: Power,
     /// Off → Waking transitions taken.
     pub wakes: u64,
     /// Active → Draining transitions taken.
@@ -142,12 +141,6 @@ impl Shard {
         matches!(self.state, PowerState::Active | PowerState::Draining)
     }
 
-    /// True while drawing the static floor.
-    #[must_use]
-    pub fn is_powered(&self) -> bool {
-        self.powered_since.is_some()
-    }
-
     /// True while a batch is in flight.
     #[must_use]
     pub fn is_busy(&self) -> bool {
@@ -164,12 +157,6 @@ impl Shard {
     #[must_use]
     pub fn queue_is_empty(&self) -> bool {
         self.machine.queue_is_empty()
-    }
-
-    /// Queued plus in-flight work (the router's load signal).
-    #[must_use]
-    pub fn backlog(&self) -> usize {
-        self.machine.queue_depth() + usize::from(self.machine.is_busy())
     }
 
     /// The shard machine's notion of now.
@@ -335,19 +322,36 @@ impl Shard {
             routed: self.routed,
             powered: self.powered,
             static_energy: static_power * self.powered,
-            static_power,
             wakes: self.wakes,
             drains: self.drains,
         }
+    }
+
+    /// Finishes a shard that stayed `Active` all run the way a single
+    /// fabric reports: the machine charges the static floor over its
+    /// makespan, which is then the shard's powered time.
+    #[must_use]
+    pub fn finish_always_on(
+        self,
+        workload: &Workload,
+        offered_hz: f64,
+    ) -> (ServeReport, FlightData) {
+        let meta = FinishMeta {
+            accel: self.accel,
+            offered_hz,
+            static_power: self.static_power(),
+            arrivals: self.routed,
+        };
+        self.machine.finish(&meta, workload)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batching::BatchPolicy;
+    use crate::queue::ShedPolicy;
     use pixel_core::config::Design;
-    use pixel_serve::batching::BatchPolicy;
-    use pixel_serve::queue::ShedPolicy;
 
     fn machine_config() -> MachineConfig {
         MachineConfig {

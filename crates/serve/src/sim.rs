@@ -1,46 +1,52 @@
 //! The discrete-event serving loop.
 //!
-//! A single PIXEL fabric serves one batch at a time. The simulation
-//! advances event to event — the next arrival, the in-flight batch's
-//! completion, or a batching-deadline expiry, whichever is earliest
-//! (ties resolve completion-first, then deadline-before-arrival, making
-//! the trajectory a pure function of the seed). Per-batch service time
-//! and energy come from [`EvalContext`] through the pipeline-fill
-//! batching model in `pixel_core::throughput` — the same `DesignModel`
-//! backends behind every paper artifact, so EE/OE/OO serving curves are
-//! comparable by construction.
+//! [`run`] is the one planned-dispatch event loop. It steps a slice of
+//! [`Shard`]s (a serve machine, its analytic service model and a power
+//! ledger each) through one seeded arrival stream, event to event:
 //!
-//! Since the policy/clock split, this module is a thin *driver*: all
-//! admission, batching, shedding, and accounting state lives in the
-//! pure [`ServeMachine`], which this loop
-//! feeds with virtual instants (arrivals from the seeded source,
-//! planned completions, deadline expiries). The `pixel-served` daemon
-//! drives the identical machine with a monotonic clock.
+//! 1. **Immediate actions**, ascending shard id: power a drained, empty
+//!    shard off; dispatch on an idle shard whose policy says go. Once
+//!    the stream ends a timer-less `Hold` flushes its partial batch, but
+//!    a pending `HoldUntil` deadline is honoured, as in the live daemon.
+//!    A draining shard flushes whatever it holds.
+//! 2. **The earliest timed event**; time ties break by class
+//!    (completion, wake-end, deadline, autoscaler tick, arrival), then
+//!    by shard id.
 //!
-//! Instrumentation: the run executes under a `serve/sim` span and
-//! counts `serve.arrivals`, `serve.admitted`, `serve.shed`,
+//! Both phases are pure functions of the shard states, so a run is a
+//! pure function of the seed. [`simulate`] serves one fabric: a single
+//! always-`Active` shard that receives every arrival; `pixel-fleet`
+//! plugs its router, SLO gate and autoscaler in through `route` and
+//! `tick`. Per-batch service time and energy come from [`EvalContext`]
+//! through the pipeline-fill batching model in `pixel_core::throughput`
+//! — the same `DesignModel` backends behind every paper artifact, so
+//! EE/OE/OO serving curves are comparable by construction. All policy
+//! and accounting state lives in the pure
+//! [`ServeMachine`](crate::machine::ServeMachine); the `pixel-served`
+//! daemon drives the identical machine with a monotonic clock.
+//!
+//! Instrumentation: a single-fabric run executes under a `serve/sim`
+//! span and counts `serve.arrivals`, `serve.admitted`, `serve.shed`,
 //! `serve.dispatches` and `serve.completions`; dispatched batch sizes
-//! feed the `serve.batch_size` histogram. Beyond the flat counters,
-//! every request emits typed lifecycle events
-//! ([`crate::flightrec::ServeEvent`]) into a bounded
-//! [`FlightRecorder`](crate::flightrec::FlightRecorder) — and through
-//! the `pixel-obs` trace sink when one is installed — while a
+//! feed the `serve.batch_size` histogram. Every request also emits typed
+//! lifecycle events ([`crate::flightrec::ServeEvent`]) into a bounded
+//! [`FlightRecorder`](crate::flightrec::FlightRecorder) (and the
+//! `pixel-obs` trace sink when one is installed), while a
 //! [`WindowSeries`](crate::window::WindowSeries) folds the run into
-//! fixed-virtual-time-grid bins and a
-//! [`LatencyBreakdown`](crate::flightrec::LatencyBreakdown) splits
-//! every sojourn into queue wait and service time per tenant and per
-//! network.
+//! virtual-time bins and a
+//! [`LatencyBreakdown`](crate::flightrec::LatencyBreakdown) splits every
+//! sojourn into queue wait and service time per tenant and per network.
 
-use crate::arrivals::{RequestSource, Workload};
+use crate::arrivals::{Request, RequestSource, Workload};
 use crate::batching::{BatchPolicy, Decision};
 use crate::flightrec::FlightData;
-use crate::machine::{FinishMeta, MachineConfig, ServeMachine};
+use crate::machine::MachineConfig;
 use crate::queue::ShedPolicy;
 use crate::report::ServeReport;
-use crate::service::ServiceModel;
+use crate::shard::{PowerState, Shard};
 use pixel_core::config::AcceleratorConfig;
 use pixel_core::model::EvalContext;
-use pixel_units::Time;
+use pixel_units::{Time, VirtInstant};
 
 /// Parameters of one serving simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,64 +150,144 @@ pub fn simulate_with_flightrec(
 ) -> (ServeReport, FlightData) {
     let _span = pixel_obs::span("serve/sim");
     assert!(config.requests > 0, "need at least one request");
-    let service = ServiceModel::new(ctx, workload, &config.accel);
-    let mut source =
-        RequestSource::new(workload, config.rate_hz, config.requests, config.seed).peekable();
-    let mut machine = ServeMachine::new(&config.machine_config(workload, event_capacity));
-    let cost = |network: usize, batch: usize| service.batch(network, batch);
+    let machine = config.machine_config(workload, event_capacity);
+    let mut shards = [Shard::new(0, ctx, workload, config.accel, &machine, true)];
+    let arrivals = RequestSource::new(workload, config.rate_hz, config.requests, config.seed);
+    run(
+        &mut shards,
+        arrivals,
+        |_, _| Some(0),
+        |_, _| {},
+        None,
+        Time::ZERO,
+    );
+    let [shard] = shards;
+    shard.finish_always_on(workload, config.rate_hz)
+}
 
+/// Timed-event classes in tie-break order (declaration order).
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+enum Timed {
+    Completion,
+    WakeEnd,
+    Deadline,
+    Tick,
+}
+
+/// Steps `shards` through `arrivals` until every arrival is placed and
+/// every shard has drained, then closes each power ledger at the
+/// returned end-of-run instant. `route` names the shard that admits an
+/// arrival, or `None` to shed it first; `tick` runs every
+/// `tick_interval` (if any) while work remains; `drain_latency` is the
+/// shutdown tail charged when a drained shard powers off.
+///
+/// # Panics
+///
+/// Panics if `route` names a shard outside `shards`.
+pub fn run(
+    shards: &mut [Shard],
+    arrivals: RequestSource<'_>,
+    mut route: impl FnMut(&Request, &[Shard]) -> Option<usize>,
+    mut tick: impl FnMut(VirtInstant, &mut [Shard]),
+    tick_interval: Option<Time>,
+    drain_latency: Time,
+) -> VirtInstant {
+    let mut arrivals = arrivals.peekable();
+    let mut next_tick = tick_interval.map(|interval| VirtInstant::EPOCH + interval);
+    let mut frontier = VirtInstant::EPOCH;
     loop {
-        if let Some(completes_at) = machine.planned_completion() {
-            // Busy: the next event is the completion or an earlier arrival.
-            match source.peek() {
-                Some(next) if next.arrival < completes_at => {
-                    if let Some(request) = source.next() {
-                        let _ = machine.admit(request);
-                    }
-                }
-                _ => machine.complete(),
+        let stream_ended = arrivals.peek().is_none();
+        for shard in shards.iter_mut() {
+            settle(shard, frontier, drain_latency, stream_ended);
+        }
+        let next = next_timed(shards, next_tick, !stream_ended);
+        // Arrivals rank last among same-instant events.
+        if let Some(request) = arrivals.next_if(|r| next.is_none_or(|(at, ..)| r.arrival < at)) {
+            frontier = frontier.max(request.arrival);
+            if let Some(target) = route(&request, shards) {
+                let _ = shards[target].admit(request);
             }
             continue;
         }
-        // Idle server: consult the batching policy.
-        match machine.decide() {
-            Decision::Dispatch => machine.dispatch(cost),
-            Decision::HoldUntil(expiry) => match source.peek() {
-                Some(next) if next.arrival < expiry => {
-                    if let Some(request) = source.next() {
-                        let _ = machine.admit(request);
-                    }
-                }
-                _ => {
-                    // Deadline fires (or the stream ended): dispatch what
-                    // is waiting.
-                    machine.advance_to(expiry);
-                    machine.dispatch(cost);
-                }
-            },
-            Decision::Hold => match source.next() {
-                Some(request) => {
-                    let _ = machine.admit(request);
-                }
-                None if !machine.queue_is_empty() => {
-                    // Stream over: flush remaining (possibly partial)
-                    // batches so every admitted request completes.
-                    machine.dispatch(cost);
-                }
-                None => break,
-            },
+        let Some((at, class, id)) = next else {
+            break;
+        };
+        frontier = frontier.max(at);
+        match class {
+            Timed::Completion => shards[id].complete(),
+            Timed::WakeEnd => shards[id].finish_wake(),
+            Timed::Deadline => {
+                shards[id].advance_to(at);
+                shards[id].dispatch();
+            }
+            Timed::Tick => {
+                tick(at, shards);
+                next_tick = tick_interval.map(|interval| at + interval);
+            }
         }
     }
+    let end = shards
+        .iter()
+        .map(Shard::now)
+        .fold(frontier, VirtInstant::max);
+    for shard in shards.iter_mut() {
+        shard.close(end);
+    }
+    end
+}
 
-    machine.finish(
-        &FinishMeta {
-            accel: config.accel,
-            offered_hz: config.rate_hz,
-            static_power: service.static_power(),
-            arrivals: config.requests as u64,
-        },
-        workload,
-    )
+/// Phase 1 for one shard (see the module docs).
+fn settle(shard: &mut Shard, now: VirtInstant, drain_latency: Time, stream_ended: bool) {
+    if shard.try_power_off(now, drain_latency)
+        || !shard.can_serve()
+        || shard.is_busy()
+        || shard.queue_is_empty()
+    {
+        return;
+    }
+    let draining = shard.state() == PowerState::Draining;
+    let go = match shard.decide() {
+        Decision::Dispatch => true,
+        Decision::Hold => stream_ended || draining,
+        Decision::HoldUntil(_) => draining,
+    };
+    if go {
+        shard.dispatch();
+    }
+}
+
+/// Phase 2 without arrivals: the earliest `(instant, class, shard)`.
+/// Ticks count only while work remains.
+fn next_timed(
+    shards: &[Shard],
+    next_tick: Option<VirtInstant>,
+    arrivals_pending: bool,
+) -> Option<(VirtInstant, Timed, usize)> {
+    let mut next: Option<(VirtInstant, Timed, usize)> = None;
+    let mut consider = |candidate: (VirtInstant, Timed, usize)| {
+        if next.is_none_or(|best| candidate < best) {
+            next = Some(candidate);
+        }
+    };
+    let mut work_remains = arrivals_pending;
+    for (id, shard) in shards.iter().enumerate() {
+        if let Some(at) = shard.planned_completion() {
+            consider((at, Timed::Completion, id));
+        }
+        if let PowerState::Waking { until } = shard.state() {
+            consider((until, Timed::WakeEnd, id));
+        }
+        if shard.can_serve() && !shard.is_busy() && !shard.queue_is_empty() {
+            if let Decision::HoldUntil(expiry) = shard.decide() {
+                consider((expiry, Timed::Deadline, id));
+            }
+        }
+        work_remains |= shard.is_busy() || !shard.queue_is_empty();
+    }
+    if let (true, Some(at)) = (work_remains, next_tick) {
+        consider((at, Timed::Tick, 0));
+    }
+    next
 }
 
 #[cfg(test)]
