@@ -220,9 +220,10 @@ echo "== bench"
 # Wall-time deltas stay advisory (machine-to-machine noise must not
 # fail CI), but `--check` is a hard gate on the *in-run* invariants:
 # the batched fabric_conv_{ee,oe,oo} benches must beat their _scalar
-# references by the documented speedup floor, and every bench —
-# including the forward_* CNN replays — must report finite nonzero
-# throughput.
+# references by the 6x floor, the fc_lenet_{ee,oe,oo} block-path FC
+# benches must reach 4x the MAC/s of their functional_mac_* per-window
+# engines, and every bench — including the forward_* CNN replays —
+# must report finite nonzero throughput.
 ./target/release/reproduce bench --jobs 1 --out target/BENCH_functional.json
 if [ -f BENCH_functional.json ]; then
   ./target/release/reproduce bench --compare BENCH_functional.json target/BENCH_functional.json

@@ -15,18 +15,20 @@
 //!   the two reports hard-fail — a mean-statistics baseline or a quick
 //!   run is never silently compared against a median full run.
 //! * `--check FILE` asserts the *in-run* batched-vs-scalar fabric
-//!   speedup floor ([`MIN_BATCH_SPEEDUP`]) and that every bench's
-//!   throughput is finite and nonzero — a machine-independent gate,
-//!   since both sides of each ratio come from the same run.
+//!   speedup floor ([`MIN_BATCH_SPEEDUP`]), the block-FC-vs-per-window
+//!   OMAC floor ([`MIN_FC_SPEEDUP`]) and that every bench's throughput
+//!   is finite and nonzero — a machine-independent gate, since both
+//!   sides of each ratio come from the same run.
 
 use crate::timing;
 use pixel_core::config::{AcceleratorConfig, Design};
 use pixel_core::functional_fabric::FunctionalFabric;
 use pixel_core::omac::engine_for;
 use pixel_dnn::inference::{
-    conv2d, forward, forward_batch, replay_layers, DirectMac, LayerWeights, MacEngine,
+    conv2d, forward, forward_batch, fully_connected, replay_layers, DirectMac, LayerWeights,
+    MacEngine, PerWindow, ShapeError,
 };
-use pixel_dnn::layer::{Layer, Shape};
+use pixel_dnn::layer::{Layer, LayerKind, Shape};
 use pixel_dnn::quant::Precision;
 use pixel_dnn::tensor::Tensor;
 use pixel_dnn::zoo;
@@ -49,22 +51,36 @@ pub const BATCH_IMAGES: usize = 16;
 
 /// Minimum in-run ops/s ratio of `fabric_conv_X` (batched) over
 /// `fabric_conv_X_scalar` (the per-window OMAC reference) that
-/// `--check` enforces per design. The measured ratios are 29–34× (EE;
-/// its per-window engine is the fastest) and 121–184× (OE/OO), so 6×
-/// leaves noise headroom while still catching any regression to
-/// per-window execution.
+/// `--check` enforces per design. The committed run's ratios are 29×
+/// (EE; its per-window engine is the fastest), 110× (OE) and 107× (OO),
+/// and the run before it read 32×, 91× and 134×, so 6× leaves noise
+/// headroom while still catching any regression to per-window
+/// execution.
 pub const MIN_BATCH_SPEEDUP: f64 = 6.0;
+
+/// Minimum in-run MAC/s ratio of `fc_lenet_X` (LeNet's FC layers on the
+/// design's OMAC block path) over `functional_mac_X` (the same engine,
+/// one per-window inner product at a time) that `--check` enforces per
+/// design. The committed run's ratios are 6.8× (EE; its per-window
+/// engine is the fastest), 23× (OE) and 22× (OO), and other runs on the
+/// same host read 6.0–8.5×, 28–31× and 23–29×, so 4× catches an FC layer
+/// falling back to per-window execution.
+pub const MIN_FC_SPEEDUP: f64 = 4.0;
 
 /// Every bench the harness runs, in run order. Comparison hard-fails if
 /// a file is missing any of these. The `fabric_conv_{ee,oe,oo}` keys
 /// time the fabric — `conv2d_batch` over [`BATCH_IMAGES`] images through
 /// transport and the bit-plane engine paths — while the `_scalar`
 /// variants time the per-window OMAC reference
-/// (`pixel_dnn::inference::conv2d` on the design's
-/// [`engine_for`] engine) on one image of the same case. The
+/// (`pixel_dnn::inference::conv2d` on the design's [`engine_for`]
+/// engine behind [`PerWindow`], so every window runs the device-level
+/// `inner_product`) on one image of the same case. The
 /// `forward_lenet_{ee,oe,oo}` keys time a [`BATCH_IMAGES`]-image LeNet
 /// `forward_batch` with the fabric as the engine, FC layers included.
-pub const EXPECTED: [&str; 20] = [
+/// The `fc_lenet_{ee,oe,oo}` keys time LeNet's FC1 then FC2 on
+/// [`BATCH_IMAGES`] images, one `fully_connected` call per image on the
+/// design's [`engine_for`] engine — its block path.
+pub const EXPECTED: [&str; 23] = [
     "functional_mac_direct",
     "functional_mac_ee",
     "functional_mac_oe",
@@ -79,6 +95,9 @@ pub const EXPECTED: [&str; 20] = [
     "forward_lenet_ee",
     "forward_lenet_oe",
     "forward_lenet_oo",
+    "fc_lenet_ee",
+    "fc_lenet_oe",
+    "fc_lenet_oo",
     "forward_vgg16_direct",
     "forward_alexnet_direct",
     "forward_zfnet_direct",
@@ -168,8 +187,8 @@ pub fn run(quick: bool, jobs: usize) -> Vec<BenchResult> {
 
     // Fabric convolution end to end: transport + tiles + OMACs over a
     // full image batch. The `_scalar` benches time the per-window OMAC
-    // reference (no transport, one window at a time) on a single image
-    // of the same case.
+    // reference (no transport, one window and one filter at a time) on
+    // a single image of the same case.
     let (layer, inputs, weights) = conv_case();
     let e = layer.output_feature_size();
     let macs_per_image = (e * e * 8 * 72) as u64;
@@ -186,7 +205,7 @@ pub fn run(quick: bool, jobs: usize) -> Vec<BenchResult> {
     for (design, name) in Design::ALL.into_iter().zip(EXPECTED[7..10].iter()) {
         let engine = engine_for(&AcceleratorConfig::new(design, 4, 4));
         let m = timing::measure_median(budget, reps, || {
-            conv2d(&layer, &inputs[0], &weights, engine.as_ref())
+            conv2d(&layer, &inputs[0], &weights, &PerWindow(engine.as_ref()))
                 // lint:allow(P002) the bench workload is shape-consistent by construction
                 .expect("bench conv workload is shape-consistent")
         });
@@ -228,6 +247,45 @@ pub fn run(quick: bool, jobs: usize) -> Vec<BenchResult> {
         out.push(result(name, m, BATCH_IMAGES as u64));
     }
 
+    // LeNet's FC layers on each design's OMAC, one image per call as a
+    // serving batch of single requests would send them: every call is a
+    // one-row block on the engine's block path.
+    let fc: Vec<(&Layer, &LayerWeights)> = net
+        .layers()
+        .iter()
+        .zip(&lenet_weights)
+        .filter(|(l, _)| matches!(l.kind, LayerKind::Fc { .. }))
+        .collect();
+    let fc_macs: usize = fc.iter().map(|(l, _)| l.weight_count()).sum();
+    let fc_inputs: Vec<Tensor> = (0..BATCH_IMAGES)
+        .map(|_| {
+            Tensor::from_fn(fc[0].0.input, |_, _, _| {
+                rng.range_u64(0, precision.max_value())
+            })
+        })
+        .collect();
+    let fc_pass = |engine: &dyn MacEngine| -> Result<Vec<Tensor>, ShapeError> {
+        fc_inputs
+            .iter()
+            .map(|input| {
+                fc.iter().try_fold(input.clone(), |x, (layer, weights)| {
+                    let mut y = fully_connected(layer, &x, weights, engine)?;
+                    precision.requantize(&mut y);
+                    Ok(y)
+                })
+            })
+            .collect()
+    };
+    for (design, name) in Design::ALL.into_iter().zip(EXPECTED[14..17].iter()) {
+        let engine = engine_for(&AcceleratorConfig::new(design, 4, 4));
+        assert!(
+            fc_pass(engine.as_ref()).is_ok(),
+            "LeNet's FC layers chain by construction"
+        );
+        let m = timing::measure_median(budget, reps, || fc_pass(engine.as_ref()));
+        out.push(result(name, m, (fc_macs * BATCH_IMAGES) as u64));
+    }
+
     // The five remaining paper CNNs, via the layer replay (their Table-I
     // derived layer lists are not chainable end to end): every layer
     // executes once on operands of its declared shape — the network's
@@ -236,8 +294,8 @@ pub fn run(quick: bool, jobs: usize) -> Vec<BenchResult> {
         .into_iter()
         .filter(|net| net.name() != "LeNet")
         .collect();
-    debug_assert_eq!(others.len(), EXPECTED[14..19].len());
-    for (net, name) in others.iter().zip(EXPECTED[14..19].iter()) {
+    debug_assert_eq!(others.len(), EXPECTED[17..22].len());
+    for (net, name) in others.iter().zip(EXPECTED[17..22].iter()) {
         let m = timing::measure_single(|| {
             replay_layers(net, &DirectMac, precision, 2026)
                 // lint:allow(P002) zoo layer tables are self-consistent by construction
@@ -443,8 +501,9 @@ pub fn compare(old: &BenchFile, new: &BenchFile, threshold: f64) -> Result<Strin
 
 /// Verifies the machine-independent invariants of one bench report: the
 /// in-run batched-over-scalar fabric speedup is at least
-/// [`MIN_BATCH_SPEEDUP`] per design, and every bench's throughput is
-/// finite and nonzero. Both sides of each ratio come from the same run
+/// [`MIN_BATCH_SPEEDUP`] per design, the block-FC-over-per-window OMAC
+/// speedup at least [`MIN_FC_SPEEDUP`] per design, and every bench's
+/// throughput is finite and nonzero. Both sides of each ratio come from the same run
 /// on the same machine, so this gate — unlike cross-run wall-time
 /// deltas — can hard-fail CI without flaking on runner load.
 ///
@@ -482,6 +541,19 @@ pub fn check(file: &BenchFile) -> Result<String, String> {
                 "fabric_conv_{design}: batched/scalar speedup {ratio:.1}x below the {MIN_BATCH_SPEEDUP}x floor"
             ));
         }
+        let fc = lookup(&format!("fc_lenet_{design}"))?;
+        let per_window = lookup(&format!("functional_mac_{design}"))?;
+        let ratio = fc.ops_per_sec / per_window.ops_per_sec;
+        let ok = ratio >= MIN_FC_SPEEDUP;
+        s.push_str(&format!(
+            "fc_lenet_{design:<5} block/per-window {ratio:>6.1}x (floor {MIN_FC_SPEEDUP}x) {}\n",
+            if ok { "ok" } else { "FAIL" }
+        ));
+        if !ok {
+            failures.push(format!(
+                "fc_lenet_{design}: block/per-window speedup {ratio:.1}x below the {MIN_FC_SPEEDUP}x floor"
+            ));
+        }
     }
     if failures.is_empty() {
         s.push_str("all bench invariants hold\n");
@@ -517,8 +589,8 @@ fn print_results(results: &[BenchResult]) {
 /// Returns a process exit code: comparison is advisory on slowdowns but
 /// exits nonzero on unreadable/malformed files, missing benches, or a
 /// `schema`/`mode` disagreement; `--check` exits nonzero when the
-/// batched-fabric speedup floor or a throughput sanity bound is
-/// violated.
+/// batched-fabric or block-FC speedup floor or a throughput sanity
+/// bound is violated.
 #[must_use]
 pub fn run_cli(args: &[String]) -> u8 {
     let mut quick = false;
@@ -660,9 +732,10 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, name)| {
-                // Batched conv entries are fast, scalar ones slow, so the
-                // in-run speedup invariant holds by construction.
-                let median_ns = if name.ends_with("_scalar") {
+                // Batched conv and block FC entries are fast, scalar and
+                // per-window MAC ones slow, so the in-run speedup
+                // invariants hold by construction.
+                let median_ns = if name.ends_with("_scalar") || EXPECTED[1..4].contains(name) {
                     1_000_000.0
                 } else {
                     1_000.0 * (i + 1) as f64
@@ -760,6 +833,31 @@ mod tests {
         let mut zero = file.clone();
         zero.benches[0].ops_per_sec = 0.0;
         assert!(check(&zero).unwrap_err().contains("finite"));
+    }
+
+    #[test]
+    fn check_enforces_the_block_fc_floor() {
+        let file = parse(&to_json(&fake_results(), false, 1)).unwrap();
+        let report = check(&file).unwrap();
+        assert!(report.contains("fc_lenet_oo"), "{report}");
+
+        // An FC bench at per-window speed fails the floor.
+        let mut slow = file.clone();
+        let per_window = slow
+            .benches
+            .iter()
+            .find(|b| b.name == "functional_mac_oo")
+            .unwrap()
+            .ops_per_sec;
+        let fc = slow
+            .benches
+            .iter_mut()
+            .find(|b| b.name == "fc_lenet_oo")
+            .unwrap();
+        fc.ops_per_sec = per_window * (MIN_FC_SPEEDUP - 1.0);
+        let err = check(&slow).unwrap_err();
+        assert!(err.contains("fc_lenet_oo"), "{err}");
+        assert!(err.contains("below"), "{err}");
     }
 
     #[test]

@@ -267,7 +267,7 @@ mod tests {
     use super::*;
     use crate::config::Design;
     use crate::omac::engine_for;
-    use pixel_dnn::inference::{conv2d, DirectMac};
+    use pixel_dnn::inference::{conv2d, DirectMac, PerWindow};
     use pixel_dnn::layer::Shape;
     use pixel_units::rng::SplitMix64;
 
@@ -371,7 +371,8 @@ mod tests {
             let direct = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
             for design in Design::ALL {
                 let config = AcceleratorConfig::new(design, 4, 4).with_tiles(tiles);
-                let per_window = conv2d(&layer, &input, &weights, engine_for(&config).as_ref());
+                let engine = engine_for(&config);
+                let per_window = conv2d(&layer, &input, &weights, &PerWindow(engine.as_ref()));
                 assert_eq!(per_window.unwrap(), direct, "{design} side={side}");
                 for jobs in [1, 4, 64] {
                     let fabric = FunctionalFabric::new(config);

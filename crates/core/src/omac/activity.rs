@@ -31,29 +31,6 @@ pub struct StreamActivity {
     pub pairs: u64,
 }
 
-impl StreamActivity {
-    /// Folds another stream's tallies into this one.
-    pub fn merge(&mut self, other: &Self) {
-        self.slots += other.slots;
-        self.lit += other.lit;
-        self.toggles += other.toggles;
-        self.pairs += other.pairs;
-    }
-
-    /// This stream repeated `count` times — how the plane-parallel
-    /// engines account for a stream every packed window replays
-    /// identically.
-    #[must_use]
-    pub fn scaled(&self, count: u64) -> Self {
-        Self {
-            slots: self.slots * count,
-            lit: self.lit * count,
-            toggles: self.toggles * count,
-            pairs: self.pairs * count,
-        }
-    }
-}
-
 /// Measures the LSB-first serialization of a `bits`-wide word in closed
 /// form — identical to [`bit_stream_activity`] over the word's bits, but
 /// popcount-based so the hot MAC loops pay O(1) per stream.

@@ -12,7 +12,12 @@
 //! the plane-parallel engines share. Arithmetic is exact, so the batched
 //! path is bitwise identical to the scalar one by construction; only
 //! the *activity accounting* differs per design, and that lives with
-//! each engine.
+//! each engine. `plane_block` runs a whole GEMM block on the same
+//! kernel with the *kernels* as the lanes, so engines that hold no
+//! packed windows (the scalar OMACs) still advance 64 filters per
+//! word-level operation.
+
+use crate::omac::activity::word_stream_activity;
 
 /// Windows a fully packed plane carries (the `u64` lane width).
 pub const PLANE_WINDOWS: usize = 64;
@@ -278,21 +283,152 @@ pub fn plane_inner_product(
     acc.unpack_into(group.len(), out);
 }
 
-/// Lit-slot and toggle totals of every synapse-bit-gated neuron stream
-/// in the group: for word position `i`, each set synapse bit replays the
-/// position's neuron serialization once per window, so the position
-/// contributes `popcount(sᵢ) · Σ_w lit(n_{w,i})` lit slots (and likewise
-/// toggles) — the closed form the OE/OO plane paths charge instead of
-/// walking `len × bits` gated trains.
-pub(crate) fn gated_stream_totals(group: &WindowGroup, synapses: &[u64]) -> (u64, u64) {
-    let mask = value_mask(group.bits());
-    let (mut lit, mut toggles) = (0u64, 0u64);
-    for (position, &synapse) in group.positions().zip(synapses) {
-        let gates = u64::from((synapse & mask).count_ones());
-        lit += gates * lit_slots(position);
-        toggles += gates * toggle_slots(position);
+/// Summed lit slots and toggles of a set of serialized words.
+type Sums = (u64, u64);
+
+/// Which serialized streams a design's lit-slot and toggle tallies
+/// measure, as closed forms over per-word-position sums.
+///
+/// Per word position `i`, KLᵢ and KTᵢ are the lit slots and toggles of
+/// every synapse (kernel) word at `i`, summed over the kernels, and RLᵢ
+/// and RTᵢ the same sums over the neuron rows' words, each word
+/// serialized at the packed precision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Streams {
+    /// Every product walks its own synapse words bit-serially (EE):
+    /// `rows·Σᵢ KLᵢ` lit slots and `rows·Σᵢ KTᵢ` toggles. Zero-padded
+    /// lanes light nothing.
+    Synapse,
+    /// Every set synapse bit replays the neuron word's stream and a
+    /// clear one streams darkness (OE/OO): `Σᵢ KLᵢ·RLᵢ` lit slots and
+    /// `Σᵢ KLᵢ·RTᵢ` toggles.
+    Gated,
+}
+
+impl Streams {
+    /// Folds per-position `(KLᵢ, KTᵢ)` sums, each with a thunk for its
+    /// `(RLᵢ, RTᵢ)` (forced only by [`Self::Gated`]), into
+    /// [`BlockStreams`].
+    fn fold<R: FnOnce() -> Sums>(
+        self,
+        rows: u64,
+        kernels: u64,
+        positions: impl Iterator<Item = (Sums, R)>,
+    ) -> BlockStreams {
+        let mut block = BlockStreams {
+            products: rows * kernels,
+            len: 0,
+            lit: 0,
+            toggles: 0,
+        };
+        for ((kl, kt), row) in positions {
+            let (lit, toggles) = match self {
+                Self::Synapse => (rows * kl, rows * kt),
+                Self::Gated => {
+                    let (rl, rt) = row();
+                    (kl * rl, kl * rt)
+                }
+            };
+            block.len += 1;
+            block.lit += lit;
+            block.toggles += toggles;
+        }
+        block
     }
-    (lit, toggles)
+}
+
+/// A batch of `rows × kernels` inner products of `len` words, with the
+/// lit slots and toggles its [`Streams`] serialize — what an engine's
+/// closed-form accounting charges instead of walking `bits`-slot trains.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockStreams {
+    /// Inner products in the batch (neuron rows × kernels).
+    pub products: u64,
+    /// Words per inner product.
+    pub len: usize,
+    /// Lit slots of the measured streams.
+    pub lit: u64,
+    /// Adjacent-slot toggles of the measured streams.
+    pub toggles: u64,
+}
+
+impl BlockStreams {
+    /// The batch [`plane_inner_product`] runs on `group`: its windows
+    /// are the neuron rows, `synapses` the one kernel.
+    pub(crate) fn of_group(group: &WindowGroup, synapses: &[u64], streams: Streams) -> Self {
+        let positions = synapses
+            .iter()
+            .zip(group.positions())
+            .map(|(&s, position)| {
+                let kernel = word_stream_activity(s, group.bits());
+                ((kernel.lit, kernel.toggles), || {
+                    (lit_slots(position), toggle_slots(position))
+                })
+            });
+        streams.fold(group.len() as u64, 1, positions)
+    }
+}
+
+/// Every row · kernel inner product of a block, with the kernels as the
+/// plane lanes: kernels pack up to [`PLANE_WINDOWS`] at a time into
+/// [`WindowGroup`]s (kernel `m` ↦ lane `m mod 64` of group `m / 64`),
+/// and [`plane_inner_product`] runs each group once per row, the row's
+/// words driving the shift-adds the synapse words drive on the fabric —
+/// the same exact sums, because products commute. This is the input
+/// broadcast of PIXEL's dataflow: one neuron word reaches every tile
+/// that holds a filter.
+///
+/// `out[r·filters + m]` receives row `r` · kernel `m`, laid out as
+/// [`pixel_dnn::inference::MacEngine::inner_products`] lays it out, for
+/// as many rows as both `rows` and `out` hold. Words above `bits` are
+/// dropped on both sides, as the packing and the kernel drop them.
+/// Returns the batch with the lit slots and toggles `streams` measure.
+///
+/// # Panics
+///
+/// Panics if `len` is zero, `kernels` is empty or not whole kernels of
+/// `len` words, or `bits` is outside `1..=16`.
+pub(crate) fn plane_block(
+    rows: &[u64],
+    kernels: &[u64],
+    len: usize,
+    bits: u32,
+    streams: Streams,
+    out: &mut [u64],
+) -> BlockStreams {
+    let filters = kernels.len() / len;
+    let groups: Vec<WindowGroup> = kernels
+        .chunks(PLANE_WINDOWS * len)
+        .map(|chunk| WindowGroup::pack(chunk, len, chunk.len() / len, bits))
+        .collect();
+    let mut kernel_sums: Vec<Sums> = vec![(0, 0); len];
+    for group in &groups {
+        for (sums, position) in kernel_sums.iter_mut().zip(group.positions()) {
+            sums.0 += lit_slots(position);
+            sums.1 += toggle_slots(position);
+        }
+    }
+    let mut row_sums: Vec<Sums> = vec![(0, 0); len];
+    let mut acc = PlaneAccumulator::new();
+    let mut values = Vec::with_capacity(PLANE_WINDOWS);
+    let mut count = 0u64;
+    for (row, outputs) in rows.chunks_exact(len).zip(out.chunks_exact_mut(filters)) {
+        for (group, slots) in groups.iter().zip(outputs.chunks_mut(PLANE_WINDOWS)) {
+            plane_inner_product(group, row, &mut acc, &mut values);
+            slots.copy_from_slice(&values);
+        }
+        for (sums, &word) in row_sums.iter_mut().zip(row) {
+            let stream = word_stream_activity(word, bits);
+            sums.0 += stream.lit;
+            sums.1 += stream.toggles;
+        }
+        count += 1;
+    }
+    let positions = kernel_sums
+        .into_iter()
+        .zip(row_sums)
+        .map(|(k, r)| (k, move || r));
+    streams.fold(count, filters as u64, positions)
 }
 
 #[cfg(test)]

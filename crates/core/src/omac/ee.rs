@@ -1,7 +1,9 @@
 //! The all-electrical (EE) functional MAC: Stripes bit-serial hardware.
 
 use crate::omac::activity::{word_stream_activity, ActivityCounter, StreamActivity};
-use crate::omac::bitplane::{plane_inner_product, PlaneAccumulator, WindowGroup};
+use crate::omac::bitplane::{
+    plane_block, plane_inner_product, BlockStreams, PlaneAccumulator, Streams, WindowGroup,
+};
 use crate::omac::{fill_lane_chunk, ActivityMac};
 use pixel_dnn::inference::MacEngine;
 use pixel_electronics::cla::Cla;
@@ -56,6 +58,35 @@ impl EeMac {
     pub fn stripes(&self) -> &StripesMac {
         &self.stripes
     }
+
+    /// Charges a batch of inner products in closed form — exactly what
+    /// [`MacEngine::inner_product`] tallies once per product. Each
+    /// product walks `⌈len/lanes⌉` lane chunks, zero-padded tail
+    /// included: every lane position serializes its synapse word over
+    /// `bits` slots (lit slots and toggles are the [`Streams::Synapse`]
+    /// totals), and every chunk costs one output CLA add.
+    fn charge(&self, block: &BlockStreams) {
+        let products = block.products;
+        if products == 0 {
+            return;
+        }
+        let bits = u64::from(self.bits());
+        let chunks = products * block.len.div_ceil(self.lanes) as u64;
+        let positions = chunks * self.lanes as u64;
+        self.activity.add_stream(&StreamActivity {
+            slots: positions * bits,
+            lit: block.lit,
+            toggles: block.toggles,
+            pairs: positions * (bits - 1),
+        });
+        self.activity.add_cla_ops(chunks);
+        if pixel_obs::enabled() {
+            pixel_obs::add("omac.ee.mac_ops", products * block.len as u64);
+            pixel_obs::add("omac.ee.serial_slots", positions * bits);
+            pixel_obs::add("omac.ee.bit_toggles", block.toggles);
+            pixel_obs::add("omac.ee.cla_ops", chunks);
+        }
+    }
 }
 
 impl MacEngine for EeMac {
@@ -103,6 +134,30 @@ impl MacEngine for EeMac {
         acc
     }
 
+    /// The whole block on the bit-plane kernel, one filter per plane
+    /// lane (`plane_block`), with the per-product tallies charged in
+    /// closed form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is wider than the engine's precision, as the
+    /// Stripes datapath rejects it.
+    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
+        let bits = self.bits();
+        // An OR over every operand vectorizes; a short-circuiting scan
+        // does not.
+        let set = rows.iter().chain(kernels).fold(0, |set, &v| set | v);
+        assert!(set >> bits == 0, "EE operands must fit {bits} bits");
+        self.charge(&plane_block(
+            rows,
+            kernels,
+            len,
+            bits,
+            Streams::Synapse,
+            out,
+        ));
+    }
+
     fn name(&self) -> &str {
         "EE (Stripes bit-serial)"
     }
@@ -114,33 +169,13 @@ impl ActivityMac for EeMac {
     }
 
     fn inner_product_planes(&self, group: &WindowGroup, synapses: &[u64], out: &mut Vec<u64>) {
-        let bits = self.stripes.bits();
-        assert_eq!(group.bits(), bits, "group precision must match the engine");
-        let mut acc = PlaneAccumulator::new();
-        plane_inner_product(group, synapses, &mut acc, out);
-
-        // Accounting parity with the scalar path: every packed window
-        // walks the same synapse words bit-serially (the kernel is shared
-        // across windows), plus the zero-padded tail of the last lane
-        // chunk, so the per-window stream aggregate simply scales by the
-        // group size; one CLA op per chunk per window.
-        let len = group.len() as u64;
-        let chunks = synapses.len().div_ceil(self.lanes) as u64;
-        let pads = chunks * self.lanes as u64 - synapses.len() as u64;
-        let mut per_window = StreamActivity::default();
-        for &synapse in synapses {
-            per_window.merge(&word_stream_activity(synapse, bits));
-        }
-        per_window.merge(&word_stream_activity(0, bits).scaled(pads));
-        let streams = per_window.scaled(len);
-        self.activity.add_stream(&streams);
-        self.activity.add_cla_ops(chunks * len);
-        if pixel_obs::enabled() {
-            pixel_obs::add("omac.ee.mac_ops", synapses.len() as u64 * len);
-            pixel_obs::add("omac.ee.serial_slots", streams.slots);
-            pixel_obs::add("omac.ee.bit_toggles", streams.toggles);
-            pixel_obs::add("omac.ee.cla_ops", chunks * len);
-        }
+        assert_eq!(
+            group.bits(),
+            self.bits(),
+            "group precision must match the engine"
+        );
+        plane_inner_product(group, synapses, &mut PlaneAccumulator::new(), out);
+        self.charge(&BlockStreams::of_group(group, synapses, Streams::Synapse));
     }
 }
 

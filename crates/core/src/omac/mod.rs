@@ -14,7 +14,11 @@
 //! All three implement [`pixel_dnn::inference::MacEngine`], so whole CNNs
 //! can be executed through them and compared element-for-element against
 //! plain integer inference — the functional verification the paper's
-//! analytic evaluation takes on trust.
+//! analytic evaluation takes on trust. Each runs one inner product at a
+//! time through its device simulation (`inner_product`, the reference),
+//! and a whole GEMM block (`inner_products`) on the shared bit-plane
+//! kernel with its filters as the plane lanes, charging the same device
+//! activity in closed form.
 
 pub mod activity;
 pub mod bitplane;
@@ -100,8 +104,9 @@ pub(crate) fn fill_lane_chunk(
 mod tests {
     use super::*;
     use crate::config::Design;
-    use pixel_dnn::inference::{DirectMac, MacEngine};
+    use pixel_dnn::inference::{DirectMac, MacEngine, PerWindow};
     use pixel_units::rng::SplitMix64;
+    use std::panic::{self, AssertUnwindSafe};
 
     #[test]
     fn fill_lane_chunk_pads_tail() {
@@ -171,6 +176,124 @@ mod tests {
                 assert_eq!(a.lit_slots(), b.lit_slots(), "lit {label}");
                 assert_eq!(a.bit_toggles(), b.bit_toggles(), "toggles {label}");
                 assert_eq!(a.toggle_pairs(), b.toggle_pairs(), "pairs {label}");
+            }
+        }
+    }
+
+    /// Every [`ActivityCounter`] tally, in one comparable array.
+    fn tallies(a: &ActivityCounter) -> [u64; 9] {
+        [
+            a.mrr_slots(),
+            a.mzi_slots(),
+            a.cla_ops(),
+            a.comparator_decisions(),
+            a.oe_conversions(),
+            a.gated_slots(),
+            a.lit_slots(),
+            a.bit_toggles(),
+            a.toggle_pairs(),
+        ]
+    }
+
+    /// The block theorem: for every design, `inner_products` on the
+    /// filters-as-lanes plane kernel is bitwise identical to the
+    /// per-window engine behind the default row-major loop — values and
+    /// all nine device-activity tallies. Cases cycle through one-row
+    /// (FC) blocks, row-heavy blocks, 1–3 kernel groups with a partial
+    /// last group, and full-scale 16-bit operands whose sums pass 2^32;
+    /// lane counts of 1–6 leave padded lane tails.
+    #[test]
+    fn block_path_matches_per_window_outputs_and_activity() {
+        let mut rng = SplitMix64::seed_from_u64(0xB10C);
+        for case in 0..240 {
+            let lanes = rng.range_usize(1, 6);
+            let (rows, kernels, len, bits) = match case % 4 {
+                0 => (
+                    1,
+                    rng.range_usize(1, 130),
+                    rng.range_usize(1, 40),
+                    rng.range_u32(1, 16),
+                ),
+                1 => (
+                    rng.range_usize(1, 130),
+                    rng.range_usize(1, 4),
+                    rng.range_usize(1, 12),
+                    rng.range_u32(1, 8),
+                ),
+                2 => (
+                    rng.range_usize(1, 4),
+                    rng.range_usize(60, 130),
+                    rng.range_usize(1, 10),
+                    rng.range_u32(1, 8),
+                ),
+                _ => (
+                    rng.range_usize(1, 3),
+                    rng.range_usize(1, 3),
+                    rng.range_usize(2, 40),
+                    16,
+                ),
+            };
+            let limit = (1u64 << bits) - 1;
+            let mut draw = |n: usize| -> Vec<u64> {
+                (0..n)
+                    .map(|_| {
+                        if case % 4 == 3 {
+                            limit - rng.range_u64(0, 1)
+                        } else {
+                            rng.range_u64(0, limit)
+                        }
+                    })
+                    .collect()
+            };
+            let a = draw(rows * len);
+            let w = draw(kernels * len);
+            let label = format!(
+                "case {case}: rows={rows} kernels={kernels} len={len} lanes={lanes} bits={bits}"
+            );
+            for d in Design::ALL {
+                let cfg = AcceleratorConfig::new(d, lanes, bits);
+                let block = d.model().functional_engine(&cfg);
+                let reference = d.model().functional_engine(&cfg);
+                let mut got = vec![u64::MAX; rows * kernels];
+                let mut want = vec![0; rows * kernels];
+                block.inner_products(&a, &w, len, &mut got);
+                PerWindow(reference.as_ref()).inner_products(&a, &w, len, &mut want);
+                assert_eq!(got, want, "{d} {label}");
+                assert_eq!(
+                    tallies(block.activity()),
+                    tallies(reference.activity()),
+                    "{d} {label}"
+                );
+            }
+        }
+    }
+
+    /// Out-of-range operands keep their per-window behaviour on the
+    /// block path: OE/OO drop the bits above the precision, tallies
+    /// included, and EE rejects them as the Stripes operand check does.
+    #[test]
+    fn block_path_keeps_the_per_window_operand_range() {
+        let rows = [0b1_0110, 3, 0xFF, 7];
+        let kernels = [0b11_0101, 0x1F, 2, 9, 1, 0xF0];
+        for d in Design::ALL {
+            let cfg = AcceleratorConfig::new(d, 3, 4);
+            let block = d.model().functional_engine(&cfg);
+            let reference = d.model().functional_engine(&cfg);
+            let (mut got, mut want) = ([0; 6], [0; 6]);
+            let run = |engine: &dyn MacEngine, out: &mut [u64]| {
+                let call = AssertUnwindSafe(|| engine.inner_products(&rows, &kernels, 2, out));
+                panic::catch_unwind(call).is_ok()
+            };
+            let ran = run(block.as_ref(), &mut got);
+            assert_eq!(ran, run(&PerWindow(reference.as_ref()), &mut want), "{d}");
+            assert_eq!(ran, d != Design::Ee, "{d}");
+            if ran {
+                assert_eq!(got, want, "{d}");
+                assert_eq!(
+                    tallies(block.activity()),
+                    tallies(reference.activity()),
+                    "{d}"
+                );
             }
         }
     }

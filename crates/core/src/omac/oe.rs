@@ -10,7 +10,7 @@
 
 use crate::omac::activity::{bit_stream_activity, ActivityCounter, StreamActivity};
 use crate::omac::bitplane::{
-    gated_stream_totals, plane_inner_product, PlaneAccumulator, WindowGroup,
+    plane_block, plane_inner_product, BlockStreams, PlaneAccumulator, Streams, WindowGroup,
 };
 use crate::omac::{fill_lane_chunk, ActivityMac};
 use pixel_dnn::inference::MacEngine;
@@ -78,6 +78,39 @@ impl OeMac {
     #[must_use]
     pub fn bits(&self) -> u32 {
         self.bits
+    }
+
+    /// Charges a batch of inner products in closed form — exactly what
+    /// [`MacEngine::inner_product`] tallies once per product. Each
+    /// product runs `bits` serial cycles over every lane position of
+    /// every chunk, zero-padded tail included; each cycle gates one
+    /// `bits`-slot neuron train through the MRRs, converts it and
+    /// CLA-accumulates it. A set synapse bit streams the neuron word and
+    /// a clear one streams darkness, so lit slots and toggles are the
+    /// [`Streams::Gated`] totals.
+    fn charge(&self, block: &BlockStreams) {
+        let products = block.products;
+        if products == 0 {
+            return;
+        }
+        let bits = u64::from(self.bits);
+        let positions = products * (block.len.div_ceil(self.lanes) * self.lanes) as u64;
+        let partials = positions * bits;
+        self.activity.add_mrr_slots(partials * bits);
+        self.activity.add_stream(&StreamActivity {
+            slots: partials * bits,
+            lit: block.lit,
+            toggles: block.toggles,
+            pairs: partials * (bits - 1),
+        });
+        self.activity.add_oe_conversions(partials);
+        self.activity.add_cla_ops(partials);
+        if pixel_obs::enabled() {
+            pixel_obs::add("omac.oe.mac_ops", products * block.len as u64);
+            pixel_obs::add("omac.oe.mrr_slots", partials * bits);
+            pixel_obs::add("omac.oe.bit_toggles", block.toggles);
+            pixel_obs::add("omac.oe.oe_conversions", partials);
+        }
     }
 
     /// One Stripes cycle for one lane: optically AND the neuron train
@@ -168,6 +201,21 @@ impl MacEngine for OeMac {
         acc
     }
 
+    /// The whole block on the bit-plane kernel, one filter per plane
+    /// lane (`plane_block`), with the per-product tallies charged in
+    /// closed form. Operand bits above the precision are dropped, as
+    /// the pulse trains and the `0..bits` cycle loop drop them.
+    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
+        self.charge(&plane_block(
+            rows,
+            kernels,
+            len,
+            self.bits,
+            Streams::Gated,
+            out,
+        ));
+    }
+
     fn name(&self) -> &str {
         "OE (MRR multiply, electrical accumulate)"
     }
@@ -184,37 +232,8 @@ impl ActivityMac for OeMac {
             self.bits,
             "group precision must match the engine"
         );
-        let mut acc = PlaneAccumulator::new();
-        plane_inner_product(group, synapses, &mut acc, out);
-
-        // Accounting parity with the scalar path. Per window it runs
-        // `bits` serial cycles over every lane position of every chunk
-        // (zero-padded tail included): each cycle gates one `bits`-slot
-        // neuron train through the MRRs, converts, and CLA-accumulates.
-        // A set synapse bit streams the neuron word; a clear one streams
-        // darkness — so lit/toggle totals are the popcount-gated plane
-        // sums of `gated_stream_totals`.
-        let len = group.len() as u64;
-        let bits = u64::from(self.bits);
-        let chunks = synapses.len().div_ceil(self.lanes) as u64;
-        let positions = chunks * self.lanes as u64;
-        let partials = len * positions * bits;
-        let (lit, toggles) = gated_stream_totals(group, synapses);
-        self.activity.add_mrr_slots(partials * bits);
-        self.activity.add_stream(&StreamActivity {
-            slots: partials * bits,
-            lit,
-            toggles,
-            pairs: partials * (bits - 1),
-        });
-        self.activity.add_oe_conversions(partials);
-        self.activity.add_cla_ops(partials);
-        if pixel_obs::enabled() {
-            pixel_obs::add("omac.oe.mac_ops", synapses.len() as u64 * len);
-            pixel_obs::add("omac.oe.mrr_slots", partials * bits);
-            pixel_obs::add("omac.oe.bit_toggles", toggles);
-            pixel_obs::add("omac.oe.oe_conversions", partials);
-        }
+        plane_inner_product(group, synapses, &mut PlaneAccumulator::new(), out);
+        self.charge(&BlockStreams::of_group(group, synapses, Streams::Gated));
     }
 }
 

@@ -45,7 +45,10 @@ pub trait MacEngine {
     /// the order a window-at-a-time convolution visits them, so engines
     /// with per-call state (activity tallies, noise draws) see the same
     /// call sequence either way. An override must produce the same
-    /// values.
+    /// values; an engine that tallies device activity (the functional
+    /// OMACs) must also leave every tally total where the per-call loop
+    /// would, so counted activity does not depend on the path.
+    /// [`PerWindow`] runs the default over any engine.
     fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
         each_pair(rows, kernels, len, out, |row, kernel| {
             self.inner_product(row, kernel)
@@ -105,6 +108,20 @@ impl MacEngine for DirectMac {
 
     fn name(&self) -> &str {
         "direct"
+    }
+}
+
+/// The window-at-a-time reference over any engine: it forwards only
+/// [`MacEngine::inner_product`], so the trait's default row-major,
+/// kernel-minor loop runs in place of the engine's own
+/// [`MacEngine::inner_products`]. Block overrides are checked and timed
+/// against it.
+#[derive(Clone, Copy)]
+pub struct PerWindow<'a>(pub &'a dyn MacEngine);
+
+impl MacEngine for PerWindow<'_> {
+    fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
+        self.0.inner_product(neurons, synapses)
     }
 }
 
@@ -723,16 +740,6 @@ mod tests {
         assert_eq!(out.get(0, 0, 0), 4);
     }
 
-    /// The window-at-a-time reference: [`DirectMac`]'s u64 inner product
-    /// behind the default [`MacEngine::inner_products`].
-    struct PerWindow;
-
-    impl MacEngine for PerWindow {
-        fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
-            DirectMac.inner_product(neurons, synapses)
-        }
-    }
-
     /// Records every `inner_product` call and answers with its index.
     #[derive(Default)]
     struct Recorder {
@@ -872,7 +879,11 @@ mod tests {
             let weights = LayerWeights::generate(&layer, || rng.range_u64(0, max_w));
             let want: Vec<u64> = images
                 .iter()
-                .flat_map(|x| conv2d(&layer, x, &weights, &PerWindow).unwrap().to_flat())
+                .flat_map(|x| {
+                    conv2d(&layer, x, &weights, &PerWindow(&DirectMac))
+                        .unwrap()
+                        .to_flat()
+                })
                 .collect();
             let mut got = vec![u64::MAX; want.len()];
             conv_windows(&layer, &images, &weights, &DirectMac, 0, &mut got).unwrap();
@@ -890,7 +901,7 @@ mod tests {
             let weights = LayerWeights::generate(&layer, || rng.range_u64(0, 15));
             assert_eq!(
                 conv2d(&layer, &input, &weights, &DirectMac).unwrap(),
-                conv2d(&layer, &input, &weights, &PerWindow).unwrap(),
+                conv2d(&layer, &input, &weights, &PerWindow(&DirectMac)).unwrap(),
                 "h={h} r={r}"
             );
         }
@@ -929,7 +940,10 @@ mod tests {
                 got.data().iter().all(|&v| v == len as u64 * a * w),
                 "len={len} a={a} w={w}"
             );
-            assert_eq!(got, conv2d(&layer, &input, &weights, &PerWindow).unwrap());
+            assert_eq!(
+                got,
+                conv2d(&layer, &input, &weights, &PerWindow(&DirectMac)).unwrap()
+            );
         }
 
         // The row edge: one row takes the u64 loop, two rows narrow, and
@@ -940,7 +954,7 @@ mod tests {
             let mut got = vec![0; rows.len()];
             DirectMac.inner_products(rows, &kernels, 2, &mut got);
             let mut want = vec![0; rows.len()];
-            PerWindow.inner_products(rows, &kernels, 2, &mut want);
+            PerWindow(&DirectMac).inner_products(rows, &kernels, 2, &mut want);
             assert_eq!(got, want, "{rows:?}");
         }
     }

@@ -7,7 +7,7 @@ use pixel::core::config::{AcceleratorConfig, Design};
 use pixel::core::functional_fabric::FunctionalFabric;
 use pixel::core::omac::{engine_for, PLANE_WINDOWS};
 use pixel::dnn::inference::{
-    forward, forward_batch, replay_layers, DirectMac, LayerWeights, MacEngine,
+    forward, forward_batch, replay_layers, DirectMac, LayerWeights, MacEngine, PerWindow,
 };
 use pixel::dnn::layer::{Layer, LayerKind, PoolKind, Shape};
 use pixel::dnn::network::Network;
@@ -61,6 +61,10 @@ fn micro_cnn_is_bit_identical_across_all_engines() {
             let out = forward(&net, &input, &weights, engine.as_ref(), precision)
                 .expect("consistent shapes");
             assert_eq!(out, reference, "{design} seed {seed}");
+            let per_window = PerWindow(engine.as_ref());
+            let out =
+                forward(&net, &input, &weights, &per_window, precision).expect("consistent shapes");
+            assert_eq!(out, reference, "per-window {design} seed {seed}");
             let fabric = FunctionalFabric::new(config);
             let out =
                 forward(&net, &input, &weights, &fabric, precision).expect("consistent shapes");

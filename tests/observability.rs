@@ -7,7 +7,8 @@
 
 use pixel::core::config::{AcceleratorConfig, Design};
 use pixel::core::functional_fabric::FunctionalFabric;
-use pixel::dnn::inference::{conv2d, DirectMac, LayerWeights};
+use pixel::core::omac::engine_for;
+use pixel::dnn::inference::{conv2d, DirectMac, LayerWeights, MacEngine, PerWindow};
 use pixel::dnn::layer::{Layer, Shape};
 use pixel::dnn::tensor::Tensor;
 use pixel::units::rng::SplitMix64;
@@ -27,6 +28,49 @@ fn run_fabric_conv() {
             .unwrap();
         let direct = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
         assert_eq!(out, [direct], "{design}");
+    }
+}
+
+/// The `omac.*` counters' current values.
+fn omac_counters() -> Vec<(String, u64)> {
+    let mut counters = pixel::obs::snapshot().counters;
+    counters.retain(|(name, _)| name.starts_with("omac."));
+    counters
+}
+
+/// How far `run` advances every `omac.*` counter.
+fn omac_deltas(run: impl FnOnce()) -> Vec<(String, u64)> {
+    let before = omac_counters();
+    run();
+    omac_counters()
+        .into_iter()
+        .map(|(name, value)| {
+            let old = before.iter().find(|(n, _)| *n == name).map_or(0, |c| c.1);
+            (name, value - old)
+        })
+        .filter(|(_, delta)| *delta > 0)
+        .collect()
+}
+
+/// The scalar OMACs' block path advances the `omac.*` counters exactly
+/// as far as the per-window path: a one-row block, a row-heavy block
+/// and two kernel groups with a partial last one, all with padded lane
+/// tails (4 lanes).
+fn omac_block_counters_match_per_window() {
+    let mut rng = SplitMix64::seed_from_u64(23);
+    for (rows, kernels, len) in [(1, 70, 9), (9, 3, 13), (2, 130, 6)] {
+        let a: Vec<u64> = (0..rows * len).map(|_| rng.range_u64(0, 15)).collect();
+        let w: Vec<u64> = (0..kernels * len).map(|_| rng.range_u64(0, 15)).collect();
+        for design in Design::ALL {
+            let engine = engine_for(&AcceleratorConfig::new(design, 4, 4));
+            let mut out = vec![0; rows * kernels];
+            let block = omac_deltas(|| engine.inner_products(&a, &w, len, &mut out));
+            let per_window = omac_deltas(|| {
+                PerWindow(engine.as_ref()).inner_products(&a, &w, len, &mut out);
+            });
+            assert!(block.len() >= 4, "{design}: {block:?}");
+            assert_eq!(block, per_window, "{design} rows={rows} kernels={kernels}");
+        }
     }
 }
 
@@ -87,6 +131,7 @@ fn global_registry_observes_the_instrumented_stack() {
     }
     // Analysis ran under the accelerator evaluation.
     assert!(snap.span("analyze").is_some());
+    omac_block_counters_match_per_window();
 
     // Phase 3: disable again — recording stops but data is retained.
     pixel::obs::disable();
