@@ -234,10 +234,11 @@ echo "== bench profile smoke"
 # `reproduce bench --profile` prints the span table after the timings.
 # The fabric's conv group loop must show all four stage spans under
 # `fabric_conv2d/rows`; full paths are rebuilt from the table's
-# two-space indentation. The report goes to a scratch file, so the
-# gated run above stays unprofiled.
+# two-space indentation, each printed with its self time in ns. The
+# report goes to a scratch file, so the gated run above stays
+# unprofiled.
 prof_out=$(./target/release/reproduce bench --quick --profile --jobs 1 --out target/bench_profile.json)
-span_paths=$(echo "$prof_out" | awk -F'|' '
+span_self=$(echo "$prof_out" | awk -F'|' '
   /^span / { in_tree = 1; next }
   in_tree && NF < 2 { in_tree = 0 }
   in_tree {
@@ -246,12 +247,25 @@ span_paths=$(echo "$prof_out" | awk -F'|' '
     part[depth] = substr(name, RLENGTH + 1)
     path = part[0]
     for (i = 1; i <= depth; i++) path = path "/" part[i]
-    print path
+    split($2, col, " ")
+    scale = col[5] == "s" ? 1e9 : col[5] == "ms" ? 1e6 : col[5] == "us" ? 1e3 : 1
+    printf "%s %.0f\n", path, col[4] * scale
   }')
 for stage in gather pack transport fire; do
-  echo "$span_paths" | grep -qx "fabric_conv2d/rows/$stage" \
+  echo "$span_self" | grep -q "^fabric_conv2d/rows/$stage " \
     || { echo "bench --profile missing span fabric_conv2d/rows/$stage" >&2; exit 1; }
 done
+# Packing is one transpose per chunk of positions; firing counts every
+# synapse bit against every neuron plane. Packing outweighing firing
+# within one run means the pack layer has regressed (a per-bit pack
+# loop next to the count-then-resolve kernel lands above 1).
+echo "$span_self" | awk '
+  $1 == "fabric_conv2d/rows/pack" { pack = $2 }
+  $1 == "fabric_conv2d/rows/fire" { fire = $2 }
+  END {
+    printf "rows/pack : rows/fire self time = %.2f\n", pack / fire
+    if (pack > fire) { print "rows/pack self time exceeds rows/fire" > "/dev/stderr"; exit 1 }
+  }'
 
 echo "== benchmark"
 # The repository benchmark is a package of its own, so no step above

@@ -1,6 +1,6 @@
 //! Shared harness code for the PIXEL reproduction benchmarks.
 //!
-//! Every table and figure of the paper's evaluation has a criterion bench
+//! Every table and figure of the paper's evaluation has a std-only bench
 //! (`benches/`) and a subcommand of the `reproduce` binary; both call the
 //! generator functions here, which wrap `pixel_core::dse` with the exact
 //! parameter grids the paper uses.

@@ -51,20 +51,20 @@ pub const BATCH_IMAGES: usize = 16;
 
 /// Minimum in-run ops/s ratio of `fabric_conv_X` (batched) over
 /// `fabric_conv_X_scalar` (the per-window OMAC reference) that
-/// `--check` enforces per design. The committed run's ratios are 29×
-/// (EE; its per-window engine is the fastest), 110× (OE) and 107× (OO),
-/// and the run before it read 32×, 91× and 134×, so 6× leaves noise
-/// headroom while still catching any regression to per-window
-/// execution.
+/// `--check` enforces per design. The committed run's ratios are 63×
+/// (EE; its per-window engine is the fastest), 415× (OE) and 356× (OO),
+/// and runs on the previous plane kernel read 29–34×, 91–184× and
+/// 107–134×, so 6× leaves noise headroom while still catching any
+/// regression to per-window execution.
 pub const MIN_BATCH_SPEEDUP: f64 = 6.0;
 
 /// Minimum in-run MAC/s ratio of `fc_lenet_X` (LeNet's FC layers on the
 /// design's OMAC block path) over `functional_mac_X` (the same engine,
 /// one per-window inner product at a time) that `--check` enforces per
-/// design. The committed run's ratios are 6.8× (EE; its per-window
-/// engine is the fastest), 23× (OE) and 22× (OO), and other runs on the
-/// same host read 6.0–8.5×, 28–31× and 23–29×, so 4× catches an FC layer
-/// falling back to per-window execution.
+/// design. The committed run's ratios are 17× (EE; its per-window
+/// engine is the fastest), 72× (OE) and 68× (OO), and runs on the
+/// previous plane kernel read 6.0–8.5×, 23–31× and 22–29×, so 4× catches
+/// an FC layer falling back to per-window execution.
 pub const MIN_FC_SPEEDUP: f64 = 4.0;
 
 /// Every bench the harness runs, in run order. Comparison hard-fails if

@@ -13,7 +13,7 @@
 //! actually computes the CNN" statement in the repository.
 
 use crate::config::AcceleratorConfig;
-use crate::omac::{WindowGroup, PLANE_WINDOWS};
+use crate::omac::{PlaneAccumulator, WindowGroup, PLANE_WINDOWS};
 use crate::tile::Tile;
 use pixel_dnn::inference::{conv_windows, LayerWeights, MacEngine, ShapeError};
 use pixel_dnn::layer::Layer;
@@ -232,6 +232,7 @@ impl MacEngine for FunctionalFabric {
             })
             .collect();
         let mut group = WindowGroup::default();
+        let mut acc = PlaneAccumulator::new();
         let mut values = Vec::with_capacity(PLANE_WINDOWS);
         let blocks = rows.chunks(PLANE_WINDOWS * len);
         for (block, outputs) in blocks.zip(out.chunks_mut(PLANE_WINDOWS * filters)) {
@@ -247,9 +248,9 @@ impl MacEngine for FunctionalFabric {
             let on_tiles = kernels.chunks_exact(len).zip(tiles.iter().cycle());
             for (m, (kernel, tile)) in on_tiles.enumerate() {
                 if m < tiles.len() {
-                    tile.fire_planes(&group, &mut values);
+                    tile.fire_planes(&group, &mut acc, &mut values);
                 } else {
-                    tile.fire_planes_streamed(&group, kernel, &mut values);
+                    tile.fire_planes_streamed(&group, kernel, &mut acc, &mut values);
                 }
                 let column = outputs.iter_mut().skip(m).step_by(filters);
                 for (slot, &value) in column.zip(&values) {

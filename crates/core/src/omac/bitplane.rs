@@ -4,29 +4,60 @@
 //! *bits*, one slot at a time. That makes it embarrassingly bit-plane
 //! parallel — transpose 64 independent windows so that bit `a` of word
 //! position `i` across all windows lands in one `u64` plane, and a
-//! single word-level AND/XOR advances the same slot of 64 MACs at once
-//! (the SIMD-within-a-register counterpart of the Kogge–Stone
-//! carry-lookahead rewrite). [`WindowGroup`] holds a whole window's
-//! transposed word positions in one flat plane array, and
-//! [`PlaneAccumulator`] is the bit-sliced ripple/full-adder accumulator
-//! the plane-parallel engines share. Arithmetic is exact, so the batched
-//! path is bitwise identical to the scalar one by construction; only
-//! the *activity accounting* differs per design, and that lives with
-//! each engine. `plane_block` runs a whole GEMM block on the same
-//! kernel with the *kernels* as the lanes, so engines that hold no
-//! packed windows (the scalar OMACs) still advance 64 filters per
-//! word-level operation.
+//! single word-level AND/XOR advances the same slot of 64 MACs at once.
+//! [`WindowGroup`] packs a group with a 64×64 bit-matrix transpose: each
+//! window's words of a chunk of ⌊64/bits⌋ positions sit side by side in
+//! one row of the matrix, so the transposed words are the chunk's planes
+//! in position order.
+//!
+//! [`plane_inner_product`] is the kernel all three designs share, and it
+//! follows the hardware's order of work: count first, resolve carries
+//! once. For every synapse bit `b` and neuron plane `a`, Harley–Seal
+//! carry-save (3:2) counters count, per lane, the positions whose synapse
+//! has bit `b` set and whose neuron has bit `a` set — carry-free, as OO's
+//! MZI chain superposes partial products into an amplitude count and
+//! SCONNA-style accumulators count optical AND results. Each count then
+//! resolves into the [`PlaneAccumulator`] once at shift `a + b`, Stripes'
+//! accumulate-then-shift. Arithmetic is exact, so the batched path is
+//! bitwise identical to the scalar one by construction; only the
+//! *activity accounting* differs per design, and that lives with each
+//! engine. `plane_block` runs a whole GEMM block on the same kernel with
+//! the *kernels* as the lanes, so engines that hold no packed windows
+//! (the scalar OMACs) still advance 64 filters per word-level operation.
 
 use crate::omac::activity::word_stream_activity;
+use std::cell::OnceCell;
 
 /// Windows a fully packed plane carries (the `u64` lane width).
 pub const PLANE_WINDOWS: usize = 64;
 
-fn value_mask(bits: u32) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
+/// Positions one carry-save counter block takes in (Harley–Seal over
+/// eight inputs).
+const CSA_BLOCK: usize = 8;
+
+/// Transposes a 64×64 bit matrix in place: bit `k` of word `w` moves to
+/// bit `w` of word `k`. Six rounds swap ever smaller off-diagonal blocks
+/// (32×32 down to 1×1), each round one masked XOR swap per word pair.
+fn transpose(matrix: &mut [u64; 64]) {
+    swap_blocks::<32>(matrix, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16>(matrix, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8>(matrix, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4>(matrix, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2>(matrix, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(matrix, 0x5555_5555_5555_5555);
+}
+
+/// One transpose round: in every `2S`-word block, swaps the high `S`
+/// bits (`mask` selects the low ones) of the first `S` words with the
+/// low `S` bits of the last `S` words, S×S sub-block by sub-block.
+fn swap_blocks<const S: usize>(matrix: &mut [u64; 64], mask: u64) {
+    for block in matrix.chunks_exact_mut(2 * S) {
+        let (low, high) = block.split_at_mut(S);
+        for (a, b) in low.iter_mut().zip(high) {
+            let t = ((*a >> S) ^ *b) & mask;
+            *a ^= t << S;
+            *b ^= t;
+        }
     }
 }
 
@@ -49,13 +80,18 @@ fn toggle_slots(position: &[u64]) -> u64 {
 /// A group of up to 64 windows transposed into one flat plane array.
 /// Word position `i` owns planes `[i·bits, (i+1)·bits)`; plane `a` of a
 /// position holds bit `a` of that position's word in every window
-/// (window `w` ↦ plane bit `w`).
+/// (window `w` ↦ plane bit `w`). One all-zero pad position follows the
+/// last, for the kernel's counter blocks to read past a ragged selection.
 #[derive(Debug, Default)]
 pub struct WindowGroup {
     planes: Vec<u64>,
     window: usize,
     len: usize,
     bits: u32,
+    /// Per-position `(lit slots, toggles)` over the packed windows,
+    /// computed on first use and shared by every kernel fired on the
+    /// group.
+    streams: OnceCell<Vec<Sums>>,
 }
 
 impl WindowGroup {
@@ -78,19 +114,30 @@ impl WindowGroup {
         );
         assert!((1..=16).contains(&bits), "plane groups carry 1..=16 bits");
         let width = bits as usize;
+        let mask = (1u64 << bits) - 1;
         self.planes.clear();
-        self.planes.resize(window * width, 0);
+        self.planes.resize((window + 1) * width, 0);
         self.window = window;
         self.len = len;
         self.bits = bits;
-        // Window-outer, so `rows` is read sequentially; every word ORs
-        // its `bits` low bits into lane `w` without a data-dependent branch.
-        for (w, row) in rows.chunks_exact(window).enumerate() {
-            for (position, &value) in self.planes.chunks_exact_mut(width).zip(row) {
-                for (a, plane) in position.iter_mut().enumerate() {
-                    *plane |= ((value >> a) & 1) << w;
-                }
+        self.streams.take();
+        // Row w of a chunk's matrix holds window w's words of the chunk
+        // side by side; rows past `len` stay zero, so do their lanes.
+        let chunk = PLANE_WINDOWS / width;
+        for (c, planes) in self.planes[..window * width]
+            .chunks_mut(chunk * width)
+            .enumerate()
+        {
+            let words = c * chunk..c * chunk + planes.len() / width;
+            let mut matrix = [0u64; 64];
+            for (row, packed) in matrix.iter_mut().zip(rows.chunks_exact(window)) {
+                *row = packed[words.clone()]
+                    .iter()
+                    .enumerate()
+                    .fold(0, |row, (j, &v)| row | (v & mask) << (j * width));
             }
+            transpose(&mut matrix);
+            planes.copy_from_slice(&matrix[..planes.len()]);
         }
     }
 
@@ -113,6 +160,7 @@ impl WindowGroup {
     /// Panics if `i` is not below the window size.
     #[must_use]
     pub fn position(&self, i: usize) -> &[u64] {
+        assert!(i < self.window, "position {i} past the window");
         let width = self.bits as usize;
         &self.planes[i * width..(i + 1) * width]
     }
@@ -125,13 +173,25 @@ impl WindowGroup {
     /// Panics if `i` is not below the window size.
     #[must_use]
     pub fn position_mut(&mut self, i: usize) -> &mut [u64] {
+        assert!(i < self.window, "position {i} past the window");
+        self.streams.take();
         let width = self.bits as usize;
         &mut self.planes[i * width..(i + 1) * width]
     }
 
     /// Every word position's planes, in position order.
     fn positions(&self) -> std::slice::ChunksExact<'_, u64> {
-        self.planes.chunks_exact(self.bits as usize)
+        self.planes[..self.window * self.bits as usize].chunks_exact(self.bits as usize)
+    }
+
+    /// Each word position's lit slots and toggles summed over the packed
+    /// windows' serializations, computed once per packing.
+    fn position_streams(&self) -> &[Sums] {
+        self.streams.get_or_init(|| {
+            self.positions()
+                .map(|position| (lit_slots(position), toggle_slots(position)))
+                .collect()
+        })
     }
 
     /// Windows packed into the group.
@@ -159,14 +219,25 @@ impl WindowGroup {
     }
 
     /// Unpacks the group back to window-major rows (inverse of
-    /// [`Self::pack`]).
+    /// [`Self::pack`], through the same transpose).
     pub fn unpack_into(&self, rows: &mut Vec<u64>) {
         rows.clear();
         rows.resize(self.window * self.len, 0);
-        for (w, row) in rows.chunks_exact_mut(self.window).enumerate() {
-            for (value, position) in row.iter_mut().zip(self.positions()) {
-                for (a, &plane) in position.iter().enumerate() {
-                    *value |= ((plane >> w) & 1) << a;
+        let width = self.bits as usize;
+        let mask = (1u64 << self.bits) - 1;
+        let chunk = PLANE_WINDOWS / width;
+        for (c, planes) in self.planes[..self.window * width]
+            .chunks(chunk * width)
+            .enumerate()
+        {
+            let start = c * chunk;
+            let mut matrix = [0u64; 64];
+            matrix[..planes.len()].copy_from_slice(planes);
+            transpose(&mut matrix);
+            for (&row, words) in matrix.iter().zip(rows.chunks_exact_mut(self.window)) {
+                let words = &mut words[start..start + planes.len() / width];
+                for (j, word) in words.iter_mut().enumerate() {
+                    *word = (row >> (j * width)) & mask;
                 }
             }
         }
@@ -176,11 +247,16 @@ impl WindowGroup {
 /// A bit-sliced accumulator: plane `k` holds bit `k` of 64 independent
 /// running sums. [`Self::add_shifted`] is a full adder over planes —
 /// three word ops per addend plane advance one addition in all 64 lanes.
+/// It also carries [`plane_inner_product`]'s working state, so a caller
+/// that reuses one accumulator across kernels allocates nothing per call.
 #[derive(Debug)]
 pub struct PlaneAccumulator {
     planes: [u64; 64],
-    /// Planes that may be nonzero (high-water mark, bounds the unpack).
+    /// Planes that may be nonzero (high-water mark, bounds the clear).
     high: usize,
+    /// Plane offsets of the positions the kernel is counting, padded to
+    /// whole counter blocks with the group's zero pad position.
+    selected: Vec<usize>,
 }
 
 impl Default for PlaneAccumulator {
@@ -196,6 +272,7 @@ impl PlaneAccumulator {
         Self {
             planes: [0; 64],
             high: 0,
+            selected: Vec::new(),
         }
     }
 
@@ -215,9 +292,17 @@ impl PlaneAccumulator {
     ///
     /// Panics if any lane's sum overflows 64 bits.
     pub fn add_shifted(&mut self, addend: &[u64], shift: usize) {
+        let used = addend
+            .iter()
+            .rposition(|&x| x != 0)
+            .map_or(0, |top| top + 1);
+        if used == 0 {
+            return;
+        }
+        assert!(shift + used <= 64, "plane accumulator overflow");
         let mut carry = 0u64;
         let mut k = shift;
-        for &x in addend {
+        for &x in &addend[..used] {
             // Bit-sliced full adder: one plane of 64 lane-sums per step.
             let a = self.planes[k];
             let partial = a ^ x;
@@ -235,24 +320,108 @@ impl PlaneAccumulator {
         self.high = self.high.max(k);
     }
 
-    /// Unpacks the first `len` lane sums.
+    /// Unpacks the first `len` lane sums (one transpose).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`PLANE_WINDOWS`].
     pub fn unpack_into(&self, len: usize, out: &mut Vec<u64>) {
+        let mut matrix = self.planes;
+        transpose(&mut matrix);
         out.clear();
-        for w in 0..len {
-            let mut value = 0u64;
-            for (k, &plane) in self.planes[..self.high].iter().enumerate() {
-                value |= ((plane >> w) & 1) << k;
+        out.extend_from_slice(&matrix[..len]);
+    }
+}
+
+/// A carry-save (3:2) adder over planes: per lane, `a + b + c` as a
+/// `(carry, sum)` bit pair.
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    ((a & b) | (u & c), u ^ c)
+}
+
+/// Counts, per lane, the set bits of each of a position's `W` planes
+/// over the positions at `offsets` (whole [`CSA_BLOCK`]s): a Harley–Seal
+/// carry-save tree takes in eight positions per block, and only its
+/// eights ripple into a bit-sliced counter. The counts land in `levels`
+/// bit-sliced, LSB level first: `levels[k][a]` holds bit `k` of every
+/// lane's count for plane `a`, over as many levels as `levels` holds.
+fn count_planes<const W: usize>(planes: &[u64], offsets: &[usize], levels: &mut [[u64; W]]) {
+    levels.fill([0; W]);
+    let (low, eights) = levels.split_at_mut(3);
+    for block in offsets.chunks_exact(CSA_BLOCK) {
+        let x: [&[u64]; CSA_BLOCK] = std::array::from_fn(|j| &planes[block[j]..block[j] + W]);
+        let mut carry = [0u64; W];
+        for a in 0..W {
+            let (twos_a, ones) = csa(low[0][a], x[0][a], x[1][a]);
+            let (twos_b, ones) = csa(ones, x[2][a], x[3][a]);
+            let (fours_a, twos) = csa(low[1][a], twos_a, twos_b);
+            let (twos_a, ones) = csa(ones, x[4][a], x[5][a]);
+            let (twos_b, ones) = csa(ones, x[6][a], x[7][a]);
+            let (fours_b, twos) = csa(twos, twos_a, twos_b);
+            let (eight, fours) = csa(low[2][a], fours_a, fours_b);
+            low[0][a] = ones;
+            low[1][a] = twos;
+            low[2][a] = fours;
+            carry[a] = eight;
+        }
+        for level in eights.iter_mut() {
+            for (plane, carry) in level.iter_mut().zip(&mut carry) {
+                let next = *plane & *carry;
+                *plane ^= *carry;
+                *carry = next;
             }
-            out.push(value);
         }
     }
 }
 
-/// The shared plane-parallel inner-product kernel: for every set synapse
-/// bit `b` of word position `i`, add position `i`'s planes shifted by `b`
-/// into the lane accumulators — each `add_shifted` is the batched form
-/// of 64 scalar shift-accumulate cycles. Synapse bits above the group's
-/// precision are ignored, exactly as the scalar engines' `0..bits`
+/// [`plane_inner_product`]'s body at a compile-time precision `W`, so
+/// the counters advance all `W` planes of a position as one vector.
+fn count_and_resolve<const W: usize>(
+    group: &WindowGroup,
+    synapses: &[u64],
+    acc: &mut PlaneAccumulator,
+) {
+    let pad = group.window * W;
+    let mut selected = std::mem::take(&mut acc.selected);
+    let mut levels = [[0u64; W]; 64];
+    let mut column = [0u64; 64];
+    for b in 0..W {
+        // Branch-free compaction of the positions whose synapse has bit
+        // `b` set, padded to whole counter blocks with the zero position.
+        selected.resize(synapses.len() + CSA_BLOCK, pad);
+        let mut n = 0;
+        for (i, &synapse) in synapses.iter().enumerate() {
+            selected[n] = i * W;
+            n += ((synapse >> b) & 1) as usize;
+        }
+        if n == 0 {
+            continue;
+        }
+        selected[n..].fill(pad);
+        let blocks = n.div_ceil(CSA_BLOCK);
+        let depth = 3 + (usize::BITS - blocks.leading_zeros()) as usize;
+        count_planes(
+            &group.planes,
+            &selected[..blocks * CSA_BLOCK],
+            &mut levels[..depth],
+        );
+        for a in 0..W {
+            for (bit, level) in column.iter_mut().zip(&levels[..depth]) {
+                *bit = level[a];
+            }
+            acc.add_shifted(&column[..depth], a + b);
+        }
+    }
+    acc.selected = selected;
+}
+
+/// The shared plane-parallel inner-product kernel, synapse-bit-major:
+/// for every synapse bit `b` and neuron plane `a`, count per lane the
+/// positions whose synapse has bit `b` set and whose neuron plane `a`
+/// is lit (carry-save, carry-free), then resolve the count into the
+/// lane accumulators once at shift `a + b`. Synapse bits above the
+/// group's precision are ignored, exactly as the scalar engines' `0..bits`
 /// cycle loops never visit them. The `len` lane sums land in `out`.
 ///
 /// # Panics
@@ -270,16 +439,26 @@ pub fn plane_inner_product(
         group.window(),
         "one synapse word per window position"
     );
-    let mask = value_mask(group.bits());
     acc.clear();
-    for (position, &synapse) in group.positions().zip(synapses) {
-        let mut rest = synapse & mask;
-        while rest != 0 {
-            let b = rest.trailing_zeros() as usize;
-            acc.add_shifted(position, b);
-            rest &= rest - 1;
-        }
-    }
+    let run = match group.bits() {
+        1 => count_and_resolve::<1>,
+        2 => count_and_resolve::<2>,
+        3 => count_and_resolve::<3>,
+        4 => count_and_resolve::<4>,
+        5 => count_and_resolve::<5>,
+        6 => count_and_resolve::<6>,
+        7 => count_and_resolve::<7>,
+        8 => count_and_resolve::<8>,
+        9 => count_and_resolve::<9>,
+        10 => count_and_resolve::<10>,
+        11 => count_and_resolve::<11>,
+        12 => count_and_resolve::<12>,
+        13 => count_and_resolve::<13>,
+        14 => count_and_resolve::<14>,
+        15 => count_and_resolve::<15>,
+        _ => count_and_resolve::<16>,
+    };
+    run(group, synapses, acc);
     acc.unpack_into(group.len(), out);
 }
 
@@ -306,14 +485,15 @@ pub(crate) enum Streams {
 }
 
 impl Streams {
-    /// Folds per-position `(KLᵢ, KTᵢ)` sums, each with a thunk for its
-    /// `(RLᵢ, RTᵢ)` (forced only by [`Self::Gated`]), into
-    /// [`BlockStreams`].
-    fn fold<R: FnOnce() -> Sums>(
+    /// Folds per-position `(KLᵢ, KTᵢ)` sums and a thunk for the
+    /// per-position `(RLᵢ, RTᵢ)` sums (forced only by [`Self::Gated`])
+    /// into [`BlockStreams`].
+    fn fold<'a>(
         self,
         rows: u64,
         kernels: u64,
-        positions: impl Iterator<Item = (Sums, R)>,
+        kernel_sums: impl Iterator<Item = Sums>,
+        row_sums: impl FnOnce() -> &'a [Sums],
     ) -> BlockStreams {
         let mut block = BlockStreams {
             products: rows * kernels,
@@ -321,17 +501,16 @@ impl Streams {
             lit: 0,
             toggles: 0,
         };
-        for ((kl, kt), row) in positions {
-            let (lit, toggles) = match self {
-                Self::Synapse => (rows * kl, rows * kt),
-                Self::Gated => {
-                    let (rl, rt) = row();
-                    (kl * rl, kl * rt)
-                }
-            };
+        let mut add = |lit, toggles| {
             block.len += 1;
             block.lit += lit;
             block.toggles += toggles;
+        };
+        match self {
+            Self::Synapse => kernel_sums.for_each(|(kl, kt)| add(rows * kl, rows * kt)),
+            Self::Gated => kernel_sums
+                .zip(row_sums())
+                .for_each(|((kl, _), &(rl, rt))| add(kl * rl, kl * rt)),
         }
         block
     }
@@ -354,18 +533,17 @@ pub(crate) struct BlockStreams {
 
 impl BlockStreams {
     /// The batch [`plane_inner_product`] runs on `group`: its windows
-    /// are the neuron rows, `synapses` the one kernel.
+    /// are the neuron rows, `synapses` the one kernel. The rows' stream
+    /// sums come from the group, computed once however many kernels fire
+    /// on it.
     pub(crate) fn of_group(group: &WindowGroup, synapses: &[u64], streams: Streams) -> Self {
-        let positions = synapses
-            .iter()
-            .zip(group.positions())
-            .map(|(&s, position)| {
-                let kernel = word_stream_activity(s, group.bits());
-                ((kernel.lit, kernel.toggles), || {
-                    (lit_slots(position), toggle_slots(position))
-                })
-            });
-        streams.fold(group.len() as u64, 1, positions)
+        let kernel_sums = synapses.iter().map(|&s| {
+            let kernel = word_stream_activity(s, group.bits());
+            (kernel.lit, kernel.toggles)
+        });
+        streams.fold(group.len() as u64, 1, kernel_sums, || {
+            group.position_streams()
+        })
     }
 }
 
@@ -373,7 +551,7 @@ impl BlockStreams {
 /// plane lanes: kernels pack up to [`PLANE_WINDOWS`] at a time into
 /// [`WindowGroup`]s (kernel `m` ↦ lane `m mod 64` of group `m / 64`),
 /// and [`plane_inner_product`] runs each group once per row, the row's
-/// words driving the shift-adds the synapse words drive on the fabric —
+/// words selecting the positions the synapse words select on the fabric —
 /// the same exact sums, because products commute. This is the input
 /// broadcast of PIXEL's dataflow: one neuron word reaches every tile
 /// that holds a filter.
@@ -403,9 +581,9 @@ pub(crate) fn plane_block(
         .collect();
     let mut kernel_sums: Vec<Sums> = vec![(0, 0); len];
     for group in &groups {
-        for (sums, position) in kernel_sums.iter_mut().zip(group.positions()) {
-            sums.0 += lit_slots(position);
-            sums.1 += toggle_slots(position);
+        for (sums, &(lit, toggles)) in kernel_sums.iter_mut().zip(group.position_streams()) {
+            sums.0 += lit;
+            sums.1 += toggles;
         }
     }
     let mut row_sums: Vec<Sums> = vec![(0, 0); len];
@@ -424,11 +602,7 @@ pub(crate) fn plane_block(
         }
         count += 1;
     }
-    let positions = kernel_sums
-        .into_iter()
-        .zip(row_sums)
-        .map(|(k, r)| (k, move || r));
-    streams.fold(count, filters as u64, positions)
+    streams.fold(count, filters as u64, kernel_sums.into_iter(), || &row_sums)
 }
 
 #[cfg(test)]
@@ -534,38 +708,102 @@ mod tests {
         }
     }
 
+    /// The kernel against per-lane `u128` dot products: every precision,
+    /// windows from one word to 4096 (log-uniform, so both the ragged
+    /// single counter block and deep counters show up), full and ragged
+    /// groups, random and all-ones operands.
     #[test]
-    fn plane_inner_product_matches_per_window_dot_products() {
+    fn plane_inner_product_matches_u128_dot_products() {
         let mut rng = SplitMix64::seed_from_u64(0xD07);
         let mut acc = PlaneAccumulator::new();
         let mut out = Vec::new();
-        for _ in 0..50 {
-            let bits = rng.range_u32(1, 12);
-            let window = rng.range_usize(1, 24);
-            let len = rng.range_usize(1, PLANE_WINDOWS);
+        for case in 0..160 {
+            let bits = (case % 16) as u32 + 1;
+            let window = 1 << rng.range_u32(0, 12);
+            let window = rng.range_usize(window, (2 * window).min(4096));
+            let len = match case % 3 {
+                0 => PLANE_WINDOWS,
+                1 => 1,
+                _ => rng.range_usize(2, PLANE_WINDOWS - 1),
+            };
             let limit = (1u64 << bits) - 1;
-            let rows: Vec<u64> = (0..window * len).map(|_| rng.range_u64(0, limit)).collect();
-            let synapses: Vec<u64> = (0..window).map(|_| rng.range_u64(0, limit)).collect();
+            let ones = case % 5 == 4;
+            let mut draw = |n: usize| -> Vec<u64> {
+                (0..n)
+                    .map(|_| if ones { limit } else { rng.range_u64(0, limit) })
+                    .collect()
+            };
+            let rows = draw(window * len);
+            let synapses = draw(window);
             let group = WindowGroup::pack(&rows, window, len, bits);
             plane_inner_product(&group, &synapses, &mut acc, &mut out);
-            for w in 0..len {
-                let expected: u64 = rows[w * window..(w + 1) * window]
-                    .iter()
-                    .zip(&synapses)
-                    .map(|(&n, &s)| n * s)
-                    .sum();
-                assert_eq!(out[w], expected, "bits={bits} window={window} w={w}");
-            }
+            let expected: Vec<u64> = rows
+                .chunks_exact(window)
+                .map(|row| {
+                    let dot: u128 = row
+                        .iter()
+                        .zip(&synapses)
+                        .map(|(&n, &s)| u128::from(n) * u128::from(s))
+                        .sum();
+                    u64::try_from(dot).unwrap()
+                })
+                .collect();
+            assert_eq!(
+                out, expected,
+                "bits={bits} window={window} len={len} ones={ones}"
+            );
         }
     }
 
     #[test]
-    #[should_panic(expected = "overflow")]
-    fn accumulator_overflow_is_detected() {
-        let mut acc = PlaneAccumulator::new();
-        let ones = [u64::MAX; 16];
-        for _ in 0..10_000 {
-            acc.add_shifted(&ones, 48);
+    fn transpose_matches_a_naive_bit_loop() {
+        let mut rng = SplitMix64::seed_from_u64(0x7A5);
+        for _ in 0..20 {
+            let matrix: [u64; 64] = std::array::from_fn(|_| rng.next_u64());
+            let mut naive = [0u64; 64];
+            for (w, &row) in matrix.iter().enumerate() {
+                for (k, column) in naive.iter_mut().enumerate() {
+                    *column |= ((row >> k) & 1) << w;
+                }
+            }
+            let mut fast = matrix;
+            transpose(&mut fast);
+            assert_eq!(fast, naive);
+            transpose(&mut fast);
+            assert_eq!(fast, matrix, "the transpose is an involution");
         }
+    }
+
+    /// Every lane of an accumulator holding `value`.
+    fn filled(value: u64) -> PlaneAccumulator {
+        let mut acc = PlaneAccumulator::new();
+        let planes: Vec<u64> = (0..64)
+            .map(|k| if (value >> k) & 1 == 1 { u64::MAX } else { 0 })
+            .collect();
+        acc.add_shifted(&planes, 0);
+        acc
+    }
+
+    #[test]
+    fn accumulator_reaches_exactly_u64_max() {
+        let mut acc = filled(u64::MAX - 5);
+        acc.add_shifted(&[u64::MAX, 0, u64::MAX], 0);
+        let mut out = Vec::new();
+        acc.unpack_into(PLANE_WINDOWS, &mut out);
+        assert_eq!(out, vec![u64::MAX; PLANE_WINDOWS]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn accumulator_overflow_past_u64_max_is_detected() {
+        let mut acc = filled(u64::MAX);
+        acc.add_shifted(&[1 << 17], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn accumulator_overflow_above_the_top_plane_is_detected() {
+        let mut acc = PlaneAccumulator::new();
+        acc.add_shifted(&[0, 1], 63);
     }
 }

@@ -59,6 +59,20 @@ impl EeMac {
         &self.stripes
     }
 
+    /// Rejects operands wider than the precision, as the Stripes
+    /// datapath does, before any tally moves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any word of `a` or `b` has a bit at or above `bits`.
+    fn check_operands(&self, a: &[u64], b: &[u64]) {
+        let bits = self.bits();
+        // An OR over every operand vectorizes; a short-circuiting scan
+        // does not.
+        let set = a.iter().chain(b).fold(0, |set, &v| set | v);
+        assert!(set >> bits == 0, "EE operands must fit {bits} bits");
+    }
+
     /// Charges a batch of inner products in closed form — exactly what
     /// [`MacEngine::inner_product`] tallies once per product. Each
     /// product walks `⌈len/lanes⌉` lane chunks, zero-padded tail
@@ -96,6 +110,7 @@ impl MacEngine for EeMac {
         let before_toggles = self.activity.bit_toggles();
         let before_cla = self.activity.cla_ops();
         assert_eq!(neurons.len(), synapses.len(), "operand length mismatch");
+        self.check_operands(neurons, synapses);
         let mut scratch = self.scratch.borrow_mut();
         let (nbuf, sbuf) = &mut *scratch;
         let mut acc = 0u64;
@@ -111,8 +126,8 @@ impl MacEngine for EeMac {
             let chunk = self
                 .stripes
                 .mac(nbuf, sbuf)
-                // lint:allow(P002) operand widths validated by the caller precision check
-                .expect("operands validated by caller precision");
+                // lint:allow(P002) operand widths checked before the first chunk
+                .expect("operands checked against the precision");
             let (sum, carry) = self.output_accumulator.add(acc, chunk.value, false);
             self.activity.add_cla_op();
             debug_assert!(!carry, "window accumulator overflow");
@@ -143,16 +158,12 @@ impl MacEngine for EeMac {
     /// Panics if an operand is wider than the engine's precision, as the
     /// Stripes datapath rejects it.
     fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
-        let bits = self.bits();
-        // An OR over every operand vectorizes; a short-circuiting scan
-        // does not.
-        let set = rows.iter().chain(kernels).fold(0, |set, &v| set | v);
-        assert!(set >> bits == 0, "EE operands must fit {bits} bits");
+        self.check_operands(rows, kernels);
         self.charge(&plane_block(
             rows,
             kernels,
             len,
-            bits,
+            self.bits(),
             Streams::Synapse,
             out,
         ));
@@ -168,13 +179,19 @@ impl ActivityMac for EeMac {
         &self.activity
     }
 
-    fn inner_product_planes(&self, group: &WindowGroup, synapses: &[u64], out: &mut Vec<u64>) {
+    fn inner_product_planes_with(
+        &self,
+        group: &WindowGroup,
+        synapses: &[u64],
+        acc: &mut PlaneAccumulator,
+        out: &mut Vec<u64>,
+    ) {
         assert_eq!(
             group.bits(),
             self.bits(),
             "group precision must match the engine"
         );
-        plane_inner_product(group, synapses, &mut PlaneAccumulator::new(), out);
+        plane_inner_product(group, synapses, acc, out);
         self.charge(&BlockStreams::of_group(group, synapses, Streams::Synapse));
     }
 }

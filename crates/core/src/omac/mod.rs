@@ -61,7 +61,24 @@ pub trait ActivityMac: MacEngine {
     ///
     /// Panics if `synapses.len()` differs from the group's window size
     /// or the group's precision differs from the engine's.
-    fn inner_product_planes(&self, group: &WindowGroup, synapses: &[u64], out: &mut Vec<u64>);
+    fn inner_product_planes(&self, group: &WindowGroup, synapses: &[u64], out: &mut Vec<u64>) {
+        self.inner_product_planes_with(group, synapses, &mut PlaneAccumulator::new(), out);
+    }
+
+    /// [`Self::inner_product_planes`] on a caller-owned accumulator. The
+    /// accumulator carries the kernel's scratch, so a caller that fires
+    /// many kernels through one accumulator allocates nothing per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`Self::inner_product_planes`]'s conditions.
+    fn inner_product_planes_with(
+        &self,
+        group: &WindowGroup,
+        synapses: &[u64],
+        acc: &mut PlaneAccumulator,
+        out: &mut Vec<u64>,
+    );
 }
 
 /// Builds the functional MAC engine matching a configuration, through
@@ -270,7 +287,8 @@ mod tests {
 
     /// Out-of-range operands keep their per-window behaviour on the
     /// block path: OE/OO drop the bits above the precision, tallies
-    /// included, and EE rejects them as the Stripes operand check does.
+    /// included, and EE rejects them as the Stripes operand check does,
+    /// before either engine tallies anything.
     #[test]
     fn block_path_keeps_the_per_window_operand_range() {
         let rows = [0b1_0110, 3, 0xFF, 7];
@@ -294,6 +312,9 @@ mod tests {
                     tallies(reference.activity()),
                     "{d}"
                 );
+            } else {
+                assert_eq!(tallies(reference.activity()), [0; 9], "{d}");
+                assert_eq!(tallies(block.activity()), [0; 9], "{d}");
             }
         }
     }

@@ -238,13 +238,19 @@ impl ActivityMac for OoMac {
         &self.activity
     }
 
-    fn inner_product_planes(&self, group: &WindowGroup, synapses: &[u64], out: &mut Vec<u64>) {
+    fn inner_product_planes_with(
+        &self,
+        group: &WindowGroup,
+        synapses: &[u64],
+        acc: &mut PlaneAccumulator,
+        out: &mut Vec<u64>,
+    ) {
         assert_eq!(
             group.bits(),
             self.bits,
             "group precision must match the engine"
         );
-        plane_inner_product(group, synapses, &mut PlaneAccumulator::new(), out);
+        plane_inner_product(group, synapses, acc, out);
         self.charge(&BlockStreams::of_group(group, synapses, Streams::Gated));
     }
 }

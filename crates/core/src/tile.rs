@@ -7,7 +7,7 @@
 //! the design's bit-true MAC engine.
 
 use crate::config::AcceleratorConfig;
-use crate::omac::{ActivityMac, WindowGroup};
+use crate::omac::{ActivityMac, PlaneAccumulator, WindowGroup};
 use pixel_electronics::register::RegisterFile;
 
 /// A functional PIXEL tile.
@@ -76,13 +76,14 @@ impl Tile {
     /// word-level engine operation. A group narrower than the filter
     /// uses the filter's prefix weights. Results land in `out`, one sum
     /// per packed window, bitwise identical to the design's per-window
-    /// engine ([`crate::omac::engine_for`]).
+    /// engine ([`crate::omac::engine_for`]). `acc` is the kernel's
+    /// working state, reusable across tiles and groups.
     ///
     /// # Panics
     ///
     /// Panics if the group's window size exceeds the stored filter size
     /// or its precision differs from the tile's.
-    pub fn fire_planes(&self, group: &WindowGroup, out: &mut Vec<u64>) {
+    pub fn fire_planes(&self, group: &WindowGroup, acc: &mut PlaneAccumulator, out: &mut Vec<u64>) {
         assert!(
             group.window() <= self.weights.len(),
             "firing {} neuron positions into a {}-weight filter",
@@ -90,7 +91,7 @@ impl Tile {
             self.weights.len()
         );
         self.engine
-            .inner_product_planes(group, &self.mirror[..group.window()], out);
+            .inner_product_planes_with(group, &self.mirror[..group.window()], acc, out);
     }
 
     /// [`Self::fire_planes`] against *streamed* weights instead of the
@@ -101,13 +102,20 @@ impl Tile {
     ///
     /// Panics if the weight count differs from the group's window size
     /// or the group's precision differs from the tile's.
-    pub fn fire_planes_streamed(&self, group: &WindowGroup, weights: &[u64], out: &mut Vec<u64>) {
+    pub fn fire_planes_streamed(
+        &self,
+        group: &WindowGroup,
+        weights: &[u64],
+        acc: &mut PlaneAccumulator,
+        out: &mut Vec<u64>,
+    ) {
         assert_eq!(
             group.window(),
             weights.len(),
             "streamed weights must match the fired window"
         );
-        self.engine.inner_product_planes(group, weights, out);
+        self.engine
+            .inner_product_planes_with(group, weights, acc, out);
     }
 
     /// The MAC engine's name (design identification).
@@ -127,10 +135,10 @@ mod tests {
     fn fire_window(tile: &Tile, neurons: &[u64], streamed: Option<&[u64]>) -> u64 {
         let bits = tile.config().bits_per_lane;
         let group = WindowGroup::pack(neurons, neurons.len(), 1, bits);
-        let mut out = Vec::new();
+        let (mut acc, mut out) = (PlaneAccumulator::new(), Vec::new());
         match streamed {
-            None => tile.fire_planes(&group, &mut out),
-            Some(weights) => tile.fire_planes_streamed(&group, weights, &mut out),
+            None => tile.fire_planes(&group, &mut acc, &mut out),
+            Some(weights) => tile.fire_planes_streamed(&group, weights, &mut acc, &mut out),
         }
         out[0]
     }

@@ -12,7 +12,7 @@
 
 use pixel::core::config::{AcceleratorConfig, Design};
 use pixel::core::interconnect::{Dimension, TileCoord, XyFabric};
-use pixel::core::omac::WindowGroup;
+use pixel::core::omac::{PlaneAccumulator, WindowGroup};
 use pixel::core::tile::Tile;
 use pixel::photonics::signal::PulseTrain;
 
@@ -62,7 +62,7 @@ fn main() {
         let mut tile = Tile::new(AcceleratorConfig::new(design, 4, 4), 4);
         tile.load_weights(&[6, 1, 2, 3]);
         let mut partial = Vec::new();
-        tile.fire_planes(&group, &mut partial);
+        tile.fire_planes(&group, &mut PlaneAccumulator::new(), &mut partial);
         println!(
             "{} OMAC 0 partial sum: {} (paper: 42)",
             design.label(),

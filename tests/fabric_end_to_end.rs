@@ -4,7 +4,7 @@
 
 use pixel::core::config::{AcceleratorConfig, Design};
 use pixel::core::interconnect::{Dimension, TileCoord, XyFabric};
-use pixel::core::omac::WindowGroup;
+use pixel::core::omac::{PlaneAccumulator, WindowGroup};
 use pixel::core::tile::Tile;
 use pixel::photonics::photodetector::Photodetector;
 use pixel::photonics::signal::PulseTrain;
@@ -63,7 +63,7 @@ fn tiles_compute_conv_windows_after_firing() {
         let mut tile = Tile::new(AcceleratorConfig::new(design, 4, 4), 9);
         tile.load_weights(&kernel);
         let mut out = Vec::new();
-        tile.fire_planes(&group, &mut out);
+        tile.fire_planes(&group, &mut PlaneAccumulator::new(), &mut out);
         assert_eq!(out, [expected], "{design}");
     }
 }
