@@ -232,11 +232,11 @@ fi
 
 echo "== bench profile smoke"
 # `reproduce bench --profile` prints the span table after the timings.
-# The fabric's conv group loop must show all four stage spans under
-# `fabric_conv2d/rows`; full paths are rebuilt from the table's
-# two-space indentation, each printed with its self time in ns. The
-# report goes to a scratch file, so the gated run above stays
-# unprofiled.
+# The fabric's conv loop must show its kernel load and all four
+# per-group stage spans under `fabric_conv2d/rows`; full paths are
+# rebuilt from the table's two-space indentation, each printed with its
+# self time in ns. The report goes to a scratch file, so the gated run
+# above stays unprofiled.
 prof_out=$(./target/release/reproduce bench --quick --profile --jobs 1 --out target/bench_profile.json)
 span_self=$(echo "$prof_out" | awk -F'|' '
   /^span / { in_tree = 1; next }
@@ -251,7 +251,7 @@ span_self=$(echo "$prof_out" | awk -F'|' '
     scale = col[5] == "s" ? 1e9 : col[5] == "ms" ? 1e6 : col[5] == "us" ? 1e3 : 1
     printf "%s %.0f\n", path, col[4] * scale
   }')
-for stage in gather pack transport fire; do
+for stage in load gather pack transport fire; do
   echo "$span_self" | grep -q "^fabric_conv2d/rows/$stage " \
     || { echo "bench --profile missing span fabric_conv2d/rows/$stage" >&2; exit 1; }
 done

@@ -8,12 +8,14 @@
 //! serialized to pulse trains, multiplexed onto the MWSR waveguide on the
 //! firing tile's wavelength block, recovered at the compute tiles, and
 //! pushed through the design's bit-true OMAC, one kernel per tile
-//! (§III-A) with its weights in the tile's register file. The result must
+//! (§III-A) with its weights in the tile's register file. The dataflow is
+//! weight-stationary, as in Fig. 3: a layer's kernels load onto the tiles
+//! once, and every group of rows streams past them. The result must
 //! equal plain integer inference — the strongest "the architecture
 //! actually computes the CNN" statement in the repository.
 
 use crate::config::AcceleratorConfig;
-use crate::omac::{PlaneAccumulator, WindowGroup, PLANE_WINDOWS};
+use crate::omac::{PlaneAccumulator, PreparedKernel, WindowGroup, PLANE_WINDOWS};
 use crate::tile::Tile;
 use pixel_dnn::inference::{conv_windows, LayerWeights, MacEngine, ShapeError};
 use pixel_dnn::layer::Layer;
@@ -22,6 +24,7 @@ use pixel_photonics::photodetector::Photodetector;
 use pixel_photonics::signal::{PulseTrain, WavelengthId, WdmSignal};
 use pixel_photonics::wdm::BandPlan;
 use pixel_units::Power;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fabric of functional tiles executing layers kernel-per-tile.
@@ -104,6 +107,8 @@ impl FunctionalFabric {
         let groups = (out.len() / filters).div_ceil(PLANE_WINDOWS);
         let jobs = jobs.clamp(1, groups.max(1));
         let windows_per_worker = groups.div_ceil(jobs) * PLANE_WINDOWS;
+        let kernels = weights.kernels(layer.weight_count());
+        let window = kernels.len() / filters;
         drop(plan_span);
 
         // Phase-level child span: under the parent this aggregates as
@@ -113,7 +118,8 @@ impl FunctionalFabric {
         // `sweep/worker` idiom).
         let rows_span = pixel_obs::span("rows");
         if jobs == 1 {
-            conv_windows(layer, inputs, weights, self, 0, &mut out)?;
+            let loaded = LoadedFabric::new(self, kernels, window);
+            conv_windows(layer, inputs, weights, &loaded, 0, &mut out)?;
         } else {
             // Contiguous window chunks, one worker each: concatenation of
             // the chunk outputs restores window order deterministically,
@@ -126,7 +132,8 @@ impl FunctionalFabric {
                         scope.spawn(move || {
                             let _worker = pixel_obs::span("fabric_conv2d/rows/worker");
                             let first = w * windows_per_worker;
-                            conv_windows(layer, inputs, weights, self, first, chunk)
+                            let loaded = LoadedFabric::new(self, kernels, window);
+                            conv_windows(layer, inputs, weights, &loaded, first, chunk)
                         })
                     })
                     .collect();
@@ -202,38 +209,95 @@ impl MacEngine for FunctionalFabric {
         out[0]
     }
 
-    /// Rows pack [`PLANE_WINDOWS`] at a time into bit-plane groups. Each
-    /// group crosses the MWSR medium once, then fires on every kernel's
-    /// tile, and every word-level engine operation advances all of its
-    /// rows. One tile holds each kernel up to the physical tile count;
-    /// past it, tile `m % tiles` time-multiplexes — the same datapath with
-    /// streamed weights. Operand words wider than `bits_per_lane` are
-    /// truncated to it: the bit planes and the register file carry no
-    /// more bits.
+    /// Loads `kernels` onto the tiles once, then fires every group of
+    /// rows through them: up to [`PLANE_WINDOWS`] rows per bit-plane
+    /// group, each group crossing the MWSR medium once. Operand words
+    /// wider than `bits_per_lane` are truncated to it: the bit planes
+    /// and the register file carry no more bits.
     fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
-        let bits = self.config.bits_per_lane;
-        let filters = kernels.len() / len;
+        LoadedFabric::new(self, kernels, len).fire(rows, out);
+    }
+}
+
+/// A kernel set loaded onto the fabric, weight-stationary: one tile
+/// holds each kernel up to the physical tile count, with its weights in
+/// the register file and prepared for the plane kernel once. Past it,
+/// tile `m % tiles` time-multiplexes — the same datapath with streamed
+/// weights, which are not resident: each is prepared as it streams,
+/// into one reused kernel, so a load allocates nothing per streamed
+/// kernel. Rows pack [`PLANE_WINDOWS`] at a time into bit-plane groups;
+/// each group crosses the MWSR medium once, then fires on every
+/// kernel's tile, and every word-level engine operation advances all of
+/// its rows. The tiles, the band plan and the packing buffers serve
+/// every group of the load.
+struct LoadedFabric<'a> {
+    fabric: &'a FunctionalFabric,
+    kernels: &'a [u64],
+    len: usize,
+    plan: BandPlan,
+    tiles: Vec<Tile>,
+    scratch: RefCell<FireScratch>,
+}
+
+/// The buffers one group reuses: its planes, the streamed kernel, the
+/// kernel's accumulator and one kernel's lane sums.
+#[derive(Default)]
+struct FireScratch {
+    group: WindowGroup,
+    streamed: PreparedKernel,
+    acc: PlaneAccumulator,
+    values: Vec<u64>,
+}
+
+impl<'a> LoadedFabric<'a> {
+    /// Loads `kernels` (whole kernels of `len` words) onto the fabric's
+    /// tiles under one `load` stage span.
+    fn new(fabric: &'a FunctionalFabric, kernels: &'a [u64], len: usize) -> Self {
+        let _load_span = pixel_obs::span("load");
+        let config = fabric.config;
         // The firing side groups row words into per-wavelength lanes:
         // `lanes` words per firing round per firing tile.
         let plan = BandPlan::new(
-            self.config
-                .tiles
-                .min(len.div_ceil(self.config.lanes))
-                .max(1),
-            self.config.lanes,
+            config.tiles.min(len.div_ceil(config.lanes)).max(1),
+            config.lanes,
         );
-        let tiles: Vec<Tile> = kernels
-            .chunks_exact(len)
-            .take(self.config.tiles)
+        // Zero-word kernels load nothing: their products are all zero.
+        let tiles = kernels
+            .chunks_exact(len.max(1))
+            .take(config.tiles)
             .map(|kernel| {
-                let mut tile = Tile::new(self.config, len);
+                let mut tile = Tile::new(config, len);
                 tile.load_weights(kernel);
                 tile
             })
             .collect();
-        let mut group = WindowGroup::default();
-        let mut acc = PlaneAccumulator::new();
-        let mut values = Vec::with_capacity(PLANE_WINDOWS);
+        Self {
+            fabric,
+            kernels,
+            len,
+            plan,
+            tiles,
+            scratch: RefCell::default(),
+        }
+    }
+
+    /// Fires every row of `rows` on every loaded kernel, group by group,
+    /// writing `out[r·filters + m]` as [`MacEngine::inner_products`]
+    /// lays it out.
+    fn fire(&self, rows: &[u64], out: &mut [u64]) {
+        let (len, bits) = (self.len, self.fabric.config.bits_per_lane);
+        let filters = self.kernels.len() / len;
+        let mut scratch = self.scratch.borrow_mut();
+        let FireScratch {
+            group,
+            streamed,
+            acc,
+            values,
+        } = &mut *scratch;
+        let on_tiles = self
+            .kernels
+            .chunks_exact(len)
+            .zip(self.tiles.iter().cycle());
         let blocks = rows.chunks(PLANE_WINDOWS * len);
         for (block, outputs) in blocks.zip(out.chunks_mut(PLANE_WINDOWS * filters)) {
             // Stage spans open per group under the caller's span, so the
@@ -242,24 +306,44 @@ impl MacEngine for FunctionalFabric {
             group.repack(block, len, block.len() / len, bits);
             drop(pack_span);
             let transport_span = pixel_obs::span("transport");
-            self.transport_planes(&plan, &mut group);
+            self.fabric.transport_planes(&self.plan, group);
             drop(transport_span);
             let _fire_span = pixel_obs::span("fire");
-            let on_tiles = kernels.chunks_exact(len).zip(tiles.iter().cycle());
-            for (m, (kernel, tile)) in on_tiles.enumerate() {
-                if m < tiles.len() {
-                    tile.fire_planes(&group, &mut acc, &mut values);
+            for (m, (kernel, tile)) in on_tiles.clone().enumerate() {
+                if m < self.tiles.len() {
+                    tile.fire_planes(group, acc, values);
                 } else {
-                    tile.fire_planes_streamed(&group, kernel, &mut acc, &mut values);
+                    streamed.prepare(kernel, bits);
+                    tile.fire_planes_streamed(group, streamed, acc, values);
                 }
                 let column = outputs.iter_mut().skip(m).step_by(filters);
-                for (slot, &value) in column.zip(&values) {
+                for (slot, &value) in column.zip(values.iter()) {
                     *slot = value;
                 }
             }
         }
         pixel_obs::add("fabric.windows", (rows.len() / len) as u64);
         pixel_obs::add("fabric.mac_ops", out.len() as u64);
+    }
+}
+
+impl MacEngine for LoadedFabric<'_> {
+    /// One product the way the fabric computes it, on tiles of its own.
+    fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
+        self.fabric.inner_product(neurons, synapses)
+    }
+
+    /// Fires `rows` on the loaded kernels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernels` or `len` is not the loaded kernel set.
+    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
+        assert!(
+            std::ptr::eq(kernels, self.kernels) && len == self.len,
+            "a loaded fabric fires only the kernels it holds"
+        );
+        self.fire(rows, out);
     }
 }
 
@@ -488,6 +572,29 @@ mod tests {
             partial >= 40,
             "only {partial} batches end in a partial group"
         );
+    }
+
+    /// Empty sums load no kernel words: a zero-channel layer (zero-word
+    /// windows) and a zero-filter layer convolve to all zeros, as on
+    /// the integer reference, at every worker count.
+    #[test]
+    fn empty_kernel_sets_convolve_to_zeros() {
+        for layer in [
+            Layer::conv("C", Shape::square(5, 0), 3, 3, 1),
+            Layer::conv("C", Shape::square(5, 2), 0, 3, 1),
+        ] {
+            let input = Tensor::from_fn(layer.input, |_, _, _| 7);
+            let weights = LayerWeights::generate(&layer, || 7);
+            let direct = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
+            for design in Design::ALL {
+                let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
+                for jobs in [1, 4] {
+                    let got = conv_one(&fabric, &layer, &input, &weights, jobs);
+                    assert_eq!(got, direct, "{design} {:?} jobs={jobs}", layer.input);
+                }
+                assert_eq!(fabric.detected_words(), 0, "{design}");
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! parallel — transpose 64 independent windows so that bit `a` of word
 //! position `i` across all windows lands in one `u64` plane, and a
 //! single word-level AND/XOR advances the same slot of 64 MACs at once.
-//! [`WindowGroup`] packs a group with a 64×64 bit-matrix transpose: each
-//! window's words of a chunk of ⌊64/bits⌋ positions sit side by side in
-//! one row of the matrix, so the transposed words are the chunk's planes
-//! in position order.
+//! [`WindowGroup`] packs a group with a 64×64 bit-matrix transpose at a
+//! compile-time precision: each window's words of a chunk of ⌊64/bits⌋
+//! positions sit side by side in one row of the matrix, so the
+//! transposed words are the chunk's planes in position order.
 //!
 //! [`plane_inner_product`] is the kernel all three designs share, and it
 //! follows the hardware's order of work: count first, resolve carries
@@ -18,12 +18,17 @@
 //! MZI chain superposes partial products into an amplitude count and
 //! SCONNA-style accumulators count optical AND results. Each count then
 //! resolves into the [`PlaneAccumulator`] once at shift `a + b`, Stripes'
-//! accumulate-then-shift. Arithmetic is exact, so the batched path is
-//! bitwise identical to the scalar one by construction; only the
-//! *activity accounting* differs per design, and that lives with each
-//! engine. `plane_block` runs a whole GEMM block on the same kernel with
-//! the *kernels* as the lanes, so engines that hold no packed windows
-//! (the scalar OMACs) still advance 64 filters per word-level operation.
+//! accumulate-then-shift. The kernel side is weight-stationary: a
+//! [`PreparedKernel`] holds, per synapse bit, the compacted positions the
+//! counters read, and the kernel's stream sums, computed once when a tile
+//! loads its filter, so firing a group does no per-kernel preparation.
+//! Arithmetic is exact, so the batched path is bitwise identical to the
+//! scalar one by construction; only the *activity accounting* differs
+//! per design, and that lives with each engine. `plane_block` runs a
+//! whole GEMM block on the same kernel with the *kernels* as the lanes
+//! (each row prepared once, fired on every kernel group), so engines
+//! that hold no packed windows (the scalar OMACs) still advance 64
+//! filters per word-level operation.
 
 use crate::omac::activity::word_stream_activity;
 use std::cell::OnceCell;
@@ -34,6 +39,33 @@ pub const PLANE_WINDOWS: usize = 64;
 /// Positions one carry-save counter block takes in (Harley–Seal over
 /// eight inputs).
 const CSA_BLOCK: usize = 8;
+
+/// `$f::<W>` at the run-time precision `$bits` (1–16), as a function
+/// pointer: the packing, the kernel preparation and the kernel itself
+/// run at a compile-time precision, so each position's `W` planes
+/// advance as one vector.
+macro_rules! at_precision {
+    ($bits:expr, $f:ident) => {
+        match $bits {
+            1 => $f::<1>,
+            2 => $f::<2>,
+            3 => $f::<3>,
+            4 => $f::<4>,
+            5 => $f::<5>,
+            6 => $f::<6>,
+            7 => $f::<7>,
+            8 => $f::<8>,
+            9 => $f::<9>,
+            10 => $f::<10>,
+            11 => $f::<11>,
+            12 => $f::<12>,
+            13 => $f::<13>,
+            14 => $f::<14>,
+            15 => $f::<15>,
+            _ => $f::<16>,
+        }
+    };
+}
 
 /// Transposes a 64×64 bit matrix in place: bit `k` of word `w` moves to
 /// bit `w` of word `k`. Six rounds swap ever smaller off-diagonal blocks
@@ -77,6 +109,43 @@ fn toggle_slots(position: &[u64]) -> u64 {
         .sum()
 }
 
+/// [`WindowGroup::repack`]'s transpose at a compile-time precision `W`:
+/// row `w` of a chunk's matrix holds window `w`'s words of a chunk of
+/// ⌊64/W⌋ positions, masked to `W` bits and side by side, so the
+/// transposed words are the chunk's planes in position order. Rows past
+/// the packed windows stay zero, so do their lanes. A whole chunk's
+/// word count is a compile-time constant, so its rows fill with
+/// constant shifts.
+fn transpose_in<const W: usize>(planes: &mut [u64], rows: &[u64], window: usize) {
+    let chunk = PLANE_WINDOWS / W;
+    for (c, planes) in planes.chunks_mut(chunk * W).enumerate() {
+        let (start, words) = (c * chunk, planes.len() / W);
+        let mut matrix = [0u64; 64];
+        let windows = matrix.iter_mut().zip(rows.chunks_exact(window));
+        if words == chunk {
+            for (row, packed) in windows {
+                *row = side_by_side::<W>(&packed[start..start + chunk]);
+            }
+        } else {
+            for (row, packed) in windows {
+                *row = side_by_side::<W>(&packed[start..start + words]);
+            }
+        }
+        transpose(&mut matrix);
+        planes.copy_from_slice(&matrix[..planes.len()]);
+    }
+}
+
+/// `words` masked to `W` bits and laid side by side in one word, the
+/// first in the low bits.
+fn side_by_side<const W: usize>(words: &[u64]) -> u64 {
+    let mask = (1u64 << W) - 1;
+    words
+        .iter()
+        .enumerate()
+        .fold(0, |row, (j, &v)| row | (v & mask) << (j * W))
+}
+
 /// A group of up to 64 windows transposed into one flat plane array.
 /// Word position `i` owns planes `[i·bits, (i+1)·bits)`; plane `a` of a
 /// position holds bit `a` of that position's word in every window
@@ -114,31 +183,13 @@ impl WindowGroup {
         );
         assert!((1..=16).contains(&bits), "plane groups carry 1..=16 bits");
         let width = bits as usize;
-        let mask = (1u64 << bits) - 1;
         self.planes.clear();
         self.planes.resize((window + 1) * width, 0);
         self.window = window;
         self.len = len;
         self.bits = bits;
         self.streams.take();
-        // Row w of a chunk's matrix holds window w's words of the chunk
-        // side by side; rows past `len` stay zero, so do their lanes.
-        let chunk = PLANE_WINDOWS / width;
-        for (c, planes) in self.planes[..window * width]
-            .chunks_mut(chunk * width)
-            .enumerate()
-        {
-            let words = c * chunk..c * chunk + planes.len() / width;
-            let mut matrix = [0u64; 64];
-            for (row, packed) in matrix.iter_mut().zip(rows.chunks_exact(window)) {
-                *row = packed[words.clone()]
-                    .iter()
-                    .enumerate()
-                    .fold(0, |row, (j, &v)| row | (v & mask) << (j * width));
-            }
-            transpose(&mut matrix);
-            planes.copy_from_slice(&matrix[..planes.len()]);
-        }
+        at_precision!(bits, transpose_in)(&mut self.planes[..window * width], rows, window);
     }
 
     /// Packs a fresh group (see [`Self::repack`]).
@@ -247,16 +298,11 @@ impl WindowGroup {
 /// A bit-sliced accumulator: plane `k` holds bit `k` of 64 independent
 /// running sums. [`Self::add_shifted`] is a full adder over planes —
 /// three word ops per addend plane advance one addition in all 64 lanes.
-/// It also carries [`plane_inner_product`]'s working state, so a caller
-/// that reuses one accumulator across kernels allocates nothing per call.
 #[derive(Debug)]
 pub struct PlaneAccumulator {
     planes: [u64; 64],
     /// Planes that may be nonzero (high-water mark, bounds the clear).
     high: usize,
-    /// Plane offsets of the positions the kernel is counting, padded to
-    /// whole counter blocks with the group's zero pad position.
-    selected: Vec<usize>,
 }
 
 impl Default for PlaneAccumulator {
@@ -272,7 +318,6 @@ impl PlaneAccumulator {
         Self {
             planes: [0; 64],
             high: 0,
-            selected: Vec::new(),
         }
     }
 
@@ -346,11 +391,14 @@ fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
 /// eights ripple into a bit-sliced counter. The counts land in `levels`
 /// bit-sliced, LSB level first: `levels[k][a]` holds bit `k` of every
 /// lane's count for plane `a`, over as many levels as `levels` holds.
-fn count_planes<const W: usize>(planes: &[u64], offsets: &[usize], levels: &mut [[u64; W]]) {
+fn count_planes<const W: usize>(planes: &[u64], offsets: &[u32], levels: &mut [[u64; W]]) {
     levels.fill([0; W]);
     let (low, eights) = levels.split_at_mut(3);
     for block in offsets.chunks_exact(CSA_BLOCK) {
-        let x: [&[u64]; CSA_BLOCK] = std::array::from_fn(|j| &planes[block[j]..block[j] + W]);
+        let x: [&[u64]; CSA_BLOCK] = std::array::from_fn(|j| {
+            let offset = block[j] as usize;
+            &planes[offset..offset + W]
+        });
         let mut carry = [0u64; W];
         for a in 0..W {
             let (twos_a, ones) = csa(low[0][a], x[0][a], x[1][a]);
@@ -375,37 +423,180 @@ fn count_planes<const W: usize>(planes: &[u64], offsets: &[usize], levels: &mut 
     }
 }
 
+/// A kernel — one synapse word per window position — prepared for
+/// [`plane_inner_product`] at one precision. For each synapse bit `b`
+/// it holds the plane offsets of the positions whose word has `b` set,
+/// compacted without a data-dependent branch and padded to whole counter
+/// blocks with the group's zero pad position. It also holds the kernel
+/// side of the engines' closed-form stream accounting: the lit slots of
+/// each synapse word (KLᵢ) and the summed lit slots and toggles of all
+/// of them (ΣKL, ΣKT). A tile prepares its filter once when it loads it, so every
+/// group fired on the tile reuses the preparation. Synapse bits above
+/// the precision are dropped, exactly as the scalar engines' `0..bits`
+/// cycle loops never visit them.
+#[derive(Debug, Default)]
+pub struct PreparedKernel {
+    window: usize,
+    bits: u32,
+    /// Every synapse bit's offsets, bit 0 first; bit `b`'s run is
+    /// `offsets[runs[b].0..runs[b].1]`.
+    offsets: Vec<u32>,
+    runs: [(usize, usize); 16],
+    /// KLᵢ: lit slots of the synapse word at position `i`.
+    lit: Vec<u8>,
+    /// ΣKL and ΣKT over the positions.
+    sums: Sums,
+}
+
+impl PreparedKernel {
+    /// Prepares `synapses` at `bits` of precision (see
+    /// [`Self::prepare`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`Self::prepare`]'s conditions.
+    #[must_use]
+    pub fn new(synapses: &[u64], bits: u32) -> Self {
+        let mut kernel = Self::default();
+        kernel.prepare(synapses, bits);
+        kernel
+    }
+
+    /// Replaces this kernel with `synapses` prepared at `bits` of
+    /// precision, reusing the allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is outside `1..=16` (the functional engines'
+    /// range).
+    pub fn prepare(&mut self, synapses: &[u64], bits: u32) {
+        assert!((1..=16).contains(&bits), "plane kernels carry 1..=16 bits");
+        at_precision!(bits, prepare_at)(self, synapses);
+    }
+
+    /// Synapse words (window positions) the kernel covers.
+    #[must_use]
+    pub fn window(&self) -> usize {
+        self.window
+    }
+
+    /// The precision the kernel was prepared at.
+    #[must_use]
+    pub fn bits(&self) -> u32 {
+        self.bits
+    }
+
+    /// The padded offsets of the positions whose synapse has bit `b` set.
+    fn run(&self, b: usize) -> &[u32] {
+        let (start, end) = self.runs[b];
+        &self.offsets[start..end]
+    }
+}
+
+/// [`PreparedKernel::prepare`] at a compile-time precision `W`.
+fn prepare_at<const W: usize>(kernel: &mut PreparedKernel, synapses: &[u64]) {
+    let window = synapses.len();
+    let stride = window + CSA_BLOCK;
+    // lint:allow(P002) a window of 2^28 words exceeds any layer's memory
+    let pad = u32::try_from(window * W).expect("plane offsets fit u32");
+    let mask = (1u64 << W) - 1;
+    kernel.window = window;
+    kernel.bits = W as u32;
+    kernel.offsets.clear();
+    kernel.offsets.reserve(W * stride + stride);
+    let mut lit = 0;
+    // Synapse bits in pairs, two runs per pass over the words (an odd
+    // precision's last pair has an empty phantom run). Branch-free
+    // compaction: every position writes its offset at both runs' tips,
+    // and only a set bit advances a tip.
+    for b in (0..W).step_by(2) {
+        let start = kernel.offsets.len();
+        kernel.offsets.resize(start + 2 * stride, pad);
+        let (low, high) = kernel.offsets[start..].split_at_mut(stride);
+        let (mut n_low, mut n_high, mut offset) = (0, 0, 0);
+        for &synapse in synapses {
+            let word = synapse & mask;
+            low[n_low] = offset;
+            high[n_high] = offset;
+            n_low += ((word >> b) & 1) as usize;
+            n_high += ((word >> (b + 1)) & 1) as usize;
+            offset += W as u32;
+        }
+        lit += (n_low + n_high) as u64;
+        let low_end = n_low.next_multiple_of(CSA_BLOCK);
+        let high_end = n_high.next_multiple_of(CSA_BLOCK);
+        low[n_low..low_end].fill(pad);
+        high[n_high..high_end].fill(pad);
+        let high_start = start + low_end;
+        kernel
+            .offsets
+            .copy_within(start + stride..start + stride + high_end, high_start);
+        kernel.offsets.truncate(high_start + high_end);
+        kernel.runs[b] = (start, high_start);
+        if let Some(run) = kernel.runs.get_mut(b + 1) {
+            *run = (high_start, high_start + high_end);
+        }
+    }
+    kernel.sums = (lit, packed_stream_sums::<W>(synapses, &mut kernel.lit));
+}
+
+/// Lays up to eight words side by side, one byte each, and counts the
+/// set bits of every byte in place (SWAR popcount): KLᵢ for eight
+/// positions in one word. Each word's bits past the first eight add in
+/// byte by byte (KLᵢ ≤ 16 fits a byte). `lit` receives the counts, one
+/// byte per position. Returns ΣKT, the toggles between adjacent slots
+/// summed over the words, counted on the same packing.
+fn packed_stream_sums<const W: usize>(synapses: &[u64], lit: &mut Vec<u8>) -> u64 {
+    const LOW: u64 = 0x5555_5555_5555_5555;
+    const PAIRS: u64 = 0x3333_3333_3333_3333;
+    const NIBBLES: u64 = 0x0F0F_0F0F_0F0F_0F0F;
+    let mask = (1u64 << W) - 1;
+    let mut toggles = 0;
+    lit.clear();
+    lit.reserve(synapses.len());
+    for chunk in synapses.chunks(8) {
+        let mut counts = 0;
+        for byte in (0..W).step_by(8) {
+            let (ones, flips) = chunk
+                .iter()
+                .enumerate()
+                .fold((0, 0), |(ones, flips), (j, &s)| {
+                    let word = s & mask;
+                    let flip = (word ^ (word >> 1)) & (mask >> 1);
+                    (
+                        ones | ((word >> byte) & 0xFF) << (8 * j),
+                        flips | ((flip >> byte) & 0xFF) << (8 * j),
+                    )
+                });
+            let pairs = ones - ((ones >> 1) & LOW);
+            let nibbles = (pairs & PAIRS) + ((pairs >> 2) & PAIRS);
+            counts += (nibbles + (nibbles >> 4)) & NIBBLES;
+            toggles += u64::from(flips.count_ones());
+        }
+        lit.extend_from_slice(&counts.to_le_bytes()[..chunk.len()]);
+    }
+    toggles
+}
+
 /// [`plane_inner_product`]'s body at a compile-time precision `W`, so
 /// the counters advance all `W` planes of a position as one vector.
 fn count_and_resolve<const W: usize>(
     group: &WindowGroup,
-    synapses: &[u64],
+    kernel: &PreparedKernel,
     acc: &mut PlaneAccumulator,
 ) {
-    let pad = group.window * W;
-    let mut selected = std::mem::take(&mut acc.selected);
-    let mut levels = [[0u64; W]; 64];
-    let mut column = [0u64; 64];
+    // A run's offsets fit u32, so it holds at most 2^29 + 1 counter
+    // blocks and its counts take at most 3 + 30 levels.
+    let mut levels = [[0u64; W]; 33];
+    let mut column = [0u64; 33];
     for b in 0..W {
-        // Branch-free compaction of the positions whose synapse has bit
-        // `b` set, padded to whole counter blocks with the zero position.
-        selected.resize(synapses.len() + CSA_BLOCK, pad);
-        let mut n = 0;
-        for (i, &synapse) in synapses.iter().enumerate() {
-            selected[n] = i * W;
-            n += ((synapse >> b) & 1) as usize;
-        }
-        if n == 0 {
+        let offsets = kernel.run(b);
+        if offsets.is_empty() {
             continue;
         }
-        selected[n..].fill(pad);
-        let blocks = n.div_ceil(CSA_BLOCK);
+        let blocks = offsets.len() / CSA_BLOCK;
         let depth = 3 + (usize::BITS - blocks.leading_zeros()) as usize;
-        count_planes(
-            &group.planes,
-            &selected[..blocks * CSA_BLOCK],
-            &mut levels[..depth],
-        );
+        count_planes(&group.planes, offsets, &mut levels[..depth]);
         for a in 0..W {
             for (bit, level) in column.iter_mut().zip(&levels[..depth]) {
                 *bit = level[a];
@@ -413,52 +604,38 @@ fn count_and_resolve<const W: usize>(
             acc.add_shifted(&column[..depth], a + b);
         }
     }
-    acc.selected = selected;
 }
 
 /// The shared plane-parallel inner-product kernel, synapse-bit-major:
 /// for every synapse bit `b` and neuron plane `a`, count per lane the
 /// positions whose synapse has bit `b` set and whose neuron plane `a`
 /// is lit (carry-save, carry-free), then resolve the count into the
-/// lane accumulators once at shift `a + b`. Synapse bits above the
-/// group's precision are ignored, exactly as the scalar engines' `0..bits`
-/// cycle loops never visit them. The `len` lane sums land in `out`.
+/// lane accumulators once at shift `a + b`. The positions of each
+/// synapse bit come from the [`PreparedKernel`], so a kernel fired on
+/// many groups is compacted once. The `len` lane sums land in `out`.
 ///
 /// # Panics
 ///
-/// Panics if `synapses.len()` differs from the group's window size or a
-/// lane sum overflows 64 bits.
+/// Panics if the kernel's window or precision differs from the group's,
+/// or a lane sum overflows 64 bits.
 pub fn plane_inner_product(
     group: &WindowGroup,
-    synapses: &[u64],
+    kernel: &PreparedKernel,
     acc: &mut PlaneAccumulator,
     out: &mut Vec<u64>,
 ) {
     assert_eq!(
-        synapses.len(),
+        kernel.window(),
         group.window(),
         "one synapse word per window position"
     );
+    assert_eq!(
+        kernel.bits(),
+        group.bits(),
+        "kernel precision must match the group"
+    );
     acc.clear();
-    let run = match group.bits() {
-        1 => count_and_resolve::<1>,
-        2 => count_and_resolve::<2>,
-        3 => count_and_resolve::<3>,
-        4 => count_and_resolve::<4>,
-        5 => count_and_resolve::<5>,
-        6 => count_and_resolve::<6>,
-        7 => count_and_resolve::<7>,
-        8 => count_and_resolve::<8>,
-        9 => count_and_resolve::<9>,
-        10 => count_and_resolve::<10>,
-        11 => count_and_resolve::<11>,
-        12 => count_and_resolve::<12>,
-        13 => count_and_resolve::<13>,
-        14 => count_and_resolve::<14>,
-        15 => count_and_resolve::<15>,
-        _ => count_and_resolve::<16>,
-    };
-    run(group, synapses, acc);
+    at_precision!(group.bits(), count_and_resolve)(group, kernel, acc);
     acc.unpack_into(group.len(), out);
 }
 
@@ -485,34 +662,31 @@ pub(crate) enum Streams {
 }
 
 impl Streams {
-    /// Folds per-position `(KLᵢ, KTᵢ)` sums and a thunk for the
-    /// per-position `(RLᵢ, RTᵢ)` sums (forced only by [`Self::Gated`])
-    /// into [`BlockStreams`].
+    /// Folds the kernel side — per-position KLᵢ and the totals
+    /// `(ΣKL, ΣKT)` — and a thunk for the per-position `(RLᵢ, RTᵢ)` sums
+    /// (forced only by [`Self::Gated`]) into [`BlockStreams`] for
+    /// `rows × kernels` products of `len` words.
     fn fold<'a>(
         self,
-        rows: u64,
-        kernels: u64,
-        kernel_sums: impl Iterator<Item = Sums>,
+        (rows, kernels, len): (u64, u64, usize),
+        kernel_lit: impl Iterator<Item = u64>,
+        kernel_totals: Sums,
         row_sums: impl FnOnce() -> &'a [Sums],
     ) -> BlockStreams {
-        let mut block = BlockStreams {
-            products: rows * kernels,
-            len: 0,
-            lit: 0,
-            toggles: 0,
-        };
-        let mut add = |lit, toggles| {
-            block.len += 1;
-            block.lit += lit;
-            block.toggles += toggles;
-        };
-        match self {
-            Self::Synapse => kernel_sums.for_each(|(kl, kt)| add(rows * kl, rows * kt)),
-            Self::Gated => kernel_sums
+        let (lit, toggles) = match self {
+            Self::Synapse => (rows * kernel_totals.0, rows * kernel_totals.1),
+            Self::Gated => kernel_lit
                 .zip(row_sums())
-                .for_each(|((kl, _), &(rl, rt))| add(kl * rl, kl * rt)),
+                .fold((0, 0), |(lit, toggles), (kl, &(rl, rt))| {
+                    (lit + kl * rl, toggles + kl * rt)
+                }),
+        };
+        BlockStreams {
+            products: rows * kernels,
+            len,
+            lit,
+            toggles,
         }
-        block
     }
 }
 
@@ -533,28 +707,28 @@ pub(crate) struct BlockStreams {
 
 impl BlockStreams {
     /// The batch [`plane_inner_product`] runs on `group`: its windows
-    /// are the neuron rows, `synapses` the one kernel. The rows' stream
-    /// sums come from the group, computed once however many kernels fire
-    /// on it.
-    pub(crate) fn of_group(group: &WindowGroup, synapses: &[u64], streams: Streams) -> Self {
-        let kernel_sums = synapses.iter().map(|&s| {
-            let kernel = word_stream_activity(s, group.bits());
-            (kernel.lit, kernel.toggles)
-        });
-        streams.fold(group.len() as u64, 1, kernel_sums, || {
-            group.position_streams()
-        })
+    /// are the neuron rows, `kernel` the one kernel. The kernel's stream
+    /// sums come from its preparation and the rows' from the group, each
+    /// computed once however many groups and kernels fire.
+    pub(crate) fn of_group(group: &WindowGroup, kernel: &PreparedKernel, streams: Streams) -> Self {
+        streams.fold(
+            (group.len() as u64, 1, group.window()),
+            kernel.lit.iter().map(|&kl| u64::from(kl)),
+            kernel.sums,
+            || group.position_streams(),
+        )
     }
 }
 
 /// Every row · kernel inner product of a block, with the kernels as the
 /// plane lanes: kernels pack up to [`PLANE_WINDOWS`] at a time into
 /// [`WindowGroup`]s (kernel `m` ↦ lane `m mod 64` of group `m / 64`),
-/// and [`plane_inner_product`] runs each group once per row, the row's
-/// words selecting the positions the synapse words select on the fabric —
-/// the same exact sums, because products commute. This is the input
-/// broadcast of PIXEL's dataflow: one neuron word reaches every tile
-/// that holds a filter.
+/// and each row, prepared once as a [`PreparedKernel`], fires on every
+/// group through [`plane_inner_product`]: the row's words select the
+/// positions the synapse words select on the fabric — the same exact
+/// sums, because products commute. This is the input broadcast of
+/// PIXEL's dataflow: one neuron word reaches every tile that holds a
+/// filter.
 ///
 /// `out[r·filters + m]` receives row `r` · kernel `m`, laid out as
 /// [`pixel_dnn::inference::MacEngine::inner_products`] lays it out, for
@@ -586,13 +760,18 @@ pub(crate) fn plane_block(
             sums.1 += toggles;
         }
     }
+    let kernel_totals = kernel_sums
+        .iter()
+        .fold((0, 0), |(lit, toggles), &(kl, kt)| (lit + kl, toggles + kt));
     let mut row_sums: Vec<Sums> = vec![(0, 0); len];
+    let mut row_kernel = PreparedKernel::default();
     let mut acc = PlaneAccumulator::new();
     let mut values = Vec::with_capacity(PLANE_WINDOWS);
     let mut count = 0u64;
     for (row, outputs) in rows.chunks_exact(len).zip(out.chunks_exact_mut(filters)) {
+        row_kernel.prepare(row, bits);
         for (group, slots) in groups.iter().zip(outputs.chunks_mut(PLANE_WINDOWS)) {
-            plane_inner_product(group, row, &mut acc, &mut values);
+            plane_inner_product(group, &row_kernel, &mut acc, &mut values);
             slots.copy_from_slice(&values);
         }
         for (sums, &word) in row_sums.iter_mut().zip(row) {
@@ -602,7 +781,12 @@ pub(crate) fn plane_block(
         }
         count += 1;
     }
-    streams.fold(count, filters as u64, kernel_sums.into_iter(), || &row_sums)
+    streams.fold(
+        (count, filters as u64, len),
+        kernel_sums.iter().map(|&(kl, _)| kl),
+        kernel_totals,
+        || &row_sums,
+    )
 }
 
 #[cfg(test)]
@@ -736,7 +920,8 @@ mod tests {
             let rows = draw(window * len);
             let synapses = draw(window);
             let group = WindowGroup::pack(&rows, window, len, bits);
-            plane_inner_product(&group, &synapses, &mut acc, &mut out);
+            let kernel = PreparedKernel::new(&synapses, bits);
+            plane_inner_product(&group, &kernel, &mut acc, &mut out);
             let expected: Vec<u64> = rows
                 .chunks_exact(window)
                 .map(|row| {

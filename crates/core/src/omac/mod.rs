@@ -27,7 +27,7 @@ pub mod oe;
 pub mod oo;
 
 pub use activity::ActivityCounter;
-pub use bitplane::{PlaneAccumulator, WindowGroup, PLANE_WINDOWS};
+pub use bitplane::{PlaneAccumulator, PreparedKernel, WindowGroup, PLANE_WINDOWS};
 pub use ee::EeMac;
 pub use oe::OeMac;
 pub use oo::OoMac;
@@ -62,20 +62,23 @@ pub trait ActivityMac: MacEngine {
     /// Panics if `synapses.len()` differs from the group's window size
     /// or the group's precision differs from the engine's.
     fn inner_product_planes(&self, group: &WindowGroup, synapses: &[u64], out: &mut Vec<u64>) {
-        self.inner_product_planes_with(group, synapses, &mut PlaneAccumulator::new(), out);
+        let kernel = PreparedKernel::new(synapses, group.bits());
+        self.inner_product_planes_with(group, &kernel, &mut PlaneAccumulator::new(), out);
     }
 
-    /// [`Self::inner_product_planes`] on a caller-owned accumulator. The
-    /// accumulator carries the kernel's scratch, so a caller that fires
-    /// many kernels through one accumulator allocates nothing per call.
+    /// [`Self::inner_product_planes`] against a kernel prepared once
+    /// ([`PreparedKernel`]) on a caller-owned accumulator, so a caller
+    /// that fires one kernel on many groups, or many kernels through
+    /// one accumulator, prepares and allocates nothing per call.
     ///
     /// # Panics
     ///
-    /// Panics under [`Self::inner_product_planes`]'s conditions.
+    /// Panics if the kernel's window or precision differs from the
+    /// group's, or the group's precision differs from the engine's.
     fn inner_product_planes_with(
         &self,
         group: &WindowGroup,
-        synapses: &[u64],
+        kernel: &PreparedKernel,
         acc: &mut PlaneAccumulator,
         out: &mut Vec<u64>,
     );
@@ -193,6 +196,59 @@ mod tests {
                 assert_eq!(a.lit_slots(), b.lit_slots(), "lit {label}");
                 assert_eq!(a.bit_toggles(), b.bit_toggles(), "toggles {label}");
                 assert_eq!(a.toggle_pairs(), b.toggle_pairs(), "pairs {label}");
+            }
+        }
+    }
+
+    /// The prepared-kernel theorem: one kernel, prepared once, fired on
+    /// two distinct groups through one accumulator is bitwise identical
+    /// to the per-window engine on every window of both — outputs and
+    /// all nine tallies. Precisions cover 1–16 bits; every fourth round
+    /// runs 1440–1600-word windows (deep counters, multi-word KLᵢ
+    /// fields) on small groups, the others full and ragged groups of
+    /// 1–64-word windows.
+    #[test]
+    fn prepared_kernels_match_the_per_window_engine_across_groups() {
+        let mut rng = SplitMix64::seed_from_u64(0x9E9A);
+        let mut got = Vec::new();
+        for round in 0..32u32 {
+            let lanes = rng.range_usize(1, 6);
+            let bits = round % 16 + 1;
+            let (window, lens) = if round % 4 == 3 {
+                (rng.range_usize(1440, 1600), [rng.range_usize(1, 3), 1])
+            } else {
+                (rng.range_usize(1, 64), [64, rng.range_usize(1, 63)])
+            };
+            let limit = (1u64 << bits) - 1;
+            let mut draw =
+                |n: usize| -> Vec<u64> { (0..n).map(|_| rng.range_u64(0, limit)).collect() };
+            let synapses = draw(window);
+            let rows: Vec<Vec<u64>> = lens.iter().map(|&len| draw(window * len)).collect();
+            let groups: Vec<WindowGroup> = rows
+                .iter()
+                .zip(lens)
+                .map(|(rows, len)| WindowGroup::pack(rows, window, len, bits))
+                .collect();
+            let kernel = PreparedKernel::new(&synapses, bits);
+            let label = format!("lanes={lanes} bits={bits} window={window} lens={lens:?}");
+            for d in Design::ALL {
+                let cfg = AcceleratorConfig::new(d, lanes, bits);
+                let scalar = d.model().functional_engine(&cfg);
+                let batched = d.model().functional_engine(&cfg);
+                let mut acc = PlaneAccumulator::new();
+                for (group, rows) in groups.iter().zip(&rows) {
+                    let expected: Vec<u64> = rows
+                        .chunks_exact(window)
+                        .map(|row| scalar.inner_product(row, &synapses))
+                        .collect();
+                    batched.inner_product_planes_with(group, &kernel, &mut acc, &mut got);
+                    assert_eq!(got, expected, "{d} {label}");
+                }
+                assert_eq!(
+                    tallies(batched.activity()),
+                    tallies(scalar.activity()),
+                    "{d} {label}"
+                );
             }
         }
     }

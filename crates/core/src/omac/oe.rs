@@ -10,7 +10,8 @@
 
 use crate::omac::activity::{bit_stream_activity, ActivityCounter, StreamActivity};
 use crate::omac::bitplane::{
-    plane_block, plane_inner_product, BlockStreams, PlaneAccumulator, Streams, WindowGroup,
+    plane_block, plane_inner_product, BlockStreams, PlaneAccumulator, PreparedKernel, Streams,
+    WindowGroup,
 };
 use crate::omac::{fill_lane_chunk, ActivityMac};
 use pixel_dnn::inference::MacEngine;
@@ -229,7 +230,7 @@ impl ActivityMac for OeMac {
     fn inner_product_planes_with(
         &self,
         group: &WindowGroup,
-        synapses: &[u64],
+        kernel: &PreparedKernel,
         acc: &mut PlaneAccumulator,
         out: &mut Vec<u64>,
     ) {
@@ -238,8 +239,8 @@ impl ActivityMac for OeMac {
             self.bits,
             "group precision must match the engine"
         );
-        plane_inner_product(group, synapses, acc, out);
-        self.charge(&BlockStreams::of_group(group, synapses, Streams::Gated));
+        plane_inner_product(group, kernel, acc, out);
+        self.charge(&BlockStreams::of_group(group, kernel, Streams::Gated));
     }
 }
 

@@ -4,20 +4,22 @@
 //! MAC unit; synapses are pre-loaded and neurons arrive as timed optical
 //! firings. The tile here is the *functional* composition — it stores
 //! weights in the electrical register file and computes windows through
-//! the design's bit-true MAC engine.
+//! the design's bit-true MAC engine. Loading a filter also prepares it
+//! for the plane kernel ([`PreparedKernel`]), once: every group fired on
+//! the tile streams neurons past the same prepared synapses.
 
 use crate::config::AcceleratorConfig;
-use crate::omac::{ActivityMac, PlaneAccumulator, WindowGroup};
+use crate::omac::{ActivityMac, PlaneAccumulator, PreparedKernel, WindowGroup};
 use pixel_electronics::register::RegisterFile;
 
 /// A functional PIXEL tile.
 pub struct Tile {
     config: AcceleratorConfig,
     weights: RegisterFile,
-    /// Register-file contents read back after the last load, so the hot
-    /// fire path hands the engine a slice instead of re-reading (and
-    /// re-allocating) the RF word-by-word per group.
+    /// Register-file contents read back after the last load.
     mirror: Vec<u64>,
+    /// The register file's contents prepared for the plane kernel.
+    kernel: PreparedKernel,
     engine: Box<dyn ActivityMac>,
 }
 
@@ -40,6 +42,7 @@ impl Tile {
             config,
             weights: RegisterFile::new(filter_size, width),
             mirror: vec![0; filter_size],
+            kernel: PreparedKernel::default(),
             engine: config.design.model().functional_engine(&config),
         }
     }
@@ -51,18 +54,20 @@ impl Tile {
     }
 
     /// Pre-loads filter weights into the register file (paper: "the
-    /// synapses are pre-loaded into the OMAC").
+    /// synapses are pre-loaded into the OMAC") and prepares them for the
+    /// plane kernel.
     ///
     /// # Panics
     ///
     /// Panics if more weights than the RF holds are supplied.
     pub fn load_weights(&mut self, weights: &[u64]) {
         self.weights.load(weights);
-        // Mirror what the RF actually stores (its registers mask to the
+        // Prepare what the RF actually stores (its registers mask to the
         // configured width), not what the caller supplied.
         for (i, slot) in self.mirror.iter_mut().enumerate() {
             *slot = self.weights.read(i);
         }
+        self.kernel.prepare(&self.mirror, self.config.bits_per_lane);
     }
 
     /// Number of weights stored.
@@ -74,10 +79,11 @@ impl Tile {
     /// Computes a whole bit-plane window group against the pre-loaded
     /// weights: `group.len()` windows advance together, up to 64 MACs per
     /// word-level engine operation. A group narrower than the filter
-    /// uses the filter's prefix weights. Results land in `out`, one sum
-    /// per packed window, bitwise identical to the design's per-window
-    /// engine ([`crate::omac::engine_for`]). `acc` is the kernel's
-    /// working state, reusable across tiles and groups.
+    /// uses the filter's prefix weights, prepared for that one firing.
+    /// Results land in `out`, one sum per packed window, bitwise
+    /// identical to the design's per-window engine
+    /// ([`crate::omac::engine_for`]). `acc` is the kernel's working
+    /// state, reusable across tiles and groups.
     ///
     /// # Panics
     ///
@@ -90,32 +96,39 @@ impl Tile {
             group.window(),
             self.weights.len()
         );
-        self.engine
-            .inner_product_planes_with(group, &self.mirror[..group.window()], acc, out);
+        if group.window() == self.kernel.window() {
+            self.engine
+                .inner_product_planes_with(group, &self.kernel, acc, out);
+        } else {
+            let prefix = PreparedKernel::new(&self.mirror[..group.window()], group.bits());
+            self.engine
+                .inner_product_planes_with(group, &prefix, acc, out);
+        }
     }
 
     /// [`Self::fire_planes`] against *streamed* weights instead of the
     /// resident filter — the time-multiplexing path when a fabric maps
-    /// more filters than physical tiles onto the same datapath.
+    /// more filters than physical tiles onto the same datapath. The
+    /// caller prepares the streamed kernel as it streams.
     ///
     /// # Panics
     ///
-    /// Panics if the weight count differs from the group's window size
-    /// or the group's precision differs from the tile's.
+    /// Panics if the kernel's window differs from the group's window
+    /// size or its or the group's precision differs from the tile's.
     pub fn fire_planes_streamed(
         &self,
         group: &WindowGroup,
-        weights: &[u64],
+        kernel: &PreparedKernel,
         acc: &mut PlaneAccumulator,
         out: &mut Vec<u64>,
     ) {
         assert_eq!(
             group.window(),
-            weights.len(),
+            kernel.window(),
             "streamed weights must match the fired window"
         );
         self.engine
-            .inner_product_planes_with(group, weights, acc, out);
+            .inner_product_planes_with(group, kernel, acc, out);
     }
 
     /// The MAC engine's name (design identification).
@@ -138,7 +151,10 @@ mod tests {
         let (mut acc, mut out) = (PlaneAccumulator::new(), Vec::new());
         match streamed {
             None => tile.fire_planes(&group, &mut acc, &mut out),
-            Some(weights) => tile.fire_planes_streamed(&group, weights, &mut acc, &mut out),
+            Some(weights) => {
+                let kernel = PreparedKernel::new(weights, bits);
+                tile.fire_planes_streamed(&group, &kernel, &mut acc, &mut out);
+            }
         }
         out[0]
     }
@@ -178,6 +194,19 @@ mod tests {
         let mut tile = Tile::new(AcceleratorConfig::new(Design::Ee, 4, 8), 2);
         tile.load_weights(&[0x1FF, 1]);
         assert_eq!(fire_window(&tile, &[1, 0], None), 0xFF);
+    }
+
+    #[test]
+    fn reloading_replaces_the_prepared_filter() {
+        for design in Design::ALL {
+            let mut tile = Tile::new(AcceleratorConfig::new(design, 4, 8), 3);
+            tile.load_weights(&[3, 5, 7]);
+            assert_eq!(fire_window(&tile, &[1, 2, 3], None), 34, "{design}");
+            // 0x2FF is wider than the 8-bit registers: B fires masked to
+            // 0xFF, and nothing of A's preparation survives the reload.
+            tile.load_weights(&[0x2FF, 0, 2]);
+            assert_eq!(fire_window(&tile, &[1, 2, 3], None), 0xFF + 6, "{design}");
+        }
     }
 
     #[test]

@@ -249,8 +249,15 @@ impl LayerWeights {
     }
 
     /// The first `count` weights: unrolled kernels (convolution) or
-    /// matrix rows (fully-connected) back to back, kernel-major.
-    fn kernels(&self, count: usize) -> &[u64] {
+    /// matrix rows (fully-connected) back to back, kernel-major — the
+    /// slice the lowerings hand their engine as `kernels`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a pooling layer's weights or if `count` exceeds the
+    /// weights held.
+    #[must_use]
+    pub fn kernels(&self, count: usize) -> &[u64] {
         match self {
             Self::Conv { data, .. } | Self::Fc { data, .. } => &data[..count],
             // lint:allow(P003) programmer-error contract: compute layers come with their weights

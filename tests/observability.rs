@@ -16,10 +16,16 @@ use pixel::units::rng::SplitMix64;
 /// The per-group stages of the fabric's conv loop, in execution order.
 const STAGES: [&str; 4] = ["gather", "pack", "transport", "fire"];
 
+/// Plane groups in [`run_fabric_conv`]'s convolution: 100 windows, one
+/// full group and a partial one.
+const GROUPS: u64 = 2;
+
+/// One single-threaded fabric conv per design, each loading its kernels
+/// once and firing [`GROUPS`] groups through them.
 fn run_fabric_conv() {
     let mut rng = SplitMix64::seed_from_u64(11);
-    let layer = Layer::conv_padded("Conv", Shape::square(6, 2), 3, 3, 1, 1);
-    let input = Tensor::from_fn(Shape::square(6, 2), |_, _, _| rng.range_u64(0, 15));
+    let layer = Layer::conv_padded("Conv", Shape::square(10, 2), 3, 3, 1, 1);
+    let input = Tensor::from_fn(Shape::square(10, 2), |_, _, _| rng.range_u64(0, 15));
     let weights = LayerWeights::generate(&layer, || rng.range_u64(0, 15));
     for design in Design::ALL {
         let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
@@ -111,8 +117,9 @@ fn global_registry_observes_the_instrumented_stack() {
             snap.counters.iter().map(|(n, _)| n).collect::<Vec<_>>()
         );
     }
-    // Three designs × one conv each, 6×6 output → 36 windows per design.
-    assert_eq!(snap.counter("fabric.windows"), Some(108));
+    // Three designs × one conv each, 10×10 output → 100 windows per
+    // design.
+    assert_eq!(snap.counter("fabric.windows"), Some(300));
     assert!(snap.span("fabric_conv2d").is_some_and(|s| s.count == 3));
     // The bit-true path is span-*nested*: phase children aggregate under
     // the conv parent in the span tree.
@@ -123,12 +130,21 @@ fn global_registry_observes_the_instrumented_stack() {
         .span("fabric_conv2d/rows")
         .is_some_and(|s| s.count == 3));
     // Stage spans nest under `rows`, one of each per plane group: every
-    // run packs its 36 windows into one partial group, so three designs
-    // give three of each.
+    // run packs its 100 windows into two groups, so three designs give
+    // six of each. The kernels load once per call, before the first
+    // group fires: three loads.
     for stage in STAGES {
         let path = format!("fabric_conv2d/rows/{stage}");
-        assert_eq!(snap.span(&path).map(|s| s.count), Some(3), "{path}");
+        assert_eq!(
+            snap.span(&path).map(|s| s.count),
+            Some(3 * GROUPS),
+            "{path}"
+        );
     }
+    assert_eq!(
+        snap.span("fabric_conv2d/rows/load").map(|s| s.count),
+        Some(3)
+    );
     // Analysis ran under the accelerator evaluation.
     assert!(snap.span("analyze").is_some());
     omac_block_counters_match_per_window();
@@ -137,10 +153,14 @@ fn global_registry_observes_the_instrumented_stack() {
     pixel::obs::disable();
     run_fabric_conv();
     let frozen = pixel::obs::snapshot();
-    assert_eq!(frozen.counter("fabric.windows"), Some(108));
+    assert_eq!(frozen.counter("fabric.windows"), Some(300));
     for stage in STAGES {
         let path = format!("fabric_conv2d/rows/{stage}");
-        assert_eq!(frozen.span(&path).map(|s| s.count), Some(3), "{path}");
+        assert_eq!(
+            frozen.span(&path).map(|s| s.count),
+            Some(3 * GROUPS),
+            "{path}"
+        );
     }
     pixel::obs::reset();
     assert!(pixel::obs::snapshot().counters.is_empty());
