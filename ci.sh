@@ -235,8 +235,8 @@ echo "== bench profile smoke"
 # The fabric's conv loop must show its kernel load and all four
 # per-group stage spans under `fabric_conv2d/rows`; full paths are
 # rebuilt from the table's two-space indentation, each printed with its
-# self time in ns. The report goes to a scratch file, so the gated run
-# above stays unprofiled.
+# self time in ns and its call count. The report goes to a scratch file,
+# so the gated run above stays unprofiled.
 prof_out=$(./target/release/reproduce bench --quick --profile --jobs 1 --out target/bench_profile.json)
 span_self=$(echo "$prof_out" | awk -F'|' '
   /^span / { in_tree = 1; next }
@@ -249,7 +249,7 @@ span_self=$(echo "$prof_out" | awk -F'|' '
     for (i = 1; i <= depth; i++) path = path "/" part[i]
     split($2, col, " ")
     scale = col[5] == "s" ? 1e9 : col[5] == "ms" ? 1e6 : col[5] == "us" ? 1e3 : 1
-    printf "%s %.0f\n", path, col[4] * scale
+    printf "%s %.0f %s\n", path, col[4] * scale, col[1]
   }')
 for stage in load gather pack transport fire; do
   echo "$span_self" | grep -q "^fabric_conv2d/rows/$stage " \
@@ -265,6 +265,17 @@ echo "$span_self" | awk '
   END {
     printf "rows/pack : rows/fire self time = %.2f\n", pack / fire
     if (pack > fire) { print "rows/pack self time exceeds rows/fire" > "/dev/stderr"; exit 1 }
+  }'
+# A forward pass loads each layer's kernels once, however many blocks
+# fire past them: more `forward/Conv1/load` calls than `forward` calls
+# means the lowering loads per block again.
+echo "$span_self" | awk '
+  $1 == "forward" { forwards = $3 }
+  $1 == "forward/Conv1/load" { loads = $3 }
+  END {
+    if (loads == "") { print "bench --profile missing span forward/Conv1/load" > "/dev/stderr"; exit 1 }
+    printf "forward/Conv1/load calls = %d, forward calls = %d\n", loads, forwards
+    if (loads + 0 > forwards + 0) { print "forward/Conv1/load runs more than once per forward" > "/dev/stderr"; exit 1 }
   }'
 
 echo "== benchmark"

@@ -7,7 +7,10 @@
 //! line stripped); `serve` was pinned when the serving simulator landed.
 //! `noise`, `audit` and `pam` pin the artifacts that reach the optical
 //! signal types and the bit-true OMAC engines; they were captured before
-//! on-off-keyed pulse trains gained their packed form.
+//! on-off-keyed pulse trains gained their packed form. `power`,
+//! `ablation`, `scaling`, `weights`, `counts` and `roofline` were
+//! captured before the engines gained their load/fire block interface,
+//! so every `reproduce` artifact key is now pinned.
 //! Any divergence — a reordered float addition, a worker-count-dependent
 //! result — fails here with a diff.
 
@@ -16,7 +19,7 @@ use pixel_core::sweep::set_default_jobs;
 /// Artifact key, renderer, and its pinned pre-refactor output.
 type Snapshot = (&'static str, fn() -> String, &'static str);
 
-const SNAPSHOTS: [Snapshot; 15] = [
+const SNAPSHOTS: [Snapshot; 21] = [
     (
         "table1",
         pixel_bench::table1,
@@ -88,6 +91,36 @@ const SNAPSHOTS: [Snapshot; 15] = [
         include_str!("snapshots/audit.txt"),
     ),
     ("pam", pixel_bench::pam, include_str!("snapshots/pam.txt")),
+    (
+        "power",
+        pixel_bench::power,
+        include_str!("snapshots/power.txt"),
+    ),
+    (
+        "ablation",
+        pixel_bench::ablation,
+        include_str!("snapshots/ablation.txt"),
+    ),
+    (
+        "scaling",
+        pixel_bench::scaling,
+        include_str!("snapshots/scaling.txt"),
+    ),
+    (
+        "weights",
+        pixel_bench::weights,
+        include_str!("snapshots/weights.txt"),
+    ),
+    (
+        "counts",
+        pixel_bench::counts,
+        include_str!("snapshots/counts.txt"),
+    ),
+    (
+        "roofline",
+        pixel_bench::roofline,
+        include_str!("snapshots/roofline.txt"),
+    ),
 ];
 
 fn first_diff(actual: &str, expected: &str) -> String {

@@ -3,28 +3,28 @@
 //!
 //! Ties every functional piece together the way Fig. 2(b)/Fig. 3 describe.
 //! The fabric is a [`MacEngine`]: [`pixel_dnn::inference`] lowers each
-//! layer to rows (convolution windows or fully-connected inputs), and each
-//! block of rows is packed into bit-plane groups whose neuron words are
-//! serialized to pulse trains, multiplexed onto the MWSR waveguide on the
-//! firing tile's wavelength block, recovered at the compute tiles, and
-//! pushed through the design's bit-true OMAC, one kernel per tile
-//! (§III-A) with its weights in the tile's register file. The dataflow is
-//! weight-stationary, as in Fig. 3: a layer's kernels load onto the tiles
-//! once, and every group of rows streams past them. The result must
-//! equal plain integer inference — the strongest "the architecture
-//! actually computes the CNN" statement in the repository.
+//! layer to rows (convolution windows or fully-connected inputs), loads
+//! the layer's kernels onto the tiles once ([`MacEngine::load`]), one
+//! kernel per tile (§III-A) with its weights in the tile's register file,
+//! and fires every block of rows past them ([`Loaded::fire`]). The
+//! dataflow is weight-stationary, as in Fig. 3. Each fired block is
+//! packed into bit-plane groups whose neuron words are serialized to
+//! pulse trains, multiplexed onto the MWSR waveguide on the firing tile's
+//! wavelength block, recovered at the compute tiles, and pushed through
+//! the design's bit-true OMAC. The result must equal plain integer
+//! inference — the strongest "the architecture actually computes the
+//! CNN" statement in the repository.
 
 use crate::config::AcceleratorConfig;
 use crate::omac::{PlaneAccumulator, PreparedKernel, WindowGroup, PLANE_WINDOWS};
 use crate::tile::Tile;
-use pixel_dnn::inference::{conv_windows, LayerWeights, MacEngine, ShapeError};
+use pixel_dnn::inference::{conv_windows, LayerWeights, Loaded, MacEngine, ShapeError};
 use pixel_dnn::layer::Layer;
 use pixel_dnn::tensor::Tensor;
 use pixel_photonics::photodetector::Photodetector;
 use pixel_photonics::signal::{PulseTrain, WavelengthId, WdmSignal};
 use pixel_photonics::wdm::BandPlan;
 use pixel_units::Power;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fabric of functional tiles executing layers kernel-per-tile.
@@ -77,10 +77,10 @@ impl FunctionalFabric {
     /// groups *across* image boundaries; the batch's last group carries
     /// whatever windows remain. The window list is split into contiguous
     /// runs of whole groups over `std::thread::scope` workers (the
-    /// [`crate::sweep::SweepEngine`] discipline), so which windows share a
-    /// group never changes with `jobs`. The arithmetic is exact, so each
-    /// output equals a plain integer convolution of the matching input,
-    /// bitwise, for every `jobs`.
+    /// [`crate::sweep::SweepEngine`] discipline), each loading the kernels
+    /// once, so which windows share a group never changes with `jobs`.
+    /// The arithmetic is exact, so each output equals a plain integer
+    /// convolution of the matching input, bitwise, for every `jobs`.
     ///
     /// # Errors
     ///
@@ -107,8 +107,6 @@ impl FunctionalFabric {
         let groups = (out.len() / filters).div_ceil(PLANE_WINDOWS);
         let jobs = jobs.clamp(1, groups.max(1));
         let windows_per_worker = groups.div_ceil(jobs) * PLANE_WINDOWS;
-        let kernels = weights.kernels(layer.weight_count());
-        let window = kernels.len() / filters;
         drop(plan_span);
 
         // Phase-level child span: under the parent this aggregates as
@@ -118,8 +116,7 @@ impl FunctionalFabric {
         // `sweep/worker` idiom).
         let rows_span = pixel_obs::span("rows");
         if jobs == 1 {
-            let loaded = LoadedFabric::new(self, kernels, window);
-            conv_windows(layer, inputs, weights, &loaded, 0, &mut out)?;
+            conv_windows(layer, inputs, weights, self, 0, &mut out)?;
         } else {
             // Contiguous window chunks, one worker each: concatenation of
             // the chunk outputs restores window order deterministically,
@@ -132,8 +129,7 @@ impl FunctionalFabric {
                         scope.spawn(move || {
                             let _worker = pixel_obs::span("fabric_conv2d/rows/worker");
                             let first = w * windows_per_worker;
-                            let loaded = LoadedFabric::new(self, kernels, window);
-                            conv_windows(layer, inputs, weights, &loaded, first, chunk)
+                            conv_windows(layer, inputs, weights, self, first, chunk)
                         })
                     })
                     .collect();
@@ -200,22 +196,48 @@ impl FunctionalFabric {
 }
 
 impl MacEngine for FunctionalFabric {
-    /// One row through [`Self::inner_products`].
+    /// One row fired on its own load.
     fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
         let mut out = [0];
         if !neurons.is_empty() {
-            self.inner_products(neurons, synapses, neurons.len(), &mut out);
+            self.load(synapses, neurons.len()).fire(neurons, &mut out);
         }
         out[0]
     }
 
-    /// Loads `kernels` onto the tiles once, then fires every group of
-    /// rows through them: up to [`PLANE_WINDOWS`] rows per bit-plane
-    /// group, each group crossing the MWSR medium once. Operand words
-    /// wider than `bits_per_lane` are truncated to it: the bit planes
-    /// and the register file carry no more bits.
-    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
-        LoadedFabric::new(self, kernels, len).fire(rows, out);
+    /// Loads `kernels` onto the tiles once, under one `load` stage span;
+    /// every fire then streams its rows past them. Operand words wider
+    /// than `bits_per_lane` are truncated to it: the bit planes and the
+    /// register file carry no more bits.
+    fn load<'a>(&'a self, kernels: &'a [u64], len: usize) -> Box<dyn Loaded + 'a> {
+        let _load_span = pixel_obs::span("load");
+        let config = self.config;
+        // The firing side groups row words into per-wavelength lanes:
+        // `lanes` words per firing round per firing tile.
+        let plan = BandPlan::new(
+            config.tiles.min(len.div_ceil(config.lanes)).max(1),
+            config.lanes,
+        );
+        let tiles = kernels
+            .chunks_exact(len)
+            .take(config.tiles)
+            .map(|kernel| {
+                let mut tile = Tile::new(config, len);
+                tile.load_weights(kernel);
+                tile
+            })
+            .collect();
+        Box::new(LoadedFabric {
+            fabric: self,
+            kernels,
+            len,
+            plan,
+            tiles,
+            group: WindowGroup::default(),
+            streamed: PreparedKernel::default(),
+            acc: PlaneAccumulator::new(),
+            values: Vec::new(),
+        })
     }
 }
 
@@ -228,72 +250,26 @@ impl MacEngine for FunctionalFabric {
 /// kernel. Rows pack [`PLANE_WINDOWS`] at a time into bit-plane groups;
 /// each group crosses the MWSR medium once, then fires on every
 /// kernel's tile, and every word-level engine operation advances all of
-/// its rows. The tiles, the band plan and the packing buffers serve
-/// every group of the load.
+/// its rows. The tiles, the band plan and the buffers — the group's
+/// planes, the streamed kernel, the accumulator and one kernel's lane
+/// sums — serve every group of the load.
 struct LoadedFabric<'a> {
     fabric: &'a FunctionalFabric,
     kernels: &'a [u64],
     len: usize,
     plan: BandPlan,
     tiles: Vec<Tile>,
-    scratch: RefCell<FireScratch>,
-}
-
-/// The buffers one group reuses: its planes, the streamed kernel, the
-/// kernel's accumulator and one kernel's lane sums.
-#[derive(Default)]
-struct FireScratch {
     group: WindowGroup,
     streamed: PreparedKernel,
     acc: PlaneAccumulator,
     values: Vec<u64>,
 }
 
-impl<'a> LoadedFabric<'a> {
-    /// Loads `kernels` (whole kernels of `len` words) onto the fabric's
-    /// tiles under one `load` stage span.
-    fn new(fabric: &'a FunctionalFabric, kernels: &'a [u64], len: usize) -> Self {
-        let _load_span = pixel_obs::span("load");
-        let config = fabric.config;
-        // The firing side groups row words into per-wavelength lanes:
-        // `lanes` words per firing round per firing tile.
-        let plan = BandPlan::new(
-            config.tiles.min(len.div_ceil(config.lanes)).max(1),
-            config.lanes,
-        );
-        // Zero-word kernels load nothing: their products are all zero.
-        let tiles = kernels
-            .chunks_exact(len.max(1))
-            .take(config.tiles)
-            .map(|kernel| {
-                let mut tile = Tile::new(config, len);
-                tile.load_weights(kernel);
-                tile
-            })
-            .collect();
-        Self {
-            fabric,
-            kernels,
-            len,
-            plan,
-            tiles,
-            scratch: RefCell::default(),
-        }
-    }
-
-    /// Fires every row of `rows` on every loaded kernel, group by group,
-    /// writing `out[r·filters + m]` as [`MacEngine::inner_products`]
-    /// lays it out.
-    fn fire(&self, rows: &[u64], out: &mut [u64]) {
+impl Loaded for LoadedFabric<'_> {
+    /// Fires every row on every loaded kernel, group by group.
+    fn fire(&mut self, rows: &[u64], out: &mut [u64]) {
         let (len, bits) = (self.len, self.fabric.config.bits_per_lane);
         let filters = self.kernels.len() / len;
-        let mut scratch = self.scratch.borrow_mut();
-        let FireScratch {
-            group,
-            streamed,
-            acc,
-            values,
-        } = &mut *scratch;
         let on_tiles = self
             .kernels
             .chunks_exact(len)
@@ -303,47 +279,28 @@ impl<'a> LoadedFabric<'a> {
             // Stage spans open per group under the caller's span, so the
             // profile splits a group's time into pack, transport and fire.
             let pack_span = pixel_obs::span("pack");
-            group.repack(block, len, block.len() / len, bits);
+            self.group.repack(block, len, block.len() / len, bits);
             drop(pack_span);
             let transport_span = pixel_obs::span("transport");
-            self.fabric.transport_planes(&self.plan, group);
+            self.fabric.transport_planes(&self.plan, &mut self.group);
             drop(transport_span);
             let _fire_span = pixel_obs::span("fire");
             for (m, (kernel, tile)) in on_tiles.clone().enumerate() {
                 if m < self.tiles.len() {
-                    tile.fire_planes(group, acc, values);
+                    tile.fire_planes(&self.group, &mut self.acc, &mut self.values);
                 } else {
-                    streamed.prepare(kernel, bits);
-                    tile.fire_planes_streamed(group, streamed, acc, values);
+                    self.streamed.prepare(kernel, bits);
+                    let (group, streamed) = (&self.group, &self.streamed);
+                    tile.fire_planes_streamed(group, streamed, &mut self.acc, &mut self.values);
                 }
                 let column = outputs.iter_mut().skip(m).step_by(filters);
-                for (slot, &value) in column.zip(values.iter()) {
+                for (slot, &value) in column.zip(self.values.iter()) {
                     *slot = value;
                 }
             }
         }
         pixel_obs::add("fabric.windows", (rows.len() / len) as u64);
         pixel_obs::add("fabric.mac_ops", out.len() as u64);
-    }
-}
-
-impl MacEngine for LoadedFabric<'_> {
-    /// One product the way the fabric computes it, on tiles of its own.
-    fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
-        self.fabric.inner_product(neurons, synapses)
-    }
-
-    /// Fires `rows` on the loaded kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernels` or `len` is not the loaded kernel set.
-    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
-        assert!(
-            std::ptr::eq(kernels, self.kernels) && len == self.len,
-            "a loaded fabric fires only the kernels it holds"
-        );
-        self.fire(rows, out);
     }
 }
 
@@ -531,9 +488,9 @@ mod tests {
                     unreachable!("FC layers carry FC weights")
                 };
                 let mut want = vec![0; images * outputs];
-                DirectMac.inner_products(&inputs, &data, len, &mut want);
+                DirectMac.load(&data, len).fire(&inputs, &mut want);
                 let mut got = vec![u64::MAX; images * outputs];
-                fabric.inner_products(&inputs, &data, len, &mut got);
+                fabric.load(&data, len).fire(&inputs, &mut got);
                 assert_eq!(got, want, "{label} FC {len}→{outputs} × {images}");
                 (images, images * len)
             } else {

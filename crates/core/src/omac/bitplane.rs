@@ -24,13 +24,15 @@
 //! loads its filter, so firing a group does no per-kernel preparation.
 //! Arithmetic is exact, so the batched path is bitwise identical to the
 //! scalar one by construction; only the *activity accounting* differs
-//! per design, and that lives with each engine. `plane_block` runs a
-//! whole GEMM block on the same kernel with the *kernels* as the lanes
-//! (each row prepared once, fired on every kernel group), so engines
-//! that hold no packed windows (the scalar OMACs) still advance 64
-//! filters per word-level operation.
+//! per design, and that lives with each engine (`PlaneEngine`).
+//! `load_planes` runs whole GEMM blocks on the same kernel with the
+//! *kernels* as the lanes (packed once per load, each row prepared once
+//! and fired on every kernel group), so engines that hold no packed
+//! windows (the scalar OMACs) still advance 64 filters per word-level
+//! operation.
 
 use crate::omac::activity::word_stream_activity;
+use pixel_dnn::inference::Loaded;
 use std::cell::OnceCell;
 
 /// Windows a fully packed plane carries (the `u64` lane width).
@@ -720,34 +722,71 @@ impl BlockStreams {
     }
 }
 
-/// Every row · kernel inner product of a block, with the kernels as the
-/// plane lanes: kernels pack up to [`PLANE_WINDOWS`] at a time into
+/// What a scalar OMAC design adds to the shared plane kernel: the
+/// streams its lit-slot and toggle tallies measure, its operand check and
+/// its closed-form charge.
+pub(crate) trait PlaneEngine {
+    /// The streams the design's lit-slot and toggle tallies measure.
+    const STREAMS: Streams;
+
+    /// Rejects operand words the design cannot take, before any tally
+    /// moves. By default every word is taken and its bits above the
+    /// precision dropped, as pulse trains and `0..bits` cycle loops drop
+    /// them.
+    fn check_operands(&self, _words: &[u64]) {}
+
+    /// Charges a batch of inner products in closed form — exactly what
+    /// [`pixel_dnn::inference::MacEngine::inner_product`] tallies once
+    /// per product.
+    fn charge(&self, block: &BlockStreams);
+}
+
+/// [`crate::omac::ActivityMac::inner_product_planes_with`] for every
+/// design: the shared kernel on `group`'s windows, then the design's
+/// charge for them.
+///
+/// # Panics
+///
+/// Panics if the group's precision is not `bits`, or under
+/// [`plane_inner_product`]'s conditions.
+pub(crate) fn fire_group<E: PlaneEngine>(
+    engine: &E,
+    bits: u32,
+    group: &WindowGroup,
+    kernel: &PreparedKernel,
+    acc: &mut PlaneAccumulator,
+    out: &mut Vec<u64>,
+) {
+    assert_eq!(group.bits(), bits, "group precision must match the engine");
+    plane_inner_product(group, kernel, acc, out);
+    engine.charge(&BlockStreams::of_group(group, kernel, E::STREAMS));
+}
+
+/// Loads a kernel set onto a scalar OMAC, with the kernels as the plane
+/// lanes: kernels pack up to [`PLANE_WINDOWS`] at a time into
 /// [`WindowGroup`]s (kernel `m` ↦ lane `m mod 64` of group `m / 64`),
-/// and each row, prepared once as a [`PreparedKernel`], fires on every
+/// and their per-position lit slots and toggles (KLᵢ, KTᵢ) sum once.
+/// Each fired row, prepared once as a [`PreparedKernel`], fires on every
 /// group through [`plane_inner_product`]: the row's words select the
 /// positions the synapse words select on the fabric — the same exact
 /// sums, because products commute. This is the input broadcast of
 /// PIXEL's dataflow: one neuron word reaches every tile that holds a
-/// filter.
-///
-/// `out[r·filters + m]` receives row `r` · kernel `m`, laid out as
-/// [`pixel_dnn::inference::MacEngine::inner_products`] lays it out, for
-/// as many rows as both `rows` and `out` hold. Words above `bits` are
-/// dropped on both sides, as the packing and the kernel drop them.
-/// Returns the batch with the lit slots and toggles `streams` measure.
+/// filter. Each fire then charges its rows' products to the design.
+/// Words above `bits` are dropped on both sides, as the packing and the
+/// kernel drop them.
 ///
 /// # Panics
 ///
-/// Panics if `len` is zero, `kernels` is empty or not whole kernels of
+/// Panics if the engine rejects a kernel word (at load) or a row word
+/// (at fire), `len` is zero, `kernels` is empty or not whole kernels of
 /// `len` words, or `bits` is outside `1..=16`.
-pub(crate) fn plane_block(
-    rows: &[u64],
+pub(crate) fn load_planes<'a, E: PlaneEngine>(
+    engine: &'a E,
+    bits: u32,
     kernels: &[u64],
     len: usize,
-    bits: u32,
-    streams: Streams,
-    out: &mut [u64],
-) -> BlockStreams {
+) -> Box<dyn Loaded + 'a> {
+    engine.check_operands(kernels);
     let filters = kernels.len() / len;
     let groups: Vec<WindowGroup> = kernels
         .chunks(PLANE_WINDOWS * len)
@@ -763,30 +802,36 @@ pub(crate) fn plane_block(
     let kernel_totals = kernel_sums
         .iter()
         .fold((0, 0), |(lit, toggles), &(kl, kt)| (lit + kl, toggles + kt));
-    let mut row_sums: Vec<Sums> = vec![(0, 0); len];
+    // Reused by every fire: the prepared row, the accumulator, one
+    // group's lane sums and the rows' per-position (RLᵢ, RTᵢ).
     let mut row_kernel = PreparedKernel::default();
     let mut acc = PlaneAccumulator::new();
     let mut values = Vec::with_capacity(PLANE_WINDOWS);
-    let mut count = 0u64;
-    for (row, outputs) in rows.chunks_exact(len).zip(out.chunks_exact_mut(filters)) {
-        row_kernel.prepare(row, bits);
-        for (group, slots) in groups.iter().zip(outputs.chunks_mut(PLANE_WINDOWS)) {
-            plane_inner_product(group, &row_kernel, &mut acc, &mut values);
-            slots.copy_from_slice(&values);
+    let mut row_sums: Vec<Sums> = vec![(0, 0); len];
+    Box::new(move |rows: &[u64], out: &mut [u64]| {
+        engine.check_operands(rows);
+        row_sums.fill((0, 0));
+        let mut count = 0u64;
+        for (row, outputs) in rows.chunks_exact(len).zip(out.chunks_exact_mut(filters)) {
+            row_kernel.prepare(row, bits);
+            for (group, slots) in groups.iter().zip(outputs.chunks_mut(PLANE_WINDOWS)) {
+                plane_inner_product(group, &row_kernel, &mut acc, &mut values);
+                slots.copy_from_slice(&values);
+            }
+            for (sums, &word) in row_sums.iter_mut().zip(row) {
+                let stream = word_stream_activity(word, bits);
+                sums.0 += stream.lit;
+                sums.1 += stream.toggles;
+            }
+            count += 1;
         }
-        for (sums, &word) in row_sums.iter_mut().zip(row) {
-            let stream = word_stream_activity(word, bits);
-            sums.0 += stream.lit;
-            sums.1 += stream.toggles;
-        }
-        count += 1;
-    }
-    streams.fold(
-        (count, filters as u64, len),
-        kernel_sums.iter().map(|&(kl, _)| kl),
-        kernel_totals,
-        || &row_sums,
-    )
+        engine.charge(&E::STREAMS.fold(
+            (count, filters as u64, len),
+            kernel_sums.iter().map(|&(kl, _)| kl),
+            kernel_totals,
+            || &row_sums,
+        ));
+    })
 }
 
 #[cfg(test)]

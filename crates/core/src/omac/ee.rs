@@ -2,11 +2,11 @@
 
 use crate::omac::activity::{word_stream_activity, ActivityCounter, StreamActivity};
 use crate::omac::bitplane::{
-    plane_block, plane_inner_product, BlockStreams, PlaneAccumulator, PreparedKernel, Streams,
+    fire_group, load_planes, BlockStreams, PlaneAccumulator, PlaneEngine, PreparedKernel, Streams,
     WindowGroup,
 };
 use crate::omac::{fill_lane_chunk, ActivityMac};
-use pixel_dnn::inference::MacEngine;
+use pixel_dnn::inference::{Loaded, MacEngine};
 use pixel_electronics::cla::Cla;
 use pixel_electronics::stripes::StripesMac;
 use std::cell::RefCell;
@@ -59,49 +59,6 @@ impl EeMac {
     pub fn stripes(&self) -> &StripesMac {
         &self.stripes
     }
-
-    /// Rejects operands wider than the precision, as the Stripes
-    /// datapath does, before any tally moves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any word of `a` or `b` has a bit at or above `bits`.
-    fn check_operands(&self, a: &[u64], b: &[u64]) {
-        let bits = self.bits();
-        // An OR over every operand vectorizes; a short-circuiting scan
-        // does not.
-        let set = a.iter().chain(b).fold(0, |set, &v| set | v);
-        assert!(set >> bits == 0, "EE operands must fit {bits} bits");
-    }
-
-    /// Charges a batch of inner products in closed form — exactly what
-    /// [`MacEngine::inner_product`] tallies once per product. Each
-    /// product walks `⌈len/lanes⌉` lane chunks, zero-padded tail
-    /// included: every lane position serializes its synapse word over
-    /// `bits` slots (lit slots and toggles are the [`Streams::Synapse`]
-    /// totals), and every chunk costs one output CLA add.
-    fn charge(&self, block: &BlockStreams) {
-        let products = block.products;
-        if products == 0 {
-            return;
-        }
-        let bits = u64::from(self.bits());
-        let chunks = products * block.len.div_ceil(self.lanes) as u64;
-        let positions = chunks * self.lanes as u64;
-        self.activity.add_stream(&StreamActivity {
-            slots: positions * bits,
-            lit: block.lit,
-            toggles: block.toggles,
-            pairs: positions * (bits - 1),
-        });
-        self.activity.add_cla_ops(chunks);
-        if pixel_obs::enabled() {
-            pixel_obs::add("omac.ee.mac_ops", products * block.len as u64);
-            pixel_obs::add("omac.ee.serial_slots", positions * bits);
-            pixel_obs::add("omac.ee.bit_toggles", block.toggles);
-            pixel_obs::add("omac.ee.cla_ops", chunks);
-        }
-    }
 }
 
 impl MacEngine for EeMac {
@@ -111,7 +68,8 @@ impl MacEngine for EeMac {
         let before_toggles = self.activity.bit_toggles();
         let before_cla = self.activity.cla_ops();
         assert_eq!(neurons.len(), synapses.len(), "operand length mismatch");
-        self.check_operands(neurons, synapses);
+        self.check_operands(neurons);
+        self.check_operands(synapses);
         let mut scratch = self.scratch.borrow_mut();
         let (nbuf, sbuf) = &mut *scratch;
         let mut acc = 0u64;
@@ -150,28 +108,66 @@ impl MacEngine for EeMac {
         acc
     }
 
-    /// The whole block on the bit-plane kernel, one filter per plane
-    /// lane (`plane_block`), with the per-product tallies charged in
+    /// Loads the kernels onto the bit-plane kernel, one filter per plane
+    /// lane (`load_planes`), with the per-product tallies charged in
     /// closed form.
     ///
     /// # Panics
     ///
     /// Panics if an operand is wider than the engine's precision, as the
-    /// Stripes datapath rejects it.
-    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
-        self.check_operands(rows, kernels);
-        self.charge(&plane_block(
-            rows,
-            kernels,
-            len,
-            self.bits(),
-            Streams::Synapse,
-            out,
-        ));
+    /// Stripes datapath rejects it: a kernel word at load, a row word at
+    /// fire.
+    fn load<'a>(&'a self, kernels: &'a [u64], len: usize) -> Box<dyn Loaded + 'a> {
+        load_planes(self, self.bits(), kernels, len)
     }
 
     fn name(&self) -> &str {
         "EE (Stripes bit-serial)"
+    }
+}
+
+impl PlaneEngine for EeMac {
+    const STREAMS: Streams = Streams::Synapse;
+
+    /// Rejects operands wider than the precision, as the Stripes
+    /// datapath does, before any tally moves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any word has a bit at or above `bits`.
+    fn check_operands(&self, words: &[u64]) {
+        let bits = self.bits();
+        // An OR over every operand vectorizes; a short-circuiting scan
+        // does not.
+        let set = words.iter().fold(0, |set, &v| set | v);
+        assert!(set >> bits == 0, "EE operands must fit {bits} bits");
+    }
+
+    /// Each product walks `⌈len/lanes⌉` lane chunks, zero-padded tail
+    /// included: every lane position serializes its synapse word over
+    /// `bits` slots (lit slots and toggles are the [`Streams::Synapse`]
+    /// totals), and every chunk costs one output CLA add.
+    fn charge(&self, block: &BlockStreams) {
+        let products = block.products;
+        if products == 0 {
+            return;
+        }
+        let bits = u64::from(self.bits());
+        let chunks = products * block.len.div_ceil(self.lanes) as u64;
+        let positions = chunks * self.lanes as u64;
+        self.activity.add_stream(&StreamActivity {
+            slots: positions * bits,
+            lit: block.lit,
+            toggles: block.toggles,
+            pairs: positions * (bits - 1),
+        });
+        self.activity.add_cla_ops(chunks);
+        if pixel_obs::enabled() {
+            pixel_obs::add("omac.ee.mac_ops", products * block.len as u64);
+            pixel_obs::add("omac.ee.serial_slots", positions * bits);
+            pixel_obs::add("omac.ee.bit_toggles", block.toggles);
+            pixel_obs::add("omac.ee.cla_ops", chunks);
+        }
     }
 }
 
@@ -187,13 +183,7 @@ impl ActivityMac for EeMac {
         acc: &mut PlaneAccumulator,
         out: &mut Vec<u64>,
     ) {
-        assert_eq!(
-            group.bits(),
-            self.bits(),
-            "group precision must match the engine"
-        );
-        plane_inner_product(group, kernel, acc, out);
-        self.charge(&BlockStreams::of_group(group, kernel, Streams::Synapse));
+        fire_group(self, self.bits(), group, kernel, acc, out);
     }
 }
 

@@ -16,9 +16,9 @@
 //! plain integer inference — the functional verification the paper's
 //! analytic evaluation takes on trust. Each runs one inner product at a
 //! time through its device simulation (`inner_product`, the reference),
-//! and a whole GEMM block (`inner_products`) on the shared bit-plane
-//! kernel with its filters as the plane lanes, charging the same device
-//! activity in closed form.
+//! and loads a layer's kernels (`load`) onto the shared bit-plane kernel
+//! as the plane lanes, firing whole GEMM blocks past them and charging
+//! the same device activity in closed form.
 
 pub mod activity;
 pub mod bitplane;
@@ -46,8 +46,11 @@ pub trait ActivityMac: MacEngine {
     /// The engine's device-activity tallies.
     fn activity(&self) -> &ActivityCounter;
 
-    /// Computes all of `group`'s windows against one synapse word per
-    /// window position, writing `group.len()` sums into `out`.
+    /// Computes all of `group`'s windows against a kernel — one synapse
+    /// word per window position, prepared once ([`PreparedKernel`]) — on
+    /// a caller-owned accumulator, writing `group.len()` sums into `out`.
+    /// A caller that fires one kernel on many groups, or many kernels
+    /// through one accumulator, prepares and allocates nothing per call.
     ///
     /// The arithmetic is one shared kernel
     /// ([`bitplane::plane_inner_product`]) because all three designs
@@ -56,20 +59,6 @@ pub trait ActivityMac: MacEngine {
     /// [`ActivityCounter`] tally by exactly the amount running
     /// [`MacEngine::inner_product`] once per packed window would have,
     /// zero-padded lane tails included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `synapses.len()` differs from the group's window size
-    /// or the group's precision differs from the engine's.
-    fn inner_product_planes(&self, group: &WindowGroup, synapses: &[u64], out: &mut Vec<u64>) {
-        let kernel = PreparedKernel::new(synapses, group.bits());
-        self.inner_product_planes_with(group, &kernel, &mut PlaneAccumulator::new(), out);
-    }
-
-    /// [`Self::inner_product_planes`] against a kernel prepared once
-    /// ([`PreparedKernel`]) on a caller-owned accumulator, so a caller
-    /// that fires one kernel on many groups, or many kernels through
-    /// one accumulator, prepares and allocates nothing per call.
     ///
     /// # Panics
     ///
@@ -179,7 +168,13 @@ mod tests {
                 let expected: Vec<u64> = (0..len)
                     .map(|w| scalar.inner_product(&rows[w * window..(w + 1) * window], &synapses))
                     .collect();
-                batched.inner_product_planes(&group, &synapses, &mut got);
+                let kernel = PreparedKernel::new(&synapses, bits);
+                batched.inner_product_planes_with(
+                    &group,
+                    &kernel,
+                    &mut PlaneAccumulator::new(),
+                    &mut got,
+                );
                 let label = format!("{d} lanes={lanes} bits={bits} window={window} len={len}");
                 assert_eq!(got, expected, "{label}");
                 let (a, b) = (scalar.activity(), batched.activity());
@@ -268,7 +263,7 @@ mod tests {
         ]
     }
 
-    /// The block theorem: for every design, `inner_products` on the
+    /// The block theorem: for every design, a load fired on the
     /// filters-as-lanes plane kernel is bitwise identical to the
     /// per-window engine behind the default row-major loop — values and
     /// all nine device-activity tallies. Cases cycle through one-row
@@ -329,8 +324,10 @@ mod tests {
                 let reference = d.model().functional_engine(&cfg);
                 let mut got = vec![u64::MAX; rows * kernels];
                 let mut want = vec![0; rows * kernels];
-                block.inner_products(&a, &w, len, &mut got);
-                PerWindow(reference.as_ref()).inner_products(&a, &w, len, &mut want);
+                block.load(&w, len).fire(&a, &mut got);
+                PerWindow(reference.as_ref())
+                    .load(&w, len)
+                    .fire(&a, &mut want);
                 assert_eq!(got, want, "{d} {label}");
                 assert_eq!(
                     tallies(block.activity()),
@@ -355,7 +352,7 @@ mod tests {
             let reference = d.model().functional_engine(&cfg);
             let (mut got, mut want) = ([0; 6], [0; 6]);
             let run = |engine: &dyn MacEngine, out: &mut [u64]| {
-                let call = AssertUnwindSafe(|| engine.inner_products(&rows, &kernels, 2, out));
+                let call = AssertUnwindSafe(|| engine.load(&kernels, 2).fire(&rows, out));
                 panic::catch_unwind(call).is_ok()
             };
             let ran = run(block.as_ref(), &mut got);

@@ -10,11 +10,11 @@
 
 use crate::omac::activity::{bit_stream_activity, ActivityCounter, StreamActivity};
 use crate::omac::bitplane::{
-    plane_block, plane_inner_product, BlockStreams, PlaneAccumulator, PreparedKernel, Streams,
+    fire_group, load_planes, BlockStreams, PlaneAccumulator, PlaneEngine, PreparedKernel, Streams,
     WindowGroup,
 };
 use crate::omac::{fill_lane_chunk, ActivityMac};
-use pixel_dnn::inference::MacEngine;
+use pixel_dnn::inference::{Loaded, MacEngine};
 use pixel_electronics::cla::Cla;
 use pixel_electronics::converter::SerialConverter;
 use pixel_electronics::shifter::BarrelShifter;
@@ -79,39 +79,6 @@ impl OeMac {
     #[must_use]
     pub fn bits(&self) -> u32 {
         self.bits
-    }
-
-    /// Charges a batch of inner products in closed form — exactly what
-    /// [`MacEngine::inner_product`] tallies once per product. Each
-    /// product runs `bits` serial cycles over every lane position of
-    /// every chunk, zero-padded tail included; each cycle gates one
-    /// `bits`-slot neuron train through the MRRs, converts it and
-    /// CLA-accumulates it. A set synapse bit streams the neuron word and
-    /// a clear one streams darkness, so lit slots and toggles are the
-    /// [`Streams::Gated`] totals.
-    fn charge(&self, block: &BlockStreams) {
-        let products = block.products;
-        if products == 0 {
-            return;
-        }
-        let bits = u64::from(self.bits);
-        let positions = products * (block.len.div_ceil(self.lanes) * self.lanes) as u64;
-        let partials = positions * bits;
-        self.activity.add_mrr_slots(partials * bits);
-        self.activity.add_stream(&StreamActivity {
-            slots: partials * bits,
-            lit: block.lit,
-            toggles: block.toggles,
-            pairs: partials * (bits - 1),
-        });
-        self.activity.add_oe_conversions(partials);
-        self.activity.add_cla_ops(partials);
-        if pixel_obs::enabled() {
-            pixel_obs::add("omac.oe.mac_ops", products * block.len as u64);
-            pixel_obs::add("omac.oe.mrr_slots", partials * bits);
-            pixel_obs::add("omac.oe.bit_toggles", block.toggles);
-            pixel_obs::add("omac.oe.oe_conversions", partials);
-        }
     }
 
     /// One Stripes cycle for one lane: optically AND the neuron train
@@ -202,23 +169,50 @@ impl MacEngine for OeMac {
         acc
     }
 
-    /// The whole block on the bit-plane kernel, one filter per plane
-    /// lane (`plane_block`), with the per-product tallies charged in
-    /// closed form. Operand bits above the precision are dropped, as
-    /// the pulse trains and the `0..bits` cycle loop drop them.
-    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
-        self.charge(&plane_block(
-            rows,
-            kernels,
-            len,
-            self.bits,
-            Streams::Gated,
-            out,
-        ));
+    /// Loads the kernels onto the bit-plane kernel, one filter per plane
+    /// lane (`load_planes`), with the per-product tallies charged in
+    /// closed form.
+    fn load<'a>(&'a self, kernels: &'a [u64], len: usize) -> Box<dyn Loaded + 'a> {
+        load_planes(self, self.bits, kernels, len)
     }
 
     fn name(&self) -> &str {
         "OE (MRR multiply, electrical accumulate)"
+    }
+}
+
+impl PlaneEngine for OeMac {
+    const STREAMS: Streams = Streams::Gated;
+
+    /// Each product runs `bits` serial cycles over every lane position of
+    /// every chunk, zero-padded tail included; each cycle gates one
+    /// `bits`-slot neuron train through the MRRs, converts it and
+    /// CLA-accumulates it. A set synapse bit streams the neuron word and
+    /// a clear one streams darkness, so lit slots and toggles are the
+    /// [`Streams::Gated`] totals.
+    fn charge(&self, block: &BlockStreams) {
+        let products = block.products;
+        if products == 0 {
+            return;
+        }
+        let bits = u64::from(self.bits);
+        let positions = products * (block.len.div_ceil(self.lanes) * self.lanes) as u64;
+        let partials = positions * bits;
+        self.activity.add_mrr_slots(partials * bits);
+        self.activity.add_stream(&StreamActivity {
+            slots: partials * bits,
+            lit: block.lit,
+            toggles: block.toggles,
+            pairs: partials * (bits - 1),
+        });
+        self.activity.add_oe_conversions(partials);
+        self.activity.add_cla_ops(partials);
+        if pixel_obs::enabled() {
+            pixel_obs::add("omac.oe.mac_ops", products * block.len as u64);
+            pixel_obs::add("omac.oe.mrr_slots", partials * bits);
+            pixel_obs::add("omac.oe.bit_toggles", block.toggles);
+            pixel_obs::add("omac.oe.oe_conversions", partials);
+        }
     }
 }
 
@@ -234,13 +228,7 @@ impl ActivityMac for OeMac {
         acc: &mut PlaneAccumulator,
         out: &mut Vec<u64>,
     ) {
-        assert_eq!(
-            group.bits(),
-            self.bits,
-            "group precision must match the engine"
-        );
-        plane_inner_product(group, kernel, acc, out);
-        self.charge(&BlockStreams::of_group(group, kernel, Streams::Gated));
+        fire_group(self, self.bits, group, kernel, acc, out);
     }
 }
 

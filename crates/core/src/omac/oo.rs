@@ -12,11 +12,11 @@
 
 use crate::omac::activity::{bit_stream_activity, ActivityCounter, StreamActivity};
 use crate::omac::bitplane::{
-    plane_block, plane_inner_product, BlockStreams, PlaneAccumulator, PreparedKernel, Streams,
+    fire_group, load_planes, BlockStreams, PlaneAccumulator, PlaneEngine, PreparedKernel, Streams,
     WindowGroup,
 };
 use crate::omac::{fill_lane_chunk, ActivityMac};
-use pixel_dnn::inference::MacEngine;
+use pixel_dnn::inference::{Loaded, MacEngine};
 use pixel_electronics::cla::Cla;
 use pixel_electronics::converter::AmplitudeConverter;
 use pixel_photonics::constants::OPTICAL_CLOCK_HZ;
@@ -89,41 +89,6 @@ impl OoMac {
     #[must_use]
     pub fn chain(&self) -> &MziChain {
         &self.chain
-    }
-
-    /// Charges a batch of inner products in closed form — exactly what
-    /// [`MacEngine::inner_product`] tallies once per product. Every lane
-    /// position of every chunk, zero-padded tail included, performs one
-    /// optical multiply — `bits` gated partial trains of `bits` slots
-    /// through the MRRs, a delay-matched MZI chain combine of
-    /// `2·bits − 1` slots resolved by as many comparator decisions, one
-    /// o/e conversion — then one CLA accumulate. Lit slots and toggles
-    /// are the [`Streams::Gated`] totals.
-    fn charge(&self, block: &BlockStreams) {
-        let products = block.products;
-        if products == 0 {
-            return;
-        }
-        let bits = u64::from(self.bits);
-        let positions = products * (block.len.div_ceil(self.lanes) * self.lanes) as u64;
-        let combined = 2 * bits - 1;
-        self.activity.add_mrr_slots(positions * bits * bits);
-        self.activity.add_stream(&StreamActivity {
-            slots: positions * bits * bits,
-            lit: block.lit,
-            toggles: block.toggles,
-            pairs: positions * bits * (bits - 1),
-        });
-        self.activity.add_mzi_slots(positions * combined);
-        self.activity.add_comparator_decisions(positions * combined);
-        self.activity.add_oe_conversions(positions);
-        self.activity.add_cla_ops(positions);
-        if pixel_obs::enabled() {
-            pixel_obs::add("omac.oo.mac_ops", products * block.len as u64);
-            pixel_obs::add("omac.oo.mrr_slots", positions * bits * bits);
-            pixel_obs::add("omac.oo.mzi_slots", positions * combined);
-            pixel_obs::add("omac.oo.bit_toggles", block.toggles);
-        }
     }
 
     /// Computes one full product optically: gate the neuron train with
@@ -214,23 +179,52 @@ impl MacEngine for OoMac {
         acc
     }
 
-    /// The whole block on the bit-plane kernel, one filter per plane
-    /// lane (`plane_block`), with the per-product tallies charged in
-    /// closed form. Operand bits above the precision are dropped, as
-    /// the pulse trains and the `0..bits` gate loop drop them.
-    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
-        self.charge(&plane_block(
-            rows,
-            kernels,
-            len,
-            self.bits,
-            Streams::Gated,
-            out,
-        ));
+    /// Loads the kernels onto the bit-plane kernel, one filter per plane
+    /// lane (`load_planes`), with the per-product tallies charged in
+    /// closed form.
+    fn load<'a>(&'a self, kernels: &'a [u64], len: usize) -> Box<dyn Loaded + 'a> {
+        load_planes(self, self.bits, kernels, len)
     }
 
     fn name(&self) -> &str {
         "OO (MRR multiply, MZI accumulate)"
+    }
+}
+
+impl PlaneEngine for OoMac {
+    const STREAMS: Streams = Streams::Gated;
+
+    /// Every lane position of every chunk, zero-padded tail included,
+    /// performs one optical multiply — `bits` gated partial trains of
+    /// `bits` slots through the MRRs, a delay-matched MZI chain combine of
+    /// `2·bits − 1` slots resolved by as many comparator decisions, one
+    /// o/e conversion — then one CLA accumulate. Lit slots and toggles
+    /// are the [`Streams::Gated`] totals.
+    fn charge(&self, block: &BlockStreams) {
+        let products = block.products;
+        if products == 0 {
+            return;
+        }
+        let bits = u64::from(self.bits);
+        let positions = products * (block.len.div_ceil(self.lanes) * self.lanes) as u64;
+        let combined = 2 * bits - 1;
+        self.activity.add_mrr_slots(positions * bits * bits);
+        self.activity.add_stream(&StreamActivity {
+            slots: positions * bits * bits,
+            lit: block.lit,
+            toggles: block.toggles,
+            pairs: positions * bits * (bits - 1),
+        });
+        self.activity.add_mzi_slots(positions * combined);
+        self.activity.add_comparator_decisions(positions * combined);
+        self.activity.add_oe_conversions(positions);
+        self.activity.add_cla_ops(positions);
+        if pixel_obs::enabled() {
+            pixel_obs::add("omac.oo.mac_ops", products * block.len as u64);
+            pixel_obs::add("omac.oo.mrr_slots", positions * bits * bits);
+            pixel_obs::add("omac.oo.mzi_slots", positions * combined);
+            pixel_obs::add("omac.oo.bit_toggles", block.toggles);
+        }
     }
 }
 
@@ -246,13 +240,7 @@ impl ActivityMac for OoMac {
         acc: &mut PlaneAccumulator,
         out: &mut Vec<u64>,
     ) {
-        assert_eq!(
-            group.bits(),
-            self.bits,
-            "group precision must match the engine"
-        );
-        plane_inner_product(group, kernel, acc, out);
-        self.charge(&BlockStreams::of_group(group, kernel, Streams::Gated));
+        fire_group(self, self.bits, group, kernel, acc, out);
     }
 }
 

@@ -7,13 +7,14 @@
 //! the outputs compared element-for-element.
 //!
 //! This module is the one place a layer is lowered to GEMM rows, for one
-//! image or a batch. A convolution becomes unrolled windows × unrolled
-//! kernels (the paper's `N_MVM = E²·M·C` view): [`conv_windows`] gathers
-//! [`CONV_BLOCK`] receptive fields at a time with [`gather_window`],
-//! image-major across the batch, and hands each block to
-//! [`MacEngine::inner_products`]. A fully-connected layer is one
-//! `inner_products` call with the batch's images as rows and the weight
-//! rows as kernels.
+//! image or a batch. The dataflow is weight-stationary: each call loads
+//! the layer's kernels onto the engine once ([`MacEngine::load`]) and
+//! fires blocks of rows past them ([`Loaded::fire`]). A convolution
+//! becomes unrolled windows × unrolled kernels (the paper's
+//! `N_MVM = E²·M·C` view): [`conv_windows`] gathers [`CONV_BLOCK`]
+//! receptive fields at a time with [`gather_window`], image-major across
+//! the batch, and fires each block. A fully-connected layer is one fire
+//! with the batch's images as rows and the weight rows as kernels.
 
 use crate::layer::{Layer, LayerKind, PoolKind, Shape};
 use crate::network::Network;
@@ -22,7 +23,7 @@ use crate::tensor::Tensor;
 use pixel_units::rng::SplitMix64;
 use std::slice::from_ref;
 
-/// Convolution windows gathered per [`MacEngine::inner_products`] call.
+/// Convolution windows gathered per [`Loaded::fire`] call.
 pub const CONV_BLOCK: usize = 64;
 
 /// Computes inner products on behalf of the forward pass.
@@ -33,31 +34,45 @@ pub trait MacEngine {
     /// was constructed for.
     fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64;
 
-    /// Every inner product of a block of rows against a set of kernels.
+    /// Loads a kernel set — kernels of `len` values back to back, `len`
+    /// positive — for [`Loaded::fire`] to run blocks of rows against.
     ///
-    /// `rows` and `kernels` hold rows and kernels of `len` values back to
-    /// back; with `filters = kernels.len() / len`, `out[r·filters + m]`
-    /// receives row `r` · kernel `m`. `len` and `filters` must be
-    /// positive.
-    ///
-    /// The default calls [`Self::inner_product`] row-major, kernel-minor
-    /// — (row 0, kernel 0), (row 0, kernel 1), …, (row 1, kernel 0), … —
-    /// the order a window-at-a-time convolution visits them, so engines
-    /// with per-call state (activity tallies, noise draws) see the same
-    /// call sequence either way. An override must produce the same
-    /// values; an engine that tallies device activity (the functional
-    /// OMACs) must also leave every tally total where the per-call loop
-    /// would, so counted activity does not depend on the path.
-    /// [`PerWindow`] runs the default over any engine.
-    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
-        each_pair(rows, kernels, len, out, |row, kernel| {
-            self.inner_product(row, kernel)
-        });
+    /// The default fires by calling [`Self::inner_product`] row-major,
+    /// kernel-minor — (row 0, kernel 0), (row 0, kernel 1), …, (row 1,
+    /// kernel 0), … — the order a window-at-a-time convolution visits
+    /// them, so engines with per-call state (activity tallies, noise
+    /// draws) see the same call sequence either way. An override must
+    /// produce the same values; an engine that tallies device activity
+    /// (the functional OMACs) must also leave every tally total where the
+    /// per-call loop would, so counted activity does not depend on the
+    /// path. [`PerWindow`] runs the default over any engine.
+    fn load<'a>(&'a self, kernels: &'a [u64], len: usize) -> Box<dyn Loaded + 'a> {
+        Box::new(move |rows: &[u64], out: &mut [u64]| {
+            each_pair(rows, kernels, len, out, |row, kernel| {
+                self.inner_product(row, kernel)
+            });
+        })
     }
 
     /// Engine name for reports.
     fn name(&self) -> &str {
         "mac-engine"
+    }
+}
+
+/// A kernel set loaded onto a [`MacEngine`]. Any
+/// `FnMut(rows, out)` closure is one.
+pub trait Loaded {
+    /// Every inner product of a block of rows against the loaded
+    /// kernels: `rows` holds rows of the loaded `len` values back to
+    /// back, and with `filters` kernels loaded, `out[r·filters + m]`
+    /// receives row `r` · kernel `m`.
+    fn fire(&mut self, rows: &[u64], out: &mut [u64]);
+}
+
+impl<F: FnMut(&[u64], &mut [u64])> Loaded for F {
+    fn fire(&mut self, rows: &[u64], out: &mut [u64]) {
+        self(rows, out);
     }
 }
 
@@ -80,14 +95,16 @@ fn each_pair(
 
 /// Plain integer reference engine.
 ///
-/// Its [`MacEngine::inner_products`] picks the arithmetic from the shape
-/// and operands of each call: when the block has at least two rows, every
-/// value is below 2^15 and `len·max(rows)·max(kernels) < 2^31`, an
-/// i16×i16→i32 kernel computes the block exactly (no partial sum of
-/// non-negative terms can exceed the full sum); otherwise the u64 loop of
-/// [`MacEngine::inner_product`] does. A one-row call, such as a
-/// single-image FC layer, would spend more narrowing the kernels than the
-/// narrow kernel saves.
+/// Its loaded kernels pick the arithmetic per fired block: when the block
+/// has at least two rows, every value is below 2^15 and
+/// `len·max(rows)·max(kernels) < 2^31`, an i16×i16→i32 kernel computes
+/// the block exactly (no partial sum of non-negative terms can exceed the
+/// full sum); otherwise the u64 loop of [`MacEngine::inner_product`]
+/// does. A load finds the kernels' maximum on its first block of two or
+/// more rows and narrows the kernels on its first narrow block, once
+/// each, so a load that fires only one row, such as a single-image FC
+/// layer, never scans or narrows its kernels: that would cost more than
+/// the narrow kernel saves.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirectMac;
 
@@ -96,14 +113,19 @@ impl MacEngine for DirectMac {
         neurons.iter().zip(synapses).map(|(&n, &s)| n * s).sum()
     }
 
-    fn inner_products(&self, rows: &[u64], kernels: &[u64], len: usize, out: &mut [u64]) {
-        if narrows(rows, kernels, len) {
-            narrow_gemm(&to_i16(rows), &to_i16(kernels), len, out);
-        } else {
-            each_pair(rows, kernels, len, out, |row, kernel| {
-                self.inner_product(row, kernel)
-            });
-        }
+    fn load<'a>(&'a self, kernels: &'a [u64], len: usize) -> Box<dyn Loaded + 'a> {
+        let (mut max_kernel, mut narrow) = (None, None);
+        Box::new(move |rows: &[u64], out: &mut [u64]| {
+            let kernel_max = || *max_kernel.get_or_insert_with(|| max(kernels));
+            if narrows(rows, len, kernel_max) {
+                let kernels = narrow.get_or_insert_with(|| to_i16(kernels));
+                narrow_gemm(&to_i16(rows), kernels, len, out);
+            } else {
+                each_pair(rows, kernels, len, out, |row, kernel| {
+                    self.inner_product(row, kernel)
+                });
+            }
+        })
     }
 
     fn name(&self) -> &str {
@@ -113,9 +135,8 @@ impl MacEngine for DirectMac {
 
 /// The window-at-a-time reference over any engine: it forwards only
 /// [`MacEngine::inner_product`], so the trait's default row-major,
-/// kernel-minor loop runs in place of the engine's own
-/// [`MacEngine::inner_products`]. Block overrides are checked and timed
-/// against it.
+/// kernel-minor [`MacEngine::load`] runs in place of the engine's own.
+/// Loaded engines are checked and timed against it.
 #[derive(Clone, Copy)]
 pub struct PerWindow<'a>(pub &'a dyn MacEngine);
 
@@ -125,11 +146,16 @@ impl MacEngine for PerWindow<'_> {
     }
 }
 
+/// The largest value, or 0 for none.
+fn max(values: &[u64]) -> u64 {
+    values.iter().copied().max().unwrap_or(0)
+}
+
 /// Whether [`DirectMac`] computes a block in narrow arithmetic: it has at
-/// least two rows and its operands pass [`narrow_fits`].
-fn narrows(rows: &[u64], kernels: &[u64], len: usize) -> bool {
-    let max = |values: &[u64]| values.iter().copied().max().unwrap_or(0);
-    rows.len() >= 2 * len && narrow_fits(len, max(rows), max(kernels))
+/// least two rows and its operands pass [`narrow_fits`]. Only then is
+/// `max_kernel` asked for, so a one-row block never scans the kernels.
+fn narrows(rows: &[u64], len: usize, max_kernel: impl FnOnce() -> u64) -> bool {
+    rows.len() >= 2 * len && narrow_fits(len, max(rows), max_kernel())
 }
 
 /// Whether `len`-term inner products of operands at most `max_a` and
@@ -149,9 +175,9 @@ fn to_i16(values: &[u64]) -> Vec<i16> {
 }
 
 /// Every row · kernel product of narrow operands, laid out as
-/// [`MacEngine::inner_products`] lays them out. Kernel-outer keeps one
-/// kernel in L1 while the block's rows stream from L2; rows go two at a
-/// time so each kernel load feeds two multiply-adds.
+/// [`Loaded::fire`] lays them out. Kernel-outer keeps one kernel in L1
+/// while the block's rows stream from L2; rows go two at a time so each
+/// kernel load feeds two multiply-adds.
 fn narrow_gemm(rows: &[i16], kernels: &[i16], len: usize, out: &mut [u64]) {
     let filters = kernels.len() / len;
     for (m, kernel) in kernels.chunks_exact(len).enumerate() {
@@ -365,12 +391,12 @@ pub fn gather_window(
 /// (window `image·E² + oh·E + ow`), `filters` values per window in HWC
 /// order.
 ///
-/// Windows are taken [`CONV_BLOCK`] at a time — a block may span images —
-/// and each block's receptive fields are gathered into one reused patch
-/// buffer and sent to `engine` in one [`MacEngine::inner_products`] call,
-/// which writes the block's outputs in place. With the default
-/// `inner_products` the engine sees exactly the per-window call sequence
-/// — window by window, filter by filter.
+/// The layer's kernels load onto `engine` once per call. Windows are
+/// taken [`CONV_BLOCK`] at a time — a block may span images — and each
+/// block's receptive fields are gathered into one reused patch buffer and
+/// fired in one [`Loaded::fire`] call, which writes the block's outputs
+/// in place. With the default [`MacEngine::load`] the engine sees exactly
+/// the per-window call sequence — window by window, filter by filter.
 ///
 /// # Errors
 ///
@@ -413,7 +439,7 @@ pub fn conv_windows(
         .iter()
         .flat_map(|input| (0..e).flat_map(move |oh| (0..e).map(move |ow| (input, oh, ow))))
         .skip(first);
-    let kernels = weights.kernels(layer.weight_count());
+    let mut loaded = engine.load(weights.kernels(layer.weight_count()), window);
     let mut patches = vec![0u64; CONV_BLOCK.min(count) * window];
     for outputs in out.chunks_mut(CONV_BLOCK * filters) {
         let rows = &mut patches[..outputs.len() / filters * window];
@@ -422,7 +448,7 @@ pub fn conv_windows(
             gather_window(input, kernel, stride, padding, oh, ow, row);
         }
         drop(gather_span);
-        engine.inner_products(rows, kernels, window, outputs);
+        loaded.fire(rows, outputs);
     }
     Ok(())
 }
@@ -447,9 +473,9 @@ pub fn conv2d(
     Ok(out)
 }
 
-/// The fully-connected lowering: one [`MacEngine::inner_products`] call
-/// with each input, read flat in HWC order, as a row and the weight rows
-/// as kernels, so `out` receives the outputs image by image.
+/// The fully-connected lowering: the weight rows load as kernels and fire
+/// once, with each input, read flat in HWC order, as a row, so `out`
+/// receives the outputs image by image.
 fn fc_rows(
     layer: &Layer,
     inputs: &[Tensor],
@@ -463,7 +489,9 @@ fn fc_rows(
     let len = layer.input.elements();
     if len > 0 && !out.is_empty() {
         let rows: Vec<u64> = inputs.iter().flat_map(Tensor::data).copied().collect();
-        engine.inner_products(&rows, weights.kernels(layer.weight_count()), len, out);
+        engine
+            .load(weights.kernels(layer.weight_count()), len)
+            .fire(&rows, out);
     }
     Ok(())
 }
@@ -786,12 +814,12 @@ mod tests {
     }
 
     #[test]
-    fn default_inner_products_is_row_major_kernel_minor() {
+    fn default_load_fires_row_major_kernel_minor() {
         let rows = [1, 2, 3, 4, 5, 6];
         let kernels = [7, 8, 9, 10];
         let recorder = Recorder::default();
         let mut out = [u64::MAX; 6];
-        recorder.inner_products(&rows, &kernels, 2, &mut out);
+        recorder.load(&kernels, 2).fire(&rows, &mut out);
         assert_eq!(
             out,
             [0, 1, 2, 3, 4, 5],
@@ -953,15 +981,25 @@ mod tests {
             );
         }
 
-        // The row edge: one row takes the u64 loop, two rows narrow, and
-        // both give the reference's values.
+        // The row edge: two rows narrow, a row operand of 2^15 and a
+        // single row take the u64 loop. One load fires the three blocks in
+        // turn, the narrow one first, so each later block must re-check
+        // the bound against its own rows; every block gives the
+        // reference's values.
         let kernels = [TOP, 1, 2, TOP];
-        for rows in [&[TOP, TOP][..], &[TOP, TOP, 3, TOP][..]] {
-            assert_eq!(narrows(rows, &kernels, 2), rows.len() == 4, "{rows:?}");
+        let mut loaded = DirectMac.load(&kernels, 2);
+        for (rows, narrow) in [
+            (&[TOP, TOP, 3, TOP][..], true),
+            (&[1 << 15, 1, 2, 3][..], false),
+            (&[TOP, TOP][..], false),
+        ] {
+            assert_eq!(narrows(rows, 2, || max(&kernels)), narrow, "{rows:?}");
             let mut got = vec![0; rows.len()];
-            DirectMac.inner_products(rows, &kernels, 2, &mut got);
+            loaded.fire(rows, &mut got);
             let mut want = vec![0; rows.len()];
-            PerWindow(&DirectMac).inner_products(rows, &kernels, 2, &mut want);
+            PerWindow(&DirectMac)
+                .load(&kernels, 2)
+                .fire(rows, &mut want);
             assert_eq!(got, want, "{rows:?}");
         }
     }

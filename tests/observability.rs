@@ -8,8 +8,10 @@
 use pixel::core::config::{AcceleratorConfig, Design};
 use pixel::core::functional_fabric::FunctionalFabric;
 use pixel::core::omac::engine_for;
-use pixel::dnn::inference::{conv2d, DirectMac, LayerWeights, MacEngine, PerWindow};
+use pixel::dnn::inference::{conv2d, forward_batch, DirectMac, LayerWeights, MacEngine, PerWindow};
 use pixel::dnn::layer::{Layer, Shape};
+use pixel::dnn::network::Network;
+use pixel::dnn::quant::Precision;
 use pixel::dnn::tensor::Tensor;
 use pixel::units::rng::SplitMix64;
 
@@ -34,6 +36,52 @@ fn run_fabric_conv() {
             .unwrap();
         let direct = conv2d(&layer, &input, &weights, &DirectMac).unwrap();
         assert_eq!(out, [direct], "{design}");
+    }
+}
+
+/// The compute layers of [`fabric_forward_loads_once_per_layer`]'s
+/// network, each with the plane groups its two-image batch fires: the
+/// 8×8 and 6×6 convolution outputs make 128 and 72 windows, two groups
+/// each, and the FC layer's two rows make one.
+const FORWARD_LAYERS: [(&str, u64); 3] = [("Conv1", 2), ("Conv2", 2), ("FC1", 1)];
+
+/// A two-image `forward_batch` on the fabric, once per design, loads
+/// each compute layer's kernels once per call and fires one group at a
+/// time past them; the outputs equal the integer reference's.
+fn fabric_forward_loads_once_per_layer() {
+    let mut rng = SplitMix64::seed_from_u64(29);
+    let conv1 = Layer::conv("Conv1", Shape::square(10, 2), 3, 3, 1);
+    let conv2 = Layer::conv("Conv2", conv1.output_shape(), 2, 3, 1);
+    let fc = Layer::fc("FC1", conv2.output_shape().elements(), 4);
+    let network = Network::new("n", vec![conv1, conv2, fc]);
+    let weights: Vec<LayerWeights> = network
+        .layers()
+        .iter()
+        .map(|layer| LayerWeights::generate(layer, || rng.range_u64(0, 15)))
+        .collect();
+    let inputs: Vec<Tensor> = (0..2)
+        .map(|_| Tensor::from_fn(Shape::square(10, 2), |_, _, _| rng.range_u64(0, 15)))
+        .collect();
+    let precision = Precision::new(4);
+    let direct = forward_batch(&network, &inputs, &weights, &DirectMac, precision).unwrap();
+    for design in Design::ALL {
+        let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
+        let got = forward_batch(&network, &inputs, &weights, &fabric, precision).unwrap();
+        assert_eq!(got, direct, "{design}");
+    }
+    let snap = pixel::obs::snapshot();
+    let calls = Design::ALL.len() as u64;
+    for (layer, groups) in FORWARD_LAYERS {
+        let count = |stage: &str| {
+            snap.span(&format!("forward/{layer}/{stage}"))
+                .map(|s| s.count)
+        };
+        assert_eq!(count("load"), Some(calls), "{layer}: one load per call");
+        assert_eq!(
+            count("fire"),
+            Some(calls * groups),
+            "{layer}: one fire per group"
+        );
     }
 }
 
@@ -70,9 +118,9 @@ fn omac_block_counters_match_per_window() {
         for design in Design::ALL {
             let engine = engine_for(&AcceleratorConfig::new(design, 4, 4));
             let mut out = vec![0; rows * kernels];
-            let block = omac_deltas(|| engine.inner_products(&a, &w, len, &mut out));
+            let block = omac_deltas(|| engine.load(&w, len).fire(&a, &mut out));
             let per_window = omac_deltas(|| {
-                PerWindow(engine.as_ref()).inner_products(&a, &w, len, &mut out);
+                PerWindow(engine.as_ref()).load(&w, len).fire(&a, &mut out);
             });
             assert!(block.len() >= 4, "{design}: {block:?}");
             assert_eq!(block, per_window, "{design} rows={rows} kernels={kernels}");
@@ -164,4 +212,10 @@ fn global_registry_observes_the_instrumented_stack() {
     }
     pixel::obs::reset();
     assert!(pixel::obs::snapshot().counters.is_empty());
+
+    // Phase 4: a whole forward pass on the fabric, on a fresh registry.
+    pixel::obs::enable();
+    fabric_forward_loads_once_per_layer();
+    pixel::obs::disable();
+    pixel::obs::reset();
 }
