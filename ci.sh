@@ -285,11 +285,12 @@ echo "== benchmark"
 # enforce them: the bit-true fabric's outputs equal DirectMac and every
 # window word is detected; `reference` holds DirectMac's blocked narrow
 # kernel to the benchmark's own naive engine; `serve_low` checks the
-# live daemon's accounting. The benchmark exits non-zero on any failed
-# check.
+# live daemon's accounting; `paper_sim` byte-compares its 12 artifacts
+# with their snapshots and checks that the simulation repeats exactly.
+# The benchmark exits non-zero on any failed check.
 bench_manifest=examples/benchmark/Cargo.toml
 cargo test --release --offline --manifest-path "$bench_manifest"
-for workload in reference fabric_ee fabric_oe fabric_oo serve_low; do
+for workload in reference fabric_ee fabric_oe fabric_oo serve_low paper_sim; do
   cargo run --release --offline --manifest-path "$bench_manifest" -- \
     --workload "$workload" --seconds 1 > /dev/null
 done

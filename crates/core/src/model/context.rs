@@ -219,13 +219,11 @@ impl EvalContext {
         network: &Network,
         batch: usize,
     ) -> crate::throughput::BatchService {
-        let report = self.evaluate(config, network);
-        #[allow(clippy::cast_precision_loss)]
-        let energy = report.total_energy() * batch as f64;
+        let cost = crate::throughput::PipelineCost::of(&self.evaluate(config, network));
         crate::throughput::BatchService {
             batch,
-            latency: crate::throughput::batch_latency(&report, batch),
-            energy,
+            latency: cost.latency(batch),
+            energy: cost.energy(batch),
         }
     }
 

@@ -37,40 +37,83 @@ pub struct BatchService {
     pub energy: Energy,
 }
 
-/// Batch completion time from an evaluated network report: the first
-/// image pays the full layer-by-layer fill latency, each subsequent
-/// image adds only the bottleneck stage time.
+/// The batch-cost quantities of one evaluated network: its pipeline
+/// fill (the layer-by-layer single-image latency), its bottleneck stage
+/// time and its dynamic energy per inference. Fixing them once lets a
+/// caller price any batch without walking the layers again.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PipelineCost {
+    /// Latency of the first image through every layer.
+    pub fill: Time,
+    /// Slowest layer's latency: what each further image adds.
+    pub bottleneck: Time,
+    /// Dynamic energy of one inference.
+    pub energy_per_inference: Energy,
+}
+
+impl PipelineCost {
+    /// Reads the pipeline cost off an evaluated network report.
+    #[must_use]
+    pub fn of(report: &NetworkReport) -> Self {
+        Self {
+            fill: report.total_latency(),
+            bottleneck: report
+                .layers
+                .iter()
+                .map(|l| l.latency)
+                .fold(Time::ZERO, Time::max),
+            energy_per_inference: report.total_energy(),
+        }
+    }
+
+    /// Batch completion time: the first image pays the fill, each
+    /// subsequent image adds only the bottleneck stage time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero.
+    #[must_use]
+    pub fn latency(&self, batch: usize) -> Time {
+        assert!(batch > 0, "batch must be non-empty");
+        #[allow(clippy::cast_precision_loss)]
+        let extra = (batch - 1) as f64;
+        self.fill + self.bottleneck * extra
+    }
+
+    /// Dynamic energy of a `batch`-sized dispatch (energy scales
+    /// linearly: the same work is done per image).
+    #[must_use]
+    pub fn energy(&self, batch: usize) -> Energy {
+        #[allow(clippy::cast_precision_loss)]
+        let batch = batch as f64;
+        self.energy_per_inference * batch
+    }
+}
+
+/// Batch completion time from an evaluated network report (see
+/// [`PipelineCost::latency`]).
 ///
 /// # Panics
 ///
 /// Panics if `batch` is zero.
 #[must_use]
 pub fn batch_latency(report: &NetworkReport, batch: usize) -> Time {
-    assert!(batch > 0, "batch must be non-empty");
-    let fill = report.total_latency();
-    let bottleneck = report
-        .layers
-        .iter()
-        .map(|l| l.latency)
-        .fold(Time::ZERO, Time::max);
-    #[allow(clippy::cast_precision_loss)]
-    let extra = (batch - 1) as f64;
-    fill + bottleneck * extra
+    PipelineCost::of(report).latency(batch)
 }
 
 /// Pipeline fill: the first image pays the full layer-by-layer latency;
 /// each subsequent image adds only the bottleneck stage time.
 #[must_use]
 pub fn batched(config: &AcceleratorConfig, network: &Network, batch: usize) -> ThroughputReport {
-    let report: NetworkReport = Accelerator::new(*config).evaluate(network);
-    let latency = batch_latency(&report, batch);
+    let cost = PipelineCost::of(&Accelerator::new(*config).evaluate(network));
+    let latency = cost.latency(batch);
     #[allow(clippy::cast_precision_loss)]
     let throughput = batch as f64 / latency.value();
     ThroughputReport {
         batch,
         batch_latency: latency,
         inferences_per_second: throughput,
-        energy_per_inference: report.total_energy(),
+        energy_per_inference: cost.energy_per_inference,
     }
 }
 

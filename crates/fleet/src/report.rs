@@ -13,7 +13,6 @@ use crate::slo::TenantSlo;
 use pixel_core::config::Design;
 use pixel_serve::arrivals::Workload;
 use pixel_serve::flightrec::LatencyBreakdown;
-use pixel_serve::percentile::LatencyHistogram;
 use pixel_serve::report::LatencyPercentiles;
 use pixel_serve::shard::ShardOutcome;
 use pixel_serve::window::WindowSeries;
@@ -250,12 +249,7 @@ impl FleetReport {
                 slo: slos[t],
                 completed: tenant_lat[t].count(),
                 router_shed: router_shed[t],
-                p99: Time::from_nanos({
-                    #[allow(clippy::cast_precision_loss)]
-                    {
-                        tenant_lat[t].sojourn.percentile(0.99) as f64
-                    }
-                }),
+                p99: LatencyPercentiles::of(&tenant_lat[t].sojourn).p99,
             })
             .collect();
         let total_energy = dynamic_energy + static_energy;
@@ -290,9 +284,9 @@ impl FleetReport {
             completed,
             router_shed: router_shed.iter().sum(),
             shard_shed,
-            latency: percentiles(&overall.sojourn),
-            queue_wait: percentiles(&overall.wait),
-            service: percentiles(&overall.service),
+            latency: LatencyPercentiles::of(&overall.sojourn),
+            queue_wait: LatencyPercentiles::of(&overall.wait),
+            service: LatencyPercentiles::of(&overall.service),
             dispatches,
             mean_batch,
             makespan,
@@ -308,29 +302,5 @@ impl FleetReport {
             tenants,
             windows,
         }
-    }
-}
-
-/// Summarizes a latency histogram into the shared percentile set.
-fn percentiles(histogram: &LatencyHistogram) -> LatencyPercentiles {
-    let at = |q: f64| {
-        Time::from_nanos({
-            #[allow(clippy::cast_precision_loss)]
-            {
-                histogram.percentile(q) as f64
-            }
-        })
-    };
-    LatencyPercentiles {
-        p50: at(0.50),
-        p95: at(0.95),
-        p99: at(0.99),
-        p999: at(0.999),
-        max: Time::from_nanos({
-            #[allow(clippy::cast_precision_loss)]
-            {
-                histogram.max() as f64
-            }
-        }),
     }
 }

@@ -30,7 +30,6 @@
 use crate::arrivals::{Request, Workload};
 use crate::batching::{BatchPolicy, Decision};
 use crate::flightrec::{FlightData, FlightRecorder, LatencyBreakdown, ServeEvent};
-use crate::percentile::LatencyHistogram;
 use crate::queue::{AdmissionQueue, ShedPolicy};
 use crate::report::{LatencyPercentiles, NetworkStats, ServeReport, TenantStats};
 use crate::window::WindowSeries;
@@ -487,9 +486,9 @@ impl ServeMachine {
             .map(|(t, tenant)| TenantStats {
                 name: tenant.name.clone(),
                 completed: self.tenant_completed[t],
-                p95: percentiles(&self.tenant_lat[t].sojourn).p95,
-                wait: percentiles(&self.tenant_lat[t].wait),
-                service: percentiles(&self.tenant_lat[t].service),
+                p95: LatencyPercentiles::of(&self.tenant_lat[t].sojourn).p95,
+                wait: LatencyPercentiles::of(&self.tenant_lat[t].wait),
+                service: LatencyPercentiles::of(&self.tenant_lat[t].service),
             })
             .collect();
         let network_stats = workload
@@ -499,8 +498,8 @@ impl ServeMachine {
             .map(|(n, net)| NetworkStats {
                 name: net.name().to_owned(),
                 completed: self.network_completed[n],
-                wait: percentiles(&self.network_lat[n].wait),
-                service: percentiles(&self.network_lat[n].service),
+                wait: LatencyPercentiles::of(&self.network_lat[n].wait),
+                service: LatencyPercentiles::of(&self.network_lat[n].service),
             })
             .collect();
         pixel_obs::gauge(
@@ -515,9 +514,9 @@ impl ServeMachine {
             arrivals: meta.arrivals,
             completed: self.completed,
             dropped: self.shed,
-            latency: percentiles(&self.overall.sojourn),
-            queue_wait: percentiles(&self.overall.wait),
-            service: percentiles(&self.overall.service),
+            latency: LatencyPercentiles::of(&self.overall.sojourn),
+            queue_wait: LatencyPercentiles::of(&self.overall.wait),
+            service: LatencyPercentiles::of(&self.overall.service),
             mean_batch,
             mean_queue_depth: self.queue.mean_depth(VirtInstant::from_secs(makespan)),
             max_queue_depth: self.queue.max_depth(),
@@ -536,30 +535,6 @@ impl ServeMachine {
             networks: self.network_lat,
         };
         (report, data)
-    }
-}
-
-/// Summarizes a latency histogram into the report's percentile set.
-fn percentiles(histogram: &LatencyHistogram) -> LatencyPercentiles {
-    let at = |q: f64| {
-        Time::from_nanos({
-            #[allow(clippy::cast_precision_loss)]
-            {
-                histogram.percentile(q) as f64
-            }
-        })
-    };
-    LatencyPercentiles {
-        p50: at(0.50),
-        p95: at(0.95),
-        p99: at(0.99),
-        p999: at(0.999),
-        max: Time::from_nanos({
-            #[allow(clippy::cast_precision_loss)]
-            {
-                histogram.max() as f64
-            }
-        }),
     }
 }
 

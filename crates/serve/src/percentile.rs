@@ -11,9 +11,19 @@
 //! prints — are bitwise reproducible across platforms and worker
 //! counts.
 //!
+//! [`LatencyHistogram::percentiles`] answers a whole ascending set of
+//! quantiles (a report's p50/p95/p99/p99.9) in one forward scan from the
+//! minimum's bucket, each rank resuming where the previous one stopped
+//! and passing blocks of buckets that stay short of it in one sum;
+//! [`LatencyHistogram::percentile`] is its one-quantile case.
+//!
 //! [`exact_percentile`] is the sorted-reference implementation (same
 //! nearest-rank convention); the property tests pin the estimator
 //! against it.
+
+/// Buckets the percentile scan passes in one sum when they stay short
+/// of the rank it looks for.
+const SKIP: usize = 16;
 
 /// Default linear resolution: 7 bits → ≤ 0.78 % relative error.
 pub const DEFAULT_SUB_BITS: u32 = 7;
@@ -199,24 +209,63 @@ impl LatencyHistogram {
     /// Panics if `q` is outside `[0, 1]`.
     #[must_use]
     pub fn percentile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
+        let [value] = self.percentiles([q]);
+        value
+    }
+
+    /// Values at an ascending set of quantiles, each exactly what
+    /// [`Self::percentile`] answers, read in one forward scan: it starts
+    /// at the bucket of the recorded minimum and each rank resumes where
+    /// the previous one stopped.
+    ///
+    /// Returns zeros on an empty histogram.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any quantile is outside `[0, 1]` or the set is not
+    /// ascending.
+    #[must_use]
+    pub fn percentiles<const N: usize>(&self, quantiles: [f64; N]) -> [u64; N] {
+        for (i, &q) in quantiles.iter().enumerate() {
+            assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
+            assert!(
+                i == 0 || quantiles[i - 1] <= q,
+                "quantiles must be ascending"
+            );
+        }
         if self.total == 0 {
-            return 0;
+            return [0; N];
         }
-        #[allow(clippy::cast_precision_loss)]
-        let target = (q * self.total as f64).ceil();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let rank = (target as u64).max(1);
-        let mut seen = 0u64;
-        for (index, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                let lower = lower_bound(index, self.sub_bits);
-                let mid = lower + (bucket_width(index, self.sub_bits) - 1) / 2;
-                return mid.clamp(self.min, self.max);
+        // Buckets below the minimum's are empty; `seen` counts every
+        // value up to and including bucket `index`.
+        let mut index = index_of(self.min, self.sub_bits);
+        let mut seen = self.counts[index];
+        quantiles.map(|q| {
+            #[allow(clippy::cast_precision_loss)]
+            let target = (q * self.total as f64).ceil();
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            let rank = (target as u64).max(1);
+            while seen < rank {
+                // A block of buckets that stays short of the rank is
+                // passed in one sum.
+                if let Some(block) = self.counts.get(index + 1..index + 1 + SKIP) {
+                    let sum: u64 = block.iter().sum();
+                    if seen + sum < rank {
+                        seen += sum;
+                        index += SKIP;
+                        continue;
+                    }
+                }
+                index += 1;
+                match self.counts.get(index) {
+                    Some(&count) => seen += count,
+                    None => return self.max,
+                }
             }
-        }
-        self.max
+            let lower = lower_bound(index, self.sub_bits);
+            let mid = lower + (bucket_width(index, self.sub_bits) - 1) / 2;
+            mid.clamp(self.min, self.max)
+        })
     }
 }
 

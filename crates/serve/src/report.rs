@@ -1,5 +1,6 @@
 //! Serving metrics: what one simulation run reports.
 
+use crate::percentile::LatencyHistogram;
 use crate::window::WindowSeries;
 use pixel_core::config::AcceleratorConfig;
 use pixel_units::{Energy, Time};
@@ -17,6 +18,30 @@ pub struct LatencyPercentiles {
     pub p999: Time,
     /// Worst completed request.
     pub max: Time,
+}
+
+impl LatencyPercentiles {
+    /// Summarizes a nanosecond latency histogram into the percentile
+    /// set, read in one scan.
+    #[must_use]
+    pub fn of(histogram: &LatencyHistogram) -> Self {
+        let [p50, p95, p99, p999] = histogram
+            .percentiles([0.50, 0.95, 0.99, 0.999])
+            .map(from_nanos);
+        Self {
+            p50,
+            p95,
+            p99,
+            p999,
+            max: from_nanos(histogram.max()),
+        }
+    }
+}
+
+/// A histogram value (integer nanoseconds) as a time.
+fn from_nanos(value: u64) -> Time {
+    #[allow(clippy::cast_precision_loss)]
+    Time::from_nanos(value as f64)
 }
 
 /// Per-tenant completion accounting and latency decomposition.

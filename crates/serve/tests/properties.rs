@@ -1,6 +1,7 @@
 //! Property tests for the serving simulator: queue invariants under
 //! randomized traffic, the histogram percentile estimator against a
-//! sorted reference, exact histogram merging (merge-of-two must equal
+//! sorted reference, the one-scan percentile set against per-quantile
+//! queries, exact histogram merging (merge-of-two must equal
 //! the histogram of the concatenated stream), the latency decomposition
 //! recombining bitwise into the aggregate, and bitwise determinism of
 //! the full saturation sweep across worker counts and repeated runs.
@@ -282,6 +283,66 @@ fn merge_rejects_mismatched_resolutions() {
     let mut b = LatencyHistogram::new(8);
     b.record(1);
     a.merge(&b);
+}
+
+/// The quantile set a report reads (p50/p95/p99/p99.9) between the two
+/// endpoints.
+const SET: [f64; 6] = [0.0, 0.5, 0.95, 0.99, 0.999, 1.0];
+
+fn assert_set_matches_single_queries(hist: &LatencyHistogram, label: &str) {
+    let set = hist.percentiles(SET);
+    for (q, value) in SET.into_iter().zip(set) {
+        assert_eq!(value, hist.percentile(q), "{label} q {q}");
+    }
+}
+
+#[test]
+fn one_scan_percentile_set_equals_per_quantile_queries() {
+    assert_eq!(LatencyHistogram::default().percentiles(SET), [0; 6]);
+    for value in [0u64, 1, 127, 128, 12_345, 130_000_000_000, u64::MAX] {
+        let single = histogram_of(&[value]);
+        assert_eq!(single.percentiles(SET), [value; 6], "single {value}");
+    }
+    for seed in 0..16u64 {
+        let mut rng = SplitMix64::seed_from_u64(seed ^ 0x5e7);
+        // Queue waits: most requests start service at once.
+        let waits: Vec<u64> = (0..400)
+            .map(|_| {
+                if rng.next_f64() < 0.6 {
+                    0
+                } else {
+                    rng.next_u64() % 5_000_000
+                }
+            })
+            .collect();
+        // Fleet sojourns: log-uniform over 0..=1.3e11 ns, both ends hit.
+        let mut sojourns: Vec<u64> = (0..400)
+            .map(|_| {
+                let magnitude = rng.next_u64() % 38;
+                (rng.next_u64() % (1u64 << magnitude)).min(130_000_000_000)
+            })
+            .collect();
+        sojourns.extend([0, 130_000_000_000]);
+        let waits = histogram_of(&waits);
+        let sojourns = histogram_of(&sojourns);
+        let mut merged = waits.clone();
+        merged.merge(&sojourns);
+        assert_set_matches_single_queries(&waits, &format!("waits seed {seed}"));
+        assert_set_matches_single_queries(&sojourns, &format!("sojourns seed {seed}"));
+        assert_set_matches_single_queries(&merged, &format!("merged seed {seed}"));
+    }
+}
+
+#[test]
+#[should_panic(expected = "quantile")]
+fn percentile_set_rejects_out_of_range_quantile_on_an_empty_histogram() {
+    let _ = LatencyHistogram::default().percentiles([0.5, 1.5]);
+}
+
+#[test]
+#[should_panic(expected = "ascending")]
+fn percentile_set_rejects_a_descending_set() {
+    let _ = histogram_of(&[1, 2, 3]).percentiles([0.9, 0.5]);
 }
 
 /// The acceptance bar for the latency decomposition: merging the
