@@ -24,6 +24,57 @@ for _ in $(seq 1 50); do
     || { echo "multi-connection loadgen lost requests at drain" >&2; exit 1; }
 done
 
+echo "== mutants"
+# Every record of mutants.txt is one literal source mutation and the test
+# that must catch it. They run in one copy of the tree with its own
+# target directory (a copied target/ can rebuild against stale
+# fingerprints): the unmutated copy must pass every named test, then
+# each mutant, applied alone, must build and must fail its test. The
+# test column is a list of cargo arguments, split on purpose.
+mutant_root=$(mktemp -d)
+trap 'rm -rf "$mutant_root"' EXIT
+git ls-files -z --cached --others --exclude-standard \
+  | tar --null -T - -cf - | tar -xf - -C "$mutant_root"
+mutant_cargo() {
+  (cd "$mutant_root" && CARGO_TARGET_DIR="$mutant_root/target" \
+    cargo test -q --offline "$@" < /dev/null)
+}
+mutants=()
+while IFS= read -r line; do
+  case $line in
+    "file: "*) m_file=${line#file: } ;;
+    "before: "*) m_before=${line#before: } ;;
+    "after: "*) m_after=${line#after: } ;;
+    "test: "*) mutants+=("$m_file"$'\t'"$m_before"$'\t'"$m_after"$'\t'"${line#test: }") ;;
+  esac
+done < mutants.txt
+[ "${#mutants[@]}" -gt 0 ] || { echo "mutants.txt lists no mutants" >&2; exit 1; }
+while IFS= read -r test; do
+  baseline=$(mutant_cargo $test -- --exact 2>&1) \
+    && grep -q "ok. 1 passed" <<< "$baseline" \
+    || { echo "the unmutated tree fails or lacks $test" >&2; exit 1; }
+done < <(printf '%s\n' "${mutants[@]}" | cut -f4 | sort -u)
+for mutant in "${mutants[@]}"; do
+  IFS=$'\t' read -r file before after test <<< "$mutant"
+  path="$mutant_root/$file"
+  original=$(cat "$path"; printf x)
+  original=${original%x}
+  rest=${original//"$before"/}
+  [ $(( ${#original} - ${#rest} )) -eq "${#before}" ] \
+    || { echo "mutant '$before' must match $file exactly once" >&2; exit 1; }
+  printf '%s' "${original/"$before"/"$after"}" > "$path"
+  mutant_cargo $test --no-run > /dev/null 2>&1 \
+    || { echo "mutant '$after' in $file does not build" >&2; exit 1; }
+  if mutant_cargo $test -- --exact > /dev/null 2>&1; then
+    echo "mutant '$after' in $file survived $test" >&2
+    exit 1
+  fi
+  printf '%s' "$original" > "$path"
+  echo "caught: $file: $after"
+done
+rm -rf "$mutant_root"
+trap - EXIT
+
 echo "== lint"
 # Deny mode: the checked-in baseline must stay empty and the tree clean,
 # including under the stale-suppression check (X002) — and the analysis
@@ -135,6 +186,9 @@ out=$(./target/release/reproduce table1 --profile)
 echo "$out" | grep -q "== profile" || { echo "profile table missing" >&2; exit 1; }
 echo "$out" | grep -q "dnn.analysis.layers" || { echo "expected counter missing" >&2; exit 1; }
 ./target/release/reproduce --list > /dev/null
+# The paper's §III-A worked example asserts its partial sum (42) on the
+# fabric of every design.
+cargo run --release -q --example interconnect_broadcast > /dev/null
 serve_out=$(./target/release/reproduce serve --jobs 2)
 echo "$serve_out" | grep -q "saturation knee" || { echo "serve knee line missing" >&2; exit 1; }
 if ./target/release/reproduce no-such-artifact 2> /dev/null; then
@@ -286,13 +340,22 @@ echo "== benchmark"
 # window word is detected; `reference` holds DirectMac's blocked narrow
 # kernel to the benchmark's own naive engine; `serve_low` checks the
 # live daemon's accounting; `paper_sim` byte-compares its 12 artifacts
-# with their snapshots and checks that the simulation repeats exactly.
-# The benchmark exits non-zero on any failed check.
+# with their snapshots and checks that the simulation repeats exactly;
+# `serve_high` queues and batches requests in the daemon. The benchmark
+# exits non-zero on any failed check.
 bench_manifest=examples/benchmark/Cargo.toml
 cargo test --release --offline --manifest-path "$bench_manifest"
-for workload in reference fabric_ee fabric_oe fabric_oo serve_low paper_sim; do
-  cargo run --release --offline --manifest-path "$bench_manifest" -- \
-    --workload "$workload" --seconds 1 > /dev/null
+# A shed or unanswered serving request counts as failed without a
+# non-zero exit, so each workload's last line, its end-to-end JSON, must
+# also read "failed":0.
+for workload in reference fabric_ee fabric_oe fabric_oo serve_low serve_high paper_sim; do
+  bench_out=$(cargo run --release --offline --manifest-path "$bench_manifest" -- \
+    --workload "$workload" --seconds 1)
+  bench_last=$(printf '%s\n' "$bench_out" | tail -n 1)
+  case $bench_last in
+    *'"failed":0,'*) ;;
+    *) echo "benchmark $workload failed operations: $bench_last" >&2; exit 1 ;;
+  esac
 done
 
 echo "== ok"

@@ -4,20 +4,24 @@
 //! Ties every functional piece together the way Fig. 2(b)/Fig. 3 describe.
 //! The fabric is a [`MacEngine`]: [`pixel_dnn::inference`] lowers each
 //! layer to rows (convolution windows or fully-connected inputs), loads
-//! the layer's kernels onto the tiles once ([`MacEngine::load`]), one
-//! kernel per tile (§III-A) with its weights in the tile's register file,
-//! and fires every block of rows past them ([`Loaded::fire`]). The
-//! dataflow is weight-stationary, as in Fig. 3. Each fired block is
-//! packed into bit-plane groups whose neuron words are serialized to
-//! pulse trains, multiplexed onto the MWSR waveguide on the firing tile's
-//! wavelength block, recovered at the compute tiles, and pushed through
-//! the design's bit-true OMAC. The result must equal plain integer
-//! inference — the strongest "the architecture actually computes the
-//! CNN" statement in the repository.
+//! the layer's kernels once ([`MacEngine::load`]) and fires every block
+//! of rows past them ([`Loaded::fire`]). The load is the one plane loader
+//! the scalar OMACs use too, with the *rows* on the 64 plane lanes: it
+//! builds one design engine for the load and one [`crate::tile::Tile`]
+//! per kernel up to the physical tile count (§III-A), each holding its
+//! kernel in the register file, prepared once; kernels past the tiles
+//! stream. The dataflow is weight-stationary, as in Fig. 3. Each fired
+//! block is packed into one bit-plane group whose neuron words are
+//! serialized to pulse trains, multiplexed onto the MWSR waveguide on the
+//! firing tile's wavelength block and recovered at the compute tiles
+//! (the loader's transport hook, `FunctionalFabric::transport_planes`),
+//! then fired on every kernel through the shared plane kernel and charged
+//! to the design. The result must equal plain integer inference — the
+//! strongest "the architecture actually computes the CNN" statement in
+//! the repository.
 
 use crate::config::AcceleratorConfig;
-use crate::omac::{PlaneAccumulator, PreparedKernel, WindowGroup, PLANE_WINDOWS};
-use crate::tile::Tile;
+use crate::omac::{load_rows, WindowGroup, PLANE_WINDOWS};
 use pixel_dnn::inference::{conv_windows, LayerWeights, Loaded, MacEngine, ShapeError};
 use pixel_dnn::layer::Layer;
 use pixel_dnn::tensor::Tensor;
@@ -205,10 +209,14 @@ impl MacEngine for FunctionalFabric {
         out[0]
     }
 
-    /// Loads `kernels` onto the tiles once, under one `load` stage span;
-    /// every fire then streams its rows past them. Operand words wider
-    /// than `bits_per_lane` are truncated to it: the bit planes and the
-    /// register file carry no more bits.
+    /// Loads `kernels` onto the tiles once, under one `load` stage span,
+    /// with the rows on the plane lanes (`omac::load_rows`): one design
+    /// engine for the load, one resident kernel per tile up to the
+    /// physical tile count and streamed kernels past it. Every fired
+    /// block of rows packs into one bit-plane group that crosses the MWSR
+    /// medium once (`Self::transport_planes`) before it fires on every
+    /// kernel. Operand words wider than `bits_per_lane` are truncated to
+    /// it: the bit planes and the register file carry no more bits.
     fn load<'a>(&'a self, kernels: &'a [u64], len: usize) -> Box<dyn Loaded + 'a> {
         let _load_span = pixel_obs::span("load");
         let config = self.config;
@@ -218,89 +226,12 @@ impl MacEngine for FunctionalFabric {
             config.tiles.min(len.div_ceil(config.lanes)).max(1),
             config.lanes,
         );
-        let tiles = kernels
-            .chunks_exact(len)
-            .take(config.tiles)
-            .map(|kernel| {
-                let mut tile = Tile::new(config, len);
-                tile.load_weights(kernel);
-                tile
-            })
-            .collect();
-        Box::new(LoadedFabric {
-            fabric: self,
-            kernels,
-            len,
-            plan,
-            tiles,
-            group: WindowGroup::default(),
-            streamed: PreparedKernel::default(),
-            acc: PlaneAccumulator::new(),
-            values: Vec::new(),
+        let filters = (kernels.len() / len) as u64;
+        load_rows(&config, kernels, len, move |group: &mut WindowGroup| {
+            self.transport_planes(&plan, group);
+            pixel_obs::add("fabric.windows", group.len() as u64);
+            pixel_obs::add("fabric.mac_ops", group.len() as u64 * filters);
         })
-    }
-}
-
-/// A kernel set loaded onto the fabric, weight-stationary: one tile
-/// holds each kernel up to the physical tile count, with its weights in
-/// the register file and prepared for the plane kernel once. Past it,
-/// tile `m % tiles` time-multiplexes — the same datapath with streamed
-/// weights, which are not resident: each is prepared as it streams,
-/// into one reused kernel, so a load allocates nothing per streamed
-/// kernel. Rows pack [`PLANE_WINDOWS`] at a time into bit-plane groups;
-/// each group crosses the MWSR medium once, then fires on every
-/// kernel's tile, and every word-level engine operation advances all of
-/// its rows. The tiles, the band plan and the buffers — the group's
-/// planes, the streamed kernel, the accumulator and one kernel's lane
-/// sums — serve every group of the load.
-struct LoadedFabric<'a> {
-    fabric: &'a FunctionalFabric,
-    kernels: &'a [u64],
-    len: usize,
-    plan: BandPlan,
-    tiles: Vec<Tile>,
-    group: WindowGroup,
-    streamed: PreparedKernel,
-    acc: PlaneAccumulator,
-    values: Vec<u64>,
-}
-
-impl Loaded for LoadedFabric<'_> {
-    /// Fires every row on every loaded kernel, group by group.
-    fn fire(&mut self, rows: &[u64], out: &mut [u64]) {
-        let (len, bits) = (self.len, self.fabric.config.bits_per_lane);
-        let filters = self.kernels.len() / len;
-        let on_tiles = self
-            .kernels
-            .chunks_exact(len)
-            .zip(self.tiles.iter().cycle());
-        let blocks = rows.chunks(PLANE_WINDOWS * len);
-        for (block, outputs) in blocks.zip(out.chunks_mut(PLANE_WINDOWS * filters)) {
-            // Stage spans open per group under the caller's span, so the
-            // profile splits a group's time into pack, transport and fire.
-            let pack_span = pixel_obs::span("pack");
-            self.group.repack(block, len, block.len() / len, bits);
-            drop(pack_span);
-            let transport_span = pixel_obs::span("transport");
-            self.fabric.transport_planes(&self.plan, &mut self.group);
-            drop(transport_span);
-            let _fire_span = pixel_obs::span("fire");
-            for (m, (kernel, tile)) in on_tiles.clone().enumerate() {
-                if m < self.tiles.len() {
-                    tile.fire_planes(&self.group, &mut self.acc, &mut self.values);
-                } else {
-                    self.streamed.prepare(kernel, bits);
-                    let (group, streamed) = (&self.group, &self.streamed);
-                    tile.fire_planes_streamed(group, streamed, &mut self.acc, &mut self.values);
-                }
-                let column = outputs.iter_mut().skip(m).step_by(filters);
-                for (slot, &value) in column.zip(self.values.iter()) {
-                    *slot = value;
-                }
-            }
-        }
-        pixel_obs::add("fabric.windows", (rows.len() / len) as u64);
-        pixel_obs::add("fabric.mac_ops", out.len() as u64);
     }
 }
 

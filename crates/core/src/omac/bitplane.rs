@@ -18,22 +18,21 @@
 //! MZI chain superposes partial products into an amplitude count and
 //! SCONNA-style accumulators count optical AND results. Each count then
 //! resolves into the [`PlaneAccumulator`] once at shift `a + b`, Stripes'
-//! accumulate-then-shift. The kernel side is weight-stationary: a
+//! accumulate-then-shift. The prepared side is weight-stationary: a
 //! [`PreparedKernel`] holds, per synapse bit, the compacted positions the
-//! counters read, and the kernel's stream sums, computed once when a tile
-//! loads its filter, so firing a group does no per-kernel preparation.
-//! Arithmetic is exact, so the batched path is bitwise identical to the
-//! scalar one by construction; only the *activity accounting* differs
-//! per design, and that lives with each engine (`PlaneEngine`).
-//! `load_planes` runs whole GEMM blocks on the same kernel with the
-//! *kernels* as the lanes (packed once per load, each row prepared once
-//! and fired on every kernel group), so engines that hold no packed
-//! windows (the scalar OMACs) still advance 64 filters per word-level
-//! operation.
+//! counters read, computed once when a tile loads its filter, so firing
+//! a group does no per-kernel preparation. Arithmetic is exact, so the
+//! batched path is bitwise identical to the scalar one by construction;
+//! only the *activity accounting* differs per design (`PlaneEngine`).
+//! `load_planes` is the one loader that runs whole GEMM blocks on the
+//! kernel, with either operand on the lanes (`Lanes`): the kernels, so
+//! the scalar OMACs advance 64 filters per word-level operation, or the
+//! rows, so the fabric transports and fires 64 windows at a time.
 
 use crate::omac::activity::word_stream_activity;
+use crate::tile::Tile;
 use pixel_dnn::inference::Loaded;
-use std::cell::OnceCell;
+use std::ops::Deref;
 
 /// Windows a fully packed plane carries (the `u64` lane width).
 pub const PLANE_WINDOWS: usize = 64;
@@ -159,10 +158,6 @@ pub struct WindowGroup {
     window: usize,
     len: usize,
     bits: u32,
-    /// Per-position `(lit slots, toggles)` over the packed windows,
-    /// computed on first use and shared by every kernel fired on the
-    /// group.
-    streams: OnceCell<Vec<Sums>>,
 }
 
 impl WindowGroup {
@@ -190,7 +185,6 @@ impl WindowGroup {
         self.window = window;
         self.len = len;
         self.bits = bits;
-        self.streams.take();
         at_precision!(bits, transpose_in)(&mut self.planes[..window * width], rows, window);
     }
 
@@ -227,7 +221,6 @@ impl WindowGroup {
     #[must_use]
     pub fn position_mut(&mut self, i: usize) -> &mut [u64] {
         assert!(i < self.window, "position {i} past the window");
-        self.streams.take();
         let width = self.bits as usize;
         &mut self.planes[i * width..(i + 1) * width]
     }
@@ -235,16 +228,6 @@ impl WindowGroup {
     /// Every word position's planes, in position order.
     fn positions(&self) -> std::slice::ChunksExact<'_, u64> {
         self.planes[..self.window * self.bits as usize].chunks_exact(self.bits as usize)
-    }
-
-    /// Each word position's lit slots and toggles summed over the packed
-    /// windows' serializations, computed once per packing.
-    fn position_streams(&self) -> &[Sums] {
-        self.streams.get_or_init(|| {
-            self.positions()
-                .map(|position| (lit_slots(position), toggle_slots(position)))
-                .collect()
-        })
     }
 
     /// Windows packed into the group.
@@ -429,13 +412,10 @@ fn count_planes<const W: usize>(planes: &[u64], offsets: &[u32], levels: &mut [[
 /// [`plane_inner_product`] at one precision. For each synapse bit `b`
 /// it holds the plane offsets of the positions whose word has `b` set,
 /// compacted without a data-dependent branch and padded to whole counter
-/// blocks with the group's zero pad position. It also holds the kernel
-/// side of the engines' closed-form stream accounting: the lit slots of
-/// each synapse word (KLᵢ) and the summed lit slots and toggles of all
-/// of them (ΣKL, ΣKT). A tile prepares its filter once when it loads it, so every
-/// group fired on the tile reuses the preparation. Synapse bits above
-/// the precision are dropped, exactly as the scalar engines' `0..bits`
-/// cycle loops never visit them.
+/// blocks with the group's zero pad position. A tile prepares its filter
+/// once when it loads it, so every group fired on the tile reuses the
+/// preparation. Synapse bits above the precision are dropped, exactly
+/// as the scalar engines' `0..bits` cycle loops never visit them.
 #[derive(Debug, Default)]
 pub struct PreparedKernel {
     window: usize,
@@ -444,10 +424,6 @@ pub struct PreparedKernel {
     /// `offsets[runs[b].0..runs[b].1]`.
     offsets: Vec<u32>,
     runs: [(usize, usize); 16],
-    /// KLᵢ: lit slots of the synapse word at position `i`.
-    lit: Vec<u8>,
-    /// ΣKL and ΣKT over the positions.
-    sums: Sums,
 }
 
 impl PreparedKernel {
@@ -506,7 +482,6 @@ fn prepare_at<const W: usize>(kernel: &mut PreparedKernel, synapses: &[u64]) {
     kernel.bits = W as u32;
     kernel.offsets.clear();
     kernel.offsets.reserve(W * stride + stride);
-    let mut lit = 0;
     // Synapse bits in pairs, two runs per pass over the words (an odd
     // precision's last pair has an empty phantom run). Branch-free
     // compaction: every position writes its offset at both runs' tips,
@@ -524,7 +499,6 @@ fn prepare_at<const W: usize>(kernel: &mut PreparedKernel, synapses: &[u64]) {
             n_high += ((word >> (b + 1)) & 1) as usize;
             offset += W as u32;
         }
-        lit += (n_low + n_high) as u64;
         let low_end = n_low.next_multiple_of(CSA_BLOCK);
         let high_end = n_high.next_multiple_of(CSA_BLOCK);
         low[n_low..low_end].fill(pad);
@@ -539,45 +513,6 @@ fn prepare_at<const W: usize>(kernel: &mut PreparedKernel, synapses: &[u64]) {
             *run = (high_start, high_start + high_end);
         }
     }
-    kernel.sums = (lit, packed_stream_sums::<W>(synapses, &mut kernel.lit));
-}
-
-/// Lays up to eight words side by side, one byte each, and counts the
-/// set bits of every byte in place (SWAR popcount): KLᵢ for eight
-/// positions in one word. Each word's bits past the first eight add in
-/// byte by byte (KLᵢ ≤ 16 fits a byte). `lit` receives the counts, one
-/// byte per position. Returns ΣKT, the toggles between adjacent slots
-/// summed over the words, counted on the same packing.
-fn packed_stream_sums<const W: usize>(synapses: &[u64], lit: &mut Vec<u8>) -> u64 {
-    const LOW: u64 = 0x5555_5555_5555_5555;
-    const PAIRS: u64 = 0x3333_3333_3333_3333;
-    const NIBBLES: u64 = 0x0F0F_0F0F_0F0F_0F0F;
-    let mask = (1u64 << W) - 1;
-    let mut toggles = 0;
-    lit.clear();
-    lit.reserve(synapses.len());
-    for chunk in synapses.chunks(8) {
-        let mut counts = 0;
-        for byte in (0..W).step_by(8) {
-            let (ones, flips) = chunk
-                .iter()
-                .enumerate()
-                .fold((0, 0), |(ones, flips), (j, &s)| {
-                    let word = s & mask;
-                    let flip = (word ^ (word >> 1)) & (mask >> 1);
-                    (
-                        ones | ((word >> byte) & 0xFF) << (8 * j),
-                        flips | ((flip >> byte) & 0xFF) << (8 * j),
-                    )
-                });
-            let pairs = ones - ((ones >> 1) & LOW);
-            let nibbles = (pairs & PAIRS) + ((pairs >> 2) & PAIRS);
-            counts += (nibbles + (nibbles >> 4)) & NIBBLES;
-            toggles += u64::from(flips.count_ones());
-        }
-        lit.extend_from_slice(&counts.to_le_bytes()[..chunk.len()]);
-    }
-    toggles
 }
 
 /// [`plane_inner_product`]'s body at a compile-time precision `W`, so
@@ -644,6 +579,27 @@ pub fn plane_inner_product(
 /// Summed lit slots and toggles of a set of serialized words.
 type Sums = (u64, u64);
 
+/// Adds each word position's lit slots and toggles, summed over the
+/// whole rows of `sums.len()` words in `words`, into `sums`.
+fn add_word_streams(sums: &mut [Sums], words: &[u64], bits: u32) {
+    for row in words.chunks_exact(sums.len()) {
+        for (sum, &word) in sums.iter_mut().zip(row) {
+            let stream = word_stream_activity(word, bits);
+            sum.0 += stream.lit;
+            sum.1 += stream.toggles;
+        }
+    }
+}
+
+/// Adds each word position's lit slots and toggles, summed over a
+/// packed group's windows (one popcount per plane), into `sums`.
+fn add_group_streams(sums: &mut [Sums], group: &WindowGroup) {
+    for (sum, position) in sums.iter_mut().zip(group.positions()) {
+        sum.0 += lit_slots(position);
+        sum.1 += toggle_slots(position);
+    }
+}
+
 /// Which serialized streams a design's lit-slot and toggle tallies
 /// measure, as closed forms over per-word-position sums.
 ///
@@ -664,28 +620,24 @@ pub(crate) enum Streams {
 }
 
 impl Streams {
-    /// Folds the kernel side — per-position KLᵢ and the totals
-    /// `(ΣKL, ΣKT)` — and a thunk for the per-position `(RLᵢ, RTᵢ)` sums
-    /// (forced only by [`Self::Gated`]) into [`BlockStreams`] for
-    /// `rows × kernels` products of `len` words.
-    fn fold<'a>(
-        self,
-        (rows, kernels, len): (u64, u64, usize),
-        kernel_lit: impl Iterator<Item = u64>,
-        kernel_totals: Sums,
-        row_sums: impl FnOnce() -> &'a [Sums],
-    ) -> BlockStreams {
+    /// Folds the per-position `(KLᵢ, KTᵢ)` and `(RLᵢ, RTᵢ)` sums (the
+    /// latter read only by [`Self::Gated`]) into [`BlockStreams`] for
+    /// `rows × kernels` products.
+    fn fold(self, (rows, kernels): (u64, u64), kernel: &[Sums], row: &[Sums]) -> BlockStreams {
         let (lit, toggles) = match self {
-            Self::Synapse => (rows * kernel_totals.0, rows * kernel_totals.1),
-            Self::Gated => kernel_lit
-                .zip(row_sums())
-                .fold((0, 0), |(lit, toggles), (kl, &(rl, rt))| {
+            Self::Synapse => kernel.iter().fold((0, 0), |(lit, toggles), &(kl, kt)| {
+                (lit + rows * kl, toggles + rows * kt)
+            }),
+            Self::Gated => kernel
+                .iter()
+                .zip(row)
+                .fold((0, 0), |(lit, toggles), (&(kl, _), &(rl, rt))| {
                     (lit + kl * rl, toggles + kl * rt)
                 }),
         };
         BlockStreams {
             products: rows * kernels,
-            len,
+            len: kernel.len(),
             lit,
             toggles,
         }
@@ -707,21 +659,6 @@ pub(crate) struct BlockStreams {
     pub toggles: u64,
 }
 
-impl BlockStreams {
-    /// The batch [`plane_inner_product`] runs on `group`: its windows
-    /// are the neuron rows, `kernel` the one kernel. The kernel's stream
-    /// sums come from its preparation and the rows' from the group, each
-    /// computed once however many groups and kernels fire.
-    pub(crate) fn of_group(group: &WindowGroup, kernel: &PreparedKernel, streams: Streams) -> Self {
-        streams.fold(
-            (group.len() as u64, 1, group.window()),
-            kernel.lit.iter().map(|&kl| u64::from(kl)),
-            kernel.sums,
-            || group.position_streams(),
-        )
-    }
-}
-
 /// What a scalar OMAC design adds to the shared plane kernel: the
 /// streams its lit-slot and toggle tallies measure, its operand check and
 /// its closed-form charge.
@@ -741,97 +678,142 @@ pub(crate) trait PlaneEngine {
     fn charge(&self, block: &BlockStreams);
 }
 
-/// [`crate::omac::ActivityMac::inner_product_planes_with`] for every
-/// design: the shared kernel on `group`'s windows, then the design's
-/// charge for them.
-///
-/// # Panics
-///
-/// Panics if the group's precision is not `bits`, or under
-/// [`plane_inner_product`]'s conditions.
-pub(crate) fn fire_group<E: PlaneEngine>(
-    engine: &E,
-    bits: u32,
-    group: &WindowGroup,
-    kernel: &PreparedKernel,
-    acc: &mut PlaneAccumulator,
-    out: &mut Vec<u64>,
-) {
-    assert_eq!(group.bits(), bits, "group precision must match the engine");
-    plane_inner_product(group, kernel, acc, out);
-    engine.charge(&BlockStreams::of_group(group, kernel, E::STREAMS));
+/// Which operand of a GEMM rides the 64 plane lanes of [`load_planes`].
+pub(crate) enum Lanes<'a> {
+    /// The kernels (the scalar OMACs): they pack once at load, kernel `m`
+    /// on lane `m mod 64` of group `m / 64`, and each fired row, prepared
+    /// as a [`PreparedKernel`], fires on every group — the input
+    /// broadcast of PIXEL's dataflow, one neuron word reaching every
+    /// filter. The engine checks kernel words at load and row words at
+    /// fire.
+    Kernels,
+    /// The rows (the fabric): each fired block of up to 64 rows packs
+    /// into one group and crosses `transport` once. The first `tiles`
+    /// kernels are resident, each in a [`Tile`] prepared once at load;
+    /// kernels past them stream, each prepared into one reused kernel as
+    /// it fires. The register files and the transport carry `bits`, so
+    /// wider words are truncated, never rejected.
+    Rows {
+        /// Physical tiles, one resident kernel each.
+        tiles: usize,
+        /// Carries each packed group to the tiles, rewriting it in place.
+        transport: Box<dyn FnMut(&mut WindowGroup) + 'a>,
+    },
 }
 
-/// Loads a kernel set onto a scalar OMAC, with the kernels as the plane
-/// lanes: kernels pack up to [`PLANE_WINDOWS`] at a time into
-/// [`WindowGroup`]s (kernel `m` ↦ lane `m mod 64` of group `m / 64`),
-/// and their per-position lit slots and toggles (KLᵢ, KTᵢ) sum once.
-/// Each fired row, prepared once as a [`PreparedKernel`], fires on every
-/// group through [`plane_inner_product`]: the row's words select the
-/// positions the synapse words select on the fabric — the same exact
-/// sums, because products commute. This is the input broadcast of
-/// PIXEL's dataflow: one neuron word reaches every tile that holds a
-/// filter. Each fire then charges its rows' products to the design.
-/// Words above `bits` are dropped on both sides, as the packing and the
-/// kernel drop them.
+/// The one plane loader: loads `kernels` (whole kernels of `len` words)
+/// onto a design's plane engine with either operand on the plane lanes
+/// ([`Lanes`]). Both orientations fire [`plane_inner_product`] — products
+/// commute, so the row's words select positions exactly as a synapse's
+/// do — and charge each fire's `rows × kernels` products to the design
+/// once, through [`Streams::fold`] over per-position stream sums: the
+/// packed side's from its groups' planes, the prepared side's from its
+/// words, the kernels' once per load. Words above `bits` are dropped on
+/// both sides, as the packing and the kernel drop them.
 ///
 /// # Panics
 ///
-/// Panics if the engine rejects a kernel word (at load) or a row word
-/// (at fire), `len` is zero, `kernels` is empty or not whole kernels of
-/// `len` words, or `bits` is outside `1..=16`.
+/// Panics if the engine rejects an operand word (see [`Lanes`]), `len`
+/// is zero, `kernels` is empty or not whole kernels of `len` words, or
+/// `bits` is outside `1..=16`.
 pub(crate) fn load_planes<'a, E: PlaneEngine>(
-    engine: &'a E,
+    engine: impl Deref<Target = E> + 'a,
     bits: u32,
-    kernels: &[u64],
+    kernels: &'a [u64],
     len: usize,
+    lanes: Lanes<'a>,
 ) -> Box<dyn Loaded + 'a> {
-    engine.check_operands(kernels);
     let filters = kernels.len() / len;
-    let groups: Vec<WindowGroup> = kernels
-        .chunks(PLANE_WINDOWS * len)
-        .map(|chunk| WindowGroup::pack(chunk, len, chunk.len() / len, bits))
-        .collect();
+    let gated = E::STREAMS == Streams::Gated;
+    // The kernels' per-position (KLᵢ, KTᵢ), and reused by every fire:
+    // the rows' (RLᵢ, RTᵢ), a prepared row or streamed kernel, the
+    // accumulator and one group's lane sums.
     let mut kernel_sums: Vec<Sums> = vec![(0, 0); len];
-    for group in &groups {
-        for (sums, &(lit, toggles)) in kernel_sums.iter_mut().zip(group.position_streams()) {
-            sums.0 += lit;
-            sums.1 += toggles;
-        }
-    }
-    let kernel_totals = kernel_sums
-        .iter()
-        .fold((0, 0), |(lit, toggles), &(kl, kt)| (lit + kl, toggles + kt));
-    // Reused by every fire: the prepared row, the accumulator, one
-    // group's lane sums and the rows' per-position (RLᵢ, RTᵢ).
-    let mut row_kernel = PreparedKernel::default();
+    let mut row_sums: Vec<Sums> = vec![(0, 0); len];
+    let mut prepared = PreparedKernel::default();
     let mut acc = PlaneAccumulator::new();
     let mut values = Vec::with_capacity(PLANE_WINDOWS);
-    let mut row_sums: Vec<Sums> = vec![(0, 0); len];
-    Box::new(move |rows: &[u64], out: &mut [u64]| {
-        engine.check_operands(rows);
-        row_sums.fill((0, 0));
-        let mut count = 0u64;
-        for (row, outputs) in rows.chunks_exact(len).zip(out.chunks_exact_mut(filters)) {
-            row_kernel.prepare(row, bits);
-            for (group, slots) in groups.iter().zip(outputs.chunks_mut(PLANE_WINDOWS)) {
-                plane_inner_product(group, &row_kernel, &mut acc, &mut values);
-                slots.copy_from_slice(&values);
+    match lanes {
+        Lanes::Kernels => {
+            engine.check_operands(kernels);
+            let groups: Vec<WindowGroup> = kernels
+                .chunks(PLANE_WINDOWS * len)
+                .map(|chunk| WindowGroup::pack(chunk, len, chunk.len() / len, bits))
+                .collect();
+            for group in &groups {
+                add_group_streams(&mut kernel_sums, group);
             }
-            for (sums, &word) in row_sums.iter_mut().zip(row) {
-                let stream = word_stream_activity(word, bits);
-                sums.0 += stream.lit;
-                sums.1 += stream.toggles;
-            }
-            count += 1;
+            Box::new(move |rows: &[u64], out: &mut [u64]| {
+                engine.check_operands(rows);
+                for (row, outputs) in rows.chunks_exact(len).zip(out.chunks_exact_mut(filters)) {
+                    prepared.prepare(row, bits);
+                    for (group, slots) in groups.iter().zip(outputs.chunks_mut(PLANE_WINDOWS)) {
+                        plane_inner_product(group, &prepared, &mut acc, &mut values);
+                        slots.copy_from_slice(&values);
+                    }
+                }
+                row_sums.fill((0, 0));
+                if gated {
+                    add_word_streams(&mut row_sums, rows, bits);
+                }
+                let count = (rows.len() / len) as u64;
+                let block = E::STREAMS.fold((count, filters as u64), &kernel_sums, &row_sums);
+                engine.charge(&block);
+            })
         }
-        engine.charge(&E::STREAMS.fold(
-            (count, filters as u64, len),
-            kernel_sums.iter().map(|&(kl, _)| kl),
-            kernel_totals,
-            || &row_sums,
-        ));
-    })
+        Lanes::Rows {
+            tiles,
+            mut transport,
+        } => {
+            add_word_streams(&mut kernel_sums, kernels, bits);
+            let tiles: Vec<Tile> = kernels
+                .chunks_exact(len)
+                .take(tiles)
+                .map(|kernel| {
+                    let mut tile = Tile::new(bits, len);
+                    tile.load_weights(kernel);
+                    tile
+                })
+                .collect();
+            let mut group = WindowGroup::default();
+            Box::new(move |rows: &[u64], out: &mut [u64]| {
+                row_sums.fill((0, 0));
+                let blocks = rows.chunks(PLANE_WINDOWS * len);
+                for (block, outputs) in blocks.zip(out.chunks_mut(PLANE_WINDOWS * filters)) {
+                    // Stage spans open per group under the caller's span,
+                    // so the profile splits a group's time into pack,
+                    // transport and fire.
+                    let pack_span = pixel_obs::span("pack");
+                    group.repack(block, len, block.len() / len, bits);
+                    drop(pack_span);
+                    let transport_span = pixel_obs::span("transport");
+                    transport(&mut group);
+                    drop(transport_span);
+                    let _fire_span = pixel_obs::span("fire");
+                    for (m, kernel) in kernels.chunks_exact(len).enumerate() {
+                        let kernel = match tiles.get(m) {
+                            Some(tile) => tile.kernel(),
+                            None => {
+                                prepared.prepare(kernel, bits);
+                                &prepared
+                            }
+                        };
+                        plane_inner_product(&group, kernel, &mut acc, &mut values);
+                        let column = outputs.iter_mut().skip(m).step_by(filters);
+                        for (slot, &value) in column.zip(&values) {
+                            *slot = value;
+                        }
+                    }
+                    if gated {
+                        add_group_streams(&mut row_sums, &group);
+                    }
+                }
+                let count = (rows.len() / len) as u64;
+                let block = E::STREAMS.fold((count, filters as u64), &kernel_sums, &row_sums);
+                engine.charge(&block);
+            })
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,7 @@
 //! The all-electrical (EE) functional MAC: Stripes bit-serial hardware.
 
 use crate::omac::activity::{word_stream_activity, ActivityCounter, StreamActivity};
-use crate::omac::bitplane::{
-    fire_group, load_planes, BlockStreams, PlaneAccumulator, PlaneEngine, PreparedKernel, Streams,
-    WindowGroup,
-};
+use crate::omac::bitplane::{load_planes, BlockStreams, Lanes, PlaneEngine, Streams};
 use crate::omac::{fill_lane_chunk, ActivityMac};
 use pixel_dnn::inference::{Loaded, MacEngine};
 use pixel_electronics::cla::Cla;
@@ -109,8 +106,8 @@ impl MacEngine for EeMac {
     }
 
     /// Loads the kernels onto the bit-plane kernel, one filter per plane
-    /// lane (`load_planes`), with the per-product tallies charged in
-    /// closed form.
+    /// lane (`load_planes` with `Lanes::Kernels`), with the
+    /// per-product tallies charged in closed form.
     ///
     /// # Panics
     ///
@@ -118,7 +115,7 @@ impl MacEngine for EeMac {
     /// Stripes datapath rejects it: a kernel word at load, a row word at
     /// fire.
     fn load<'a>(&'a self, kernels: &'a [u64], len: usize) -> Box<dyn Loaded + 'a> {
-        load_planes(self, self.bits(), kernels, len)
+        load_planes(self, self.bits(), kernels, len, Lanes::Kernels)
     }
 
     fn name(&self) -> &str {
@@ -174,16 +171,6 @@ impl PlaneEngine for EeMac {
 impl ActivityMac for EeMac {
     fn activity(&self) -> &ActivityCounter {
         &self.activity
-    }
-
-    fn inner_product_planes_with(
-        &self,
-        group: &WindowGroup,
-        kernel: &PreparedKernel,
-        acc: &mut PlaneAccumulator,
-        out: &mut Vec<u64>,
-    ) {
-        fire_group(self, self.bits(), group, kernel, acc, out);
     }
 }
 

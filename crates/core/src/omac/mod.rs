@@ -15,10 +15,14 @@
 //! can be executed through them and compared element-for-element against
 //! plain integer inference — the functional verification the paper's
 //! analytic evaluation takes on trust. Each runs one inner product at a
-//! time through its device simulation (`inner_product`, the reference),
-//! and loads a layer's kernels (`load`) onto the shared bit-plane kernel
-//! as the plane lanes, firing whole GEMM blocks past them and charging
-//! the same device activity in closed form.
+//! time through its device simulation (`inner_product`, the reference).
+//! Whole GEMM blocks run through one plane loader
+//! (`bitplane::load_planes`), generic over the design's closed-form
+//! accounting, with either operand on the 64 plane lanes: the engines'
+//! own `load` puts the kernels there, and the functional fabric
+//! (`load_rows`) the rows it transports. Both fire the same plane
+//! kernel and charge the same device activity the per-window path
+//! tallies.
 
 pub mod activity;
 pub mod bitplane;
@@ -32,45 +36,19 @@ pub use ee::EeMac;
 pub use oe::OeMac;
 pub use oo::OoMac;
 
-use crate::config::AcceleratorConfig;
-use pixel_dnn::inference::MacEngine;
+use crate::config::{AcceleratorConfig, Design};
+use bitplane::{load_planes, Lanes};
+use pixel_dnn::inference::{Loaded, MacEngine};
 
-/// A functional MAC engine that tallies its device activity and can
-/// advance 64 windows per word-level operation.
+/// A functional MAC engine that tallies its device activity.
 ///
 /// All three bit-true OMACs implement this; the
-/// [`crate::model::DesignModel`] backends hand them out so the fabric,
-/// audit and validation layers can run *any* design's engine and read
-/// its counted activity without naming the concrete type.
+/// [`crate::model::DesignModel`] backends hand them out so the audit and
+/// validation layers can run *any* design's engine and read its counted
+/// activity without naming the concrete type.
 pub trait ActivityMac: MacEngine {
     /// The engine's device-activity tallies.
     fn activity(&self) -> &ActivityCounter;
-
-    /// Computes all of `group`'s windows against a kernel — one synapse
-    /// word per window position, prepared once ([`PreparedKernel`]) — on
-    /// a caller-owned accumulator, writing `group.len()` sums into `out`.
-    /// A caller that fires one kernel on many groups, or many kernels
-    /// through one accumulator, prepares and allocates nothing per call.
-    ///
-    /// The arithmetic is one shared kernel
-    /// ([`bitplane::plane_inner_product`]) because all three designs
-    /// compute the same exact integer inner product; what each engine
-    /// owns is the *accounting* — the call must advance every
-    /// [`ActivityCounter`] tally by exactly the amount running
-    /// [`MacEngine::inner_product`] once per packed window would have,
-    /// zero-padded lane tails included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel's window or precision differs from the
-    /// group's, or the group's precision differs from the engine's.
-    fn inner_product_planes_with(
-        &self,
-        group: &WindowGroup,
-        kernel: &PreparedKernel,
-        acc: &mut PlaneAccumulator,
-        out: &mut Vec<u64>,
-    );
 }
 
 /// Builds the functional MAC engine matching a configuration, through
@@ -84,6 +62,32 @@ pub trait ActivityMac: MacEngine {
 #[must_use]
 pub fn engine_for(config: &AcceleratorConfig) -> Box<dyn MacEngine> {
     config.design.model().functional_engine(config)
+}
+
+/// Loads `kernels` onto the configuration's design with the rows on the
+/// plane lanes ([`bitplane::Lanes::Rows`]): one engine per load, owned by
+/// the returned [`Loaded`], up to `config.tiles` kernels resident, and
+/// every fired block of rows crossing `transport` once.
+///
+/// # Panics
+///
+/// Panics under [`bitplane::load_planes`]'s conditions.
+pub(crate) fn load_rows<'a>(
+    config: &AcceleratorConfig,
+    kernels: &'a [u64],
+    len: usize,
+    transport: impl FnMut(&mut WindowGroup) + 'a,
+) -> Box<dyn Loaded + 'a> {
+    let (lanes, bits) = (config.lanes, config.bits_per_lane);
+    let rows = Lanes::Rows {
+        tiles: config.tiles,
+        transport: Box::new(transport),
+    };
+    match config.design {
+        Design::Ee => load_planes(Box::new(EeMac::new(lanes, bits)), bits, kernels, len, rows),
+        Design::Oe => load_planes(Box::new(OeMac::new(lanes, bits)), bits, kernels, len, rows),
+        Design::Oo => load_planes(Box::new(OoMac::new(lanes, bits)), bits, kernels, len, rows),
+    }
 }
 
 /// Copies the `lanes`-wide chunk starting at `start` from both operand
@@ -112,7 +116,6 @@ pub(crate) fn fill_lane_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Design;
     use pixel_dnn::inference::{DirectMac, MacEngine, PerWindow};
     use pixel_units::rng::SplitMix64;
     use std::panic::{self, AssertUnwindSafe};
@@ -139,109 +142,81 @@ mod tests {
         }
     }
 
-    /// The plane-path theorem: for every design, the bit-plane batched
-    /// inner product is bitwise identical to running the scalar engine
-    /// once per window — and so is every device-activity tally,
-    /// zero-padded lane tails included.
-    #[test]
-    fn plane_path_matches_scalar_outputs_and_activity() {
-        let mut rng = SplitMix64::seed_from_u64(0x9A9E);
-        let mut got = Vec::new();
-        for round in 0..24 {
-            let lanes = rng.range_usize(1, 6);
-            let bits = rng.range_u32(1, 8);
-            let window = rng.range_usize(1, 16);
-            // Cover both a full 64-window group and ragged remainders.
-            let len = if round % 4 == 0 {
-                64
-            } else {
-                rng.range_usize(1, 63)
-            };
-            let limit = (1u64 << bits) - 1;
-            let rows: Vec<u64> = (0..window * len).map(|_| rng.range_u64(0, limit)).collect();
-            let synapses: Vec<u64> = (0..window).map(|_| rng.range_u64(0, limit)).collect();
-            let group = WindowGroup::pack(&rows, window, len, bits);
-            for d in Design::ALL {
-                let cfg = AcceleratorConfig::new(d, lanes, bits);
-                let scalar = d.model().functional_engine(&cfg);
-                let batched = d.model().functional_engine(&cfg);
-                let expected: Vec<u64> = (0..len)
-                    .map(|w| scalar.inner_product(&rows[w * window..(w + 1) * window], &synapses))
-                    .collect();
-                let kernel = PreparedKernel::new(&synapses, bits);
-                batched.inner_product_planes_with(
-                    &group,
-                    &kernel,
-                    &mut PlaneAccumulator::new(),
-                    &mut got,
-                );
-                let label = format!("{d} lanes={lanes} bits={bits} window={window} len={len}");
-                assert_eq!(got, expected, "{label}");
-                let (a, b) = (scalar.activity(), batched.activity());
-                assert_eq!(a.mrr_slots(), b.mrr_slots(), "mrr {label}");
-                assert_eq!(a.mzi_slots(), b.mzi_slots(), "mzi {label}");
-                assert_eq!(a.cla_ops(), b.cla_ops(), "cla {label}");
-                assert_eq!(
-                    a.comparator_decisions(),
-                    b.comparator_decisions(),
-                    "comparator {label}"
-                );
-                assert_eq!(a.oe_conversions(), b.oe_conversions(), "o/e {label}");
-                assert_eq!(a.gated_slots(), b.gated_slots(), "slots {label}");
-                assert_eq!(a.lit_slots(), b.lit_slots(), "lit {label}");
-                assert_eq!(a.bit_toggles(), b.bit_toggles(), "toggles {label}");
-                assert_eq!(a.toggle_pairs(), b.toggle_pairs(), "pairs {label}");
-            }
-        }
+    /// Fires each of `blocks` once on one load of `kernels` through
+    /// `engine` with the rows on the plane lanes, `tiles` kernels
+    /// resident and the transport a no-op; returns each fire's outputs.
+    fn fire_rows_on_lanes<E: bitplane::PlaneEngine>(
+        engine: &E,
+        bits: u32,
+        tiles: usize,
+        (kernels, len): (&[u64], usize),
+        blocks: &[Vec<u64>],
+    ) -> Vec<Vec<u64>> {
+        let transport = Box::new(|_: &mut WindowGroup| {});
+        let mut loaded = load_planes(engine, bits, kernels, len, Lanes::Rows { tiles, transport });
+        blocks
+            .iter()
+            .map(|rows| {
+                let mut out = vec![u64::MAX; rows.len() / len * (kernels.len() / len)];
+                loaded.fire(rows, &mut out);
+                out
+            })
+            .collect()
     }
 
-    /// The prepared-kernel theorem: one kernel, prepared once, fired on
-    /// two distinct groups through one accumulator is bitwise identical
-    /// to the per-window engine on every window of both — outputs and
-    /// all nine tallies. Precisions cover 1–16 bits; every fourth round
-    /// runs 1440–1600-word windows (deep counters, multi-word KLᵢ
-    /// fields) on small groups, the others full and ragged groups of
-    /// 1–64-word windows.
+    /// The rows-on-lanes theorem: for every design, a load with the rows
+    /// on the plane lanes, fired twice, is bitwise identical to the
+    /// per-window engine — values and all nine device-activity tallies.
+    /// Cases cover precisions 1–16, full, ragged and multi-group blocks,
+    /// kernels resident on every tile, on some (the rest stream) and on
+    /// none, and every fourth case 1440–1600-word windows (deep counters)
+    /// on small blocks; lane counts of 1–6 leave padded lane tails.
     #[test]
-    fn prepared_kernels_match_the_per_window_engine_across_groups() {
-        let mut rng = SplitMix64::seed_from_u64(0x9E9A);
-        let mut got = Vec::new();
-        for round in 0..32u32 {
+    fn rows_on_lanes_match_per_window_outputs_and_activity() {
+        let mut rng = SplitMix64::seed_from_u64(0x9A9E);
+        for case in 0..48u32 {
             let lanes = rng.range_usize(1, 6);
-            let bits = round % 16 + 1;
-            let (window, lens) = if round % 4 == 3 {
+            let bits = case % 16 + 1;
+            let tiles = [16, 2, 0][case as usize % 3];
+            let (len, rows) = if case % 4 == 3 {
                 (rng.range_usize(1440, 1600), [rng.range_usize(1, 3), 1])
             } else {
-                (rng.range_usize(1, 64), [64, rng.range_usize(1, 63)])
+                (rng.range_usize(1, 64), [64, rng.range_usize(1, 130)])
             };
+            let kernels = rng.range_usize(1, 6);
             let limit = (1u64 << bits) - 1;
             let mut draw =
                 |n: usize| -> Vec<u64> { (0..n).map(|_| rng.range_u64(0, limit)).collect() };
-            let synapses = draw(window);
-            let rows: Vec<Vec<u64>> = lens.iter().map(|&len| draw(window * len)).collect();
-            let groups: Vec<WindowGroup> = rows
-                .iter()
-                .zip(lens)
-                .map(|(rows, len)| WindowGroup::pack(rows, window, len, bits))
-                .collect();
-            let kernel = PreparedKernel::new(&synapses, bits);
-            let label = format!("lanes={lanes} bits={bits} window={window} lens={lens:?}");
-            for d in Design::ALL {
-                let cfg = AcceleratorConfig::new(d, lanes, bits);
-                let scalar = d.model().functional_engine(&cfg);
-                let batched = d.model().functional_engine(&cfg);
-                let mut acc = PlaneAccumulator::new();
-                for (group, rows) in groups.iter().zip(&rows) {
-                    let expected: Vec<u64> = rows
-                        .chunks_exact(window)
-                        .map(|row| scalar.inner_product(row, &synapses))
-                        .collect();
-                    batched.inner_product_planes_with(group, &kernel, &mut acc, &mut got);
-                    assert_eq!(got, expected, "{d} {label}");
+            let w = draw(kernels * len);
+            let blocks: Vec<Vec<u64>> = rows.iter().map(|&rows| draw(rows * len)).collect();
+            let (ee, oe, oo) = (
+                EeMac::new(lanes, bits),
+                OeMac::new(lanes, bits),
+                OoMac::new(lanes, bits),
+            );
+            let fired = [
+                fire_rows_on_lanes(&ee, bits, tiles, (&w, len), &blocks),
+                fire_rows_on_lanes(&oe, bits, tiles, (&w, len), &blocks),
+                fire_rows_on_lanes(&oo, bits, tiles, (&w, len), &blocks),
+            ];
+            let engines: [&dyn ActivityMac; 3] = [&ee, &oe, &oo];
+            let label = format!(
+                "case {case}: rows={rows:?} kernels={kernels} len={len} lanes={lanes} bits={bits} tiles={tiles}"
+            );
+            for ((d, engine), got) in Design::ALL.into_iter().zip(engines).zip(fired) {
+                let reference = d
+                    .model()
+                    .functional_engine(&AcceleratorConfig::new(d, lanes, bits));
+                let per_window = PerWindow(reference.as_ref());
+                let mut loaded = per_window.load(&w, len);
+                for (rows, got) in blocks.iter().zip(got) {
+                    let mut want = vec![0; rows.len() / len * kernels];
+                    loaded.fire(rows, &mut want);
+                    assert_eq!(got, want, "{d} {label}");
                 }
                 assert_eq!(
-                    tallies(batched.activity()),
-                    tallies(scalar.activity()),
+                    tallies(engine.activity()),
+                    tallies(reference.activity()),
                     "{d} {label}"
                 );
             }

@@ -9,10 +9,7 @@
 //! synapse.
 
 use crate::omac::activity::{bit_stream_activity, ActivityCounter, StreamActivity};
-use crate::omac::bitplane::{
-    fire_group, load_planes, BlockStreams, PlaneAccumulator, PlaneEngine, PreparedKernel, Streams,
-    WindowGroup,
-};
+use crate::omac::bitplane::{load_planes, BlockStreams, Lanes, PlaneEngine, Streams};
 use crate::omac::{fill_lane_chunk, ActivityMac};
 use pixel_dnn::inference::{Loaded, MacEngine};
 use pixel_electronics::cla::Cla;
@@ -170,10 +167,10 @@ impl MacEngine for OeMac {
     }
 
     /// Loads the kernels onto the bit-plane kernel, one filter per plane
-    /// lane (`load_planes`), with the per-product tallies charged in
-    /// closed form.
+    /// lane (`load_planes` with `Lanes::Kernels`), with the
+    /// per-product tallies charged in closed form.
     fn load<'a>(&'a self, kernels: &'a [u64], len: usize) -> Box<dyn Loaded + 'a> {
-        load_planes(self, self.bits, kernels, len)
+        load_planes(self, self.bits, kernels, len, Lanes::Kernels)
     }
 
     fn name(&self) -> &str {
@@ -219,16 +216,6 @@ impl PlaneEngine for OeMac {
 impl ActivityMac for OeMac {
     fn activity(&self) -> &ActivityCounter {
         &self.activity
-    }
-
-    fn inner_product_planes_with(
-        &self,
-        group: &WindowGroup,
-        kernel: &PreparedKernel,
-        acc: &mut PlaneAccumulator,
-        out: &mut Vec<u64>,
-    ) {
-        fire_group(self, self.bits, group, kernel, acc, out);
     }
 }
 

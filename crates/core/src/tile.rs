@@ -1,56 +1,37 @@
-//! One PIXEL tile: weight register file + functional OMAC + fire path.
+//! One PIXEL tile: the weight register file and its resident kernel.
 //!
-//! Fig. 3: each OMAC tile holds an RF for filter weight storage and the
-//! MAC unit; synapses are pre-loaded and neurons arrive as timed optical
-//! firings. The tile here is the *functional* composition — it stores
-//! weights in the electrical register file and computes windows through
-//! the design's bit-true MAC engine. Loading a filter also prepares it
-//! for the plane kernel ([`PreparedKernel`]), once: every group fired on
-//! the tile streams neurons past the same prepared synapses.
+//! Fig. 3: each OMAC tile holds an RF for filter weight storage next to
+//! the MAC unit; synapses are pre-loaded and neurons arrive as timed
+//! optical firings. The tile here keeps what is physical: loading a
+//! filter writes it to the electrical register file, whose registers
+//! mask each weight to their width, and prepares what the file reads
+//! back for the plane kernel ([`PreparedKernel`]), once, so every group
+//! fired on the tile streams neurons past the same prepared synapses.
+//! The design's engine, which fires and charges those groups, belongs to
+//! the load (`omac::bitplane::load_planes`), one per load.
 
-use crate::config::AcceleratorConfig;
-use crate::omac::{ActivityMac, PlaneAccumulator, PreparedKernel, WindowGroup};
+use crate::omac::PreparedKernel;
 use pixel_electronics::register::RegisterFile;
 
 /// A functional PIXEL tile.
+#[derive(Debug)]
 pub struct Tile {
-    config: AcceleratorConfig,
+    bits: u32,
     weights: RegisterFile,
-    /// Register-file contents read back after the last load.
-    mirror: Vec<u64>,
     /// The register file's contents prepared for the plane kernel.
     kernel: PreparedKernel,
-    engine: Box<dyn ActivityMac>,
-}
-
-impl std::fmt::Debug for Tile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tile")
-            .field("config", &self.config)
-            .field("weights", &self.weights.len())
-            .field("engine", &self.engine.name())
-            .finish()
-    }
 }
 
 impl Tile {
-    /// Creates a tile with storage for `filter_size` synapse words.
+    /// Creates a tile with storage for `filter_size` synapse words of
+    /// `bits` bits each.
     #[must_use]
-    pub fn new(config: AcceleratorConfig, filter_size: usize) -> Self {
-        let width = config.bits_per_lane.min(32);
+    pub fn new(bits: u32, filter_size: usize) -> Self {
         Self {
-            config,
-            weights: RegisterFile::new(filter_size, width),
-            mirror: vec![0; filter_size],
+            bits,
+            weights: RegisterFile::new(filter_size, bits),
             kernel: PreparedKernel::default(),
-            engine: config.design.model().functional_engine(&config),
         }
-    }
-
-    /// The tile's configuration.
-    #[must_use]
-    pub fn config(&self) -> &AcceleratorConfig {
-        &self.config
     }
 
     /// Pre-loads filter weights into the register file (paper: "the
@@ -59,169 +40,79 @@ impl Tile {
     ///
     /// # Panics
     ///
-    /// Panics if more weights than the RF holds are supplied.
+    /// Panics if more weights than the RF holds are supplied, or `bits`
+    /// is outside `1..=16`.
     pub fn load_weights(&mut self, weights: &[u64]) {
         self.weights.load(weights);
         // Prepare what the RF actually stores (its registers mask to the
         // configured width), not what the caller supplied.
-        for (i, slot) in self.mirror.iter_mut().enumerate() {
-            *slot = self.weights.read(i);
-        }
-        self.kernel.prepare(&self.mirror, self.config.bits_per_lane);
+        let stored: Vec<u64> = (0..self.weights.len())
+            .map(|i| self.weights.read(i))
+            .collect();
+        self.kernel.prepare(&stored, self.bits);
     }
 
-    /// Number of weights stored.
+    /// The resident filter, prepared for the plane kernel.
     #[must_use]
-    pub fn filter_size(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Computes a whole bit-plane window group against the pre-loaded
-    /// weights: `group.len()` windows advance together, up to 64 MACs per
-    /// word-level engine operation. A group narrower than the filter
-    /// uses the filter's prefix weights, prepared for that one firing.
-    /// Results land in `out`, one sum per packed window, bitwise
-    /// identical to the design's per-window engine
-    /// ([`crate::omac::engine_for`]). `acc` is the kernel's working
-    /// state, reusable across tiles and groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group's window size exceeds the stored filter size
-    /// or its precision differs from the tile's.
-    pub fn fire_planes(&self, group: &WindowGroup, acc: &mut PlaneAccumulator, out: &mut Vec<u64>) {
-        assert!(
-            group.window() <= self.weights.len(),
-            "firing {} neuron positions into a {}-weight filter",
-            group.window(),
-            self.weights.len()
-        );
-        if group.window() == self.kernel.window() {
-            self.engine
-                .inner_product_planes_with(group, &self.kernel, acc, out);
-        } else {
-            let prefix = PreparedKernel::new(&self.mirror[..group.window()], group.bits());
-            self.engine
-                .inner_product_planes_with(group, &prefix, acc, out);
-        }
-    }
-
-    /// [`Self::fire_planes`] against *streamed* weights instead of the
-    /// resident filter — the time-multiplexing path when a fabric maps
-    /// more filters than physical tiles onto the same datapath. The
-    /// caller prepares the streamed kernel as it streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel's window differs from the group's window
-    /// size or its or the group's precision differs from the tile's.
-    pub fn fire_planes_streamed(
-        &self,
-        group: &WindowGroup,
-        kernel: &PreparedKernel,
-        acc: &mut PlaneAccumulator,
-        out: &mut Vec<u64>,
-    ) {
-        assert_eq!(
-            group.window(),
-            kernel.window(),
-            "streamed weights must match the fired window"
-        );
-        self.engine
-            .inner_product_planes_with(group, kernel, acc, out);
-    }
-
-    /// The MAC engine's name (design identification).
-    #[must_use]
-    pub fn engine_name(&self) -> &str {
-        self.engine.name()
+    pub fn kernel(&self) -> &PreparedKernel {
+        &self.kernel
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Design;
+    use crate::omac::bitplane::plane_inner_product;
+    use crate::omac::{PlaneAccumulator, WindowGroup};
 
     /// Fires one window, packed as a single-window group, against the
-    /// resident filter or, given `streamed`, against streamed weights.
-    fn fire_window(tile: &Tile, neurons: &[u64], streamed: Option<&[u64]>) -> u64 {
-        let bits = tile.config().bits_per_lane;
-        let group = WindowGroup::pack(neurons, neurons.len(), 1, bits);
-        let (mut acc, mut out) = (PlaneAccumulator::new(), Vec::new());
-        match streamed {
-            None => tile.fire_planes(&group, &mut acc, &mut out),
-            Some(weights) => {
-                let kernel = PreparedKernel::new(weights, bits);
-                tile.fire_planes_streamed(&group, &kernel, &mut acc, &mut out);
-            }
-        }
+    /// resident filter.
+    fn fire_window(tile: &Tile, neurons: &[u64]) -> u64 {
+        let group = WindowGroup::pack(neurons, neurons.len(), 1, tile.bits);
+        let mut out = Vec::new();
+        plane_inner_product(
+            &group,
+            tile.kernel(),
+            &mut PlaneAccumulator::new(),
+            &mut out,
+        );
         out[0]
     }
 
     #[test]
-    fn tile_computes_window_through_each_design() {
-        for design in Design::ALL {
-            let cfg = AcceleratorConfig::new(design, 4, 8);
-            let mut tile = Tile::new(cfg, 8);
-            tile.load_weights(&[1, 2, 3, 4, 5, 6, 7, 8]);
-            let out = fire_window(&tile, &[10, 20, 30, 40, 50, 60, 70, 80], None);
-            let expected: u64 = (1..=8u64).map(|i| i * i * 10).sum();
-            assert_eq!(out, expected, "{design}");
-        }
-    }
-
-    #[test]
-    fn partial_window_uses_prefix_weights() {
-        let mut tile = Tile::new(AcceleratorConfig::new(Design::Oe, 4, 8), 4);
-        tile.load_weights(&[9, 9, 9, 9]);
-        assert_eq!(fire_window(&tile, &[1, 1], None), 18);
-    }
-
-    #[test]
-    fn streamed_weights_bypass_the_register_file() {
-        let mut tile = Tile::new(AcceleratorConfig::new(Design::Oo, 4, 8), 4);
-        tile.load_weights(&[9, 9, 9, 9]);
-        assert_eq!(fire_window(&tile, &[1, 2, 3, 4], Some(&[5, 6, 7, 8])), 70);
-        // The resident filter is untouched.
-        assert_eq!(fire_window(&tile, &[1, 1, 1, 1], None), 36);
+    fn tile_computes_a_window_against_its_resident_filter() {
+        let mut tile = Tile::new(8, 8);
+        tile.load_weights(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        let out = fire_window(&tile, &[10, 20, 30, 40, 50, 60, 70, 80]);
+        let expected: u64 = (1..=8u64).map(|i| i * i * 10).sum();
+        assert_eq!(out, expected);
     }
 
     #[test]
     fn mirror_reflects_register_width_masking() {
-        // 8-bit lanes → 8-bit registers: a 9-bit weight is masked on load,
-        // and firing must see the masked value the RF stores.
-        let mut tile = Tile::new(AcceleratorConfig::new(Design::Ee, 4, 8), 2);
+        // 8-bit registers: a 9-bit weight is masked on load, and firing
+        // must see the masked value the RF stores.
+        let mut tile = Tile::new(8, 2);
         tile.load_weights(&[0x1FF, 1]);
-        assert_eq!(fire_window(&tile, &[1, 0], None), 0xFF);
+        assert_eq!(fire_window(&tile, &[1, 0]), 0xFF);
     }
 
     #[test]
     fn reloading_replaces_the_prepared_filter() {
-        for design in Design::ALL {
-            let mut tile = Tile::new(AcceleratorConfig::new(design, 4, 8), 3);
-            tile.load_weights(&[3, 5, 7]);
-            assert_eq!(fire_window(&tile, &[1, 2, 3], None), 34, "{design}");
-            // 0x2FF is wider than the 8-bit registers: B fires masked to
-            // 0xFF, and nothing of A's preparation survives the reload.
-            tile.load_weights(&[0x2FF, 0, 2]);
-            assert_eq!(fire_window(&tile, &[1, 2, 3], None), 0xFF + 6, "{design}");
-        }
+        let mut tile = Tile::new(8, 3);
+        tile.load_weights(&[3, 5, 7]);
+        assert_eq!(fire_window(&tile, &[1, 2, 3]), 34);
+        // 0x2FF is wider than the 8-bit registers: B fires masked to
+        // 0xFF, and nothing of A's preparation survives the reload.
+        tile.load_weights(&[0x2FF, 0, 2]);
+        assert_eq!(fire_window(&tile, &[1, 2, 3]), 0xFF + 6);
     }
 
     #[test]
-    #[should_panic(expected = "firing")]
-    fn overfiring_panics() {
-        let tile = Tile::new(AcceleratorConfig::new(Design::Ee, 4, 8), 2);
-        let _ = fire_window(&tile, &[1, 2, 3], None);
-    }
-
-    #[test]
-    fn debug_shows_engine() {
-        let tile = Tile::new(AcceleratorConfig::new(Design::Oo, 4, 8), 2);
-        let dbg = format!("{tile:?}");
-        assert!(dbg.contains("OO"));
-        assert_eq!(tile.filter_size(), 2);
-        assert!(tile.engine_name().contains("MZI"));
+    #[should_panic(expected = "one synapse word per window position")]
+    fn a_window_wider_than_the_filter_panics() {
+        let mut tile = Tile::new(8, 2);
+        tile.load_weights(&[1, 2]);
+        let _ = fire_window(&tile, &[1, 2, 3]);
     }
 }

@@ -11,9 +11,9 @@
 //! filter 0 is the paper's worked value (42).
 
 use pixel::core::config::{AcceleratorConfig, Design};
+use pixel::core::functional_fabric::FunctionalFabric;
 use pixel::core::interconnect::{Dimension, TileCoord, XyFabric};
-use pixel::core::omac::{PlaneAccumulator, WindowGroup};
-use pixel::core::tile::Tile;
+use pixel::dnn::inference::MacEngine;
 use pixel::photonics::signal::PulseTrain;
 
 fn main() {
@@ -54,15 +54,12 @@ fn main() {
     );
 
     // Filter 0 lives on tile (0,0): synapse lane SL₀ element 0 of each
-    // lane = (6, 1, 2, 3).
-    // The fired neurons form one window, packed as a one-window
-    // bit-plane group.
-    let group = WindowGroup::pack(&fired, 4, 1, 4);
+    // lane = (6, 1, 2, 3). The fired neurons form one window, carried to
+    // the tile as a one-window bit-plane group.
     for design in Design::ALL {
-        let mut tile = Tile::new(AcceleratorConfig::new(design, 4, 4), 4);
-        tile.load_weights(&[6, 1, 2, 3]);
-        let mut partial = Vec::new();
-        tile.fire_planes(&group, &mut PlaneAccumulator::new(), &mut partial);
+        let omacs = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
+        let mut partial = [0];
+        omacs.load(&[6, 1, 2, 3], 4).fire(&fired, &mut partial);
         println!(
             "{} OMAC 0 partial sum: {} (paper: 42)",
             design.label(),

@@ -3,9 +3,9 @@
 //! direct convolution.
 
 use pixel::core::config::{AcceleratorConfig, Design};
+use pixel::core::functional_fabric::FunctionalFabric;
 use pixel::core::interconnect::{Dimension, TileCoord, XyFabric};
-use pixel::core::omac::{PlaneAccumulator, WindowGroup};
-use pixel::core::tile::Tile;
+use pixel::dnn::inference::MacEngine;
 use pixel::photonics::photodetector::Photodetector;
 use pixel::photonics::signal::PulseTrain;
 use pixel::units::rng::SplitMix64;
@@ -48,8 +48,10 @@ fn row_broadcast_survives_attenuation() {
     }
 }
 
-/// A 3×3 convolution window computed tile-by-tile through fired weights,
-/// for each design, equals the direct integer result.
+/// A 3×3 convolution window fired over the fabric — packed as a
+/// one-window bit-plane group, carried across the MWSR medium and fired
+/// on the tile holding the kernel — equals the direct integer result on
+/// each design.
 #[test]
 fn tiles_compute_conv_windows_after_firing() {
     let mut rng = SplitMix64::seed_from_u64(11);
@@ -57,14 +59,12 @@ fn tiles_compute_conv_windows_after_firing() {
     let kernel: Vec<u64> = (0..9).map(|_| rng.range_u64(0, 15)).collect();
     let expected: u64 = window.iter().zip(&kernel).map(|(&a, &b)| a * b).sum();
 
-    // The window rides a one-window bit-plane group.
-    let group = WindowGroup::pack(&window, 9, 1, 4);
     for design in Design::ALL {
-        let mut tile = Tile::new(AcceleratorConfig::new(design, 4, 4), 9);
-        tile.load_weights(&kernel);
-        let mut out = Vec::new();
-        tile.fire_planes(&group, &mut PlaneAccumulator::new(), &mut out);
+        let fabric = FunctionalFabric::new(AcceleratorConfig::new(design, 4, 4));
+        let mut out = [0];
+        fabric.load(&kernel, 9).fire(&window, &mut out);
         assert_eq!(out, [expected], "{design}");
+        assert_eq!(fabric.detected_words(), 9, "{design}");
     }
 }
 

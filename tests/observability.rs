@@ -106,24 +106,35 @@ fn omac_deltas(run: impl FnOnce()) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// The scalar OMACs' block path advances the `omac.*` counters exactly
-/// as far as the per-window path: a one-row block, a row-heavy block
-/// and two kernel groups with a partial last one, all with padded lane
-/// tails (4 lanes).
+/// The scalar OMACs' block path and the fabric's load advance the
+/// `omac.*` counters exactly as far as the per-window path: a one-row
+/// block, a row-heavy block, two kernel groups with a partial last one,
+/// and a partial row group of more kernels than the fabric's 16 tiles
+/// (so four stream), all with padded lane tails (4 lanes).
 fn omac_block_counters_match_per_window() {
     let mut rng = SplitMix64::seed_from_u64(23);
-    for (rows, kernels, len) in [(1, 70, 9), (9, 3, 13), (2, 130, 6)] {
+    for (rows, kernels, len) in [(1, 70, 9), (9, 3, 13), (2, 130, 6), (70, 20, 25)] {
         let a: Vec<u64> = (0..rows * len).map(|_| rng.range_u64(0, 15)).collect();
         let w: Vec<u64> = (0..kernels * len).map(|_| rng.range_u64(0, 15)).collect();
         for design in Design::ALL {
-            let engine = engine_for(&AcceleratorConfig::new(design, 4, 4));
-            let mut out = vec![0; rows * kernels];
-            let block = omac_deltas(|| engine.load(&w, len).fire(&a, &mut out));
+            let config = AcceleratorConfig::new(design, 4, 4);
+            let engine = engine_for(&config);
+            let fabric = FunctionalFabric::new(config);
+            let label = format!("{design} rows={rows} kernels={kernels}");
+            let mut want = vec![0; rows * kernels];
             let per_window = omac_deltas(|| {
-                PerWindow(engine.as_ref()).load(&w, len).fire(&a, &mut out);
+                PerWindow(engine.as_ref()).load(&w, len).fire(&a, &mut want);
             });
-            assert!(block.len() >= 4, "{design}: {block:?}");
-            assert_eq!(block, per_window, "{design} rows={rows} kernels={kernels}");
+            assert!(per_window.len() >= 4, "{design}: {per_window:?}");
+            for (name, mac) in [
+                ("block", engine.as_ref()),
+                ("fabric", &fabric as &dyn MacEngine),
+            ] {
+                let mut out = vec![u64::MAX; rows * kernels];
+                let deltas = omac_deltas(|| mac.load(&w, len).fire(&a, &mut out));
+                assert_eq!(out, want, "{name} {label}");
+                assert_eq!(deltas, per_window, "{name} {label}");
+            }
         }
     }
 }
@@ -195,7 +206,6 @@ fn global_registry_observes_the_instrumented_stack() {
     );
     // Analysis ran under the accelerator evaluation.
     assert!(snap.span("analyze").is_some());
-    omac_block_counters_match_per_window();
 
     // Phase 3: disable again — recording stops but data is retained.
     pixel::obs::disable();
@@ -213,9 +223,11 @@ fn global_registry_observes_the_instrumented_stack() {
     pixel::obs::reset();
     assert!(pixel::obs::snapshot().counters.is_empty());
 
-    // Phase 4: a whole forward pass on the fabric, on a fresh registry.
+    // Phase 4: a whole forward pass on the fabric, then the per-engine
+    // `omac.*` counter checks, on a fresh registry.
     pixel::obs::enable();
     fabric_forward_loads_once_per_layer();
+    omac_block_counters_match_per_window();
     pixel::obs::disable();
     pixel::obs::reset();
 }
