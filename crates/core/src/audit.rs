@@ -20,13 +20,14 @@
 //!   of correlation).
 //!
 //! [`activity_audit`] runs random inner products through the bit-true
-//! functional MACs, reads the counted [`crate::omac::ActivityCounter`] tallies, and
-//! reports counted vs analytic rates with relative errors. It is a
+//! functional MACs, adds up the [`ActivityTally`] each one's load
+//! returns, and reports counted vs analytic rates with relative errors. It is a
 //! `reproduce` artifact (`reproduce audit`) and an integration-tested
 //! invariant: the simulation's measured activity must match what the
 //! model multiplies by.
 
 use crate::config::{AcceleratorConfig, Design};
+use pixel_dnn::inference::{ActivityTally, MacEngine, PerWindow};
 use pixel_units::rng::SplitMix64;
 
 /// Counted-vs-analytic activity of one design.
@@ -101,16 +102,19 @@ pub fn activity_audit(
             let mut rng = SplitMix64::seed_from_u64(seed);
             let config = AcceleratorConfig::new(design, lanes, bits);
             let mac = design.model().functional_engine(&config);
+            let per_window = PerWindow(mac.as_ref());
+            let mut activity = ActivityTally::default();
             for _ in 0..windows {
                 let n: Vec<u64> = (0..window_len).map(|_| rng.range_u64(0, limit)).collect();
                 let s: Vec<u64> = (0..window_len).map(|_| rng.range_u64(0, limit)).collect();
-                let _ = mac.inner_product(&n, &s);
+                let mut loaded = per_window.load(&s, window_len);
+                loaded.fire(&n, &mut [0]);
+                activity += loaded.finish();
             }
-            let activity = mac.activity();
             let (lit, toggle) = analytic_activity(design);
             ActivityAuditRow {
                 design,
-                slots: activity.gated_slots(),
+                slots: activity.gated_slots,
                 counted_lit_rate: activity.lit_rate(),
                 analytic_lit_rate: lit,
                 counted_toggle_rate: activity.toggle_rate(),

@@ -16,13 +16,16 @@
 //! firing tile's wavelength block and recovered at the compute tiles
 //! (the loader's transport hook, `FunctionalFabric::transport_planes`),
 //! then fired on every kernel through the shared plane kernel and charged
-//! to the design. The result must equal plain integer inference — the
-//! strongest "the architecture actually computes the CNN" statement in
-//! the repository.
+//! to the load's tally, which [`Loaded::finish`] hands back. The result
+//! must equal plain integer inference — the strongest "the architecture
+//! actually computes the CNN" statement in the repository — and the
+//! tally the scalar OMACs count for the same work.
 
 use crate::config::AcceleratorConfig;
 use crate::omac::{load_rows, WindowGroup, PLANE_WINDOWS};
-use pixel_dnn::inference::{conv_windows, LayerWeights, Loaded, MacEngine, ShapeError};
+use pixel_dnn::inference::{
+    conv_windows, ActivityTally, LayerWeights, Loaded, MacEngine, ShapeError,
+};
 use pixel_dnn::layer::Layer;
 use pixel_dnn::tensor::Tensor;
 use pixel_photonics::photodetector::Photodetector;
@@ -133,7 +136,7 @@ impl FunctionalFabric {
                         scope.spawn(move || {
                             let _worker = pixel_obs::span("fabric_conv2d/rows/worker");
                             let first = w * windows_per_worker;
-                            conv_windows(layer, inputs, weights, self, first, chunk)
+                            conv_windows(layer, inputs, weights, self, first, chunk).map(drop)
                         })
                     })
                     .collect();
@@ -200,11 +203,17 @@ impl FunctionalFabric {
 }
 
 impl MacEngine for FunctionalFabric {
-    /// One row fired on its own load.
     fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
+        self.count_product(neurons, synapses, &mut ActivityTally::default())
+    }
+
+    /// One row fired on its own load.
+    fn count_product(&self, neurons: &[u64], synapses: &[u64], tally: &mut ActivityTally) -> u64 {
         let mut out = [0];
         if !neurons.is_empty() {
-            self.load(synapses, neurons.len()).fire(neurons, &mut out);
+            let mut loaded = self.load(synapses, neurons.len());
+            loaded.fire(neurons, &mut out);
+            *tally += loaded.finish();
         }
         out[0]
     }
@@ -215,8 +224,10 @@ impl MacEngine for FunctionalFabric {
     /// physical tile count and streamed kernels past it. Every fired
     /// block of rows packs into one bit-plane group that crosses the MWSR
     /// medium once (`Self::transport_planes`) before it fires on every
-    /// kernel. Operand words wider than `bits_per_lane` are truncated to
-    /// it: the bit planes and the register file carry no more bits.
+    /// kernel, and every fire's device activity adds up in the load's
+    /// tally. Operand words wider than `bits_per_lane` are rejected on EE,
+    /// as its scalar OMAC rejects them, and truncated on OE and OO: the
+    /// bit planes and the register file carry no more bits.
     fn load<'a>(&'a self, kernels: &'a [u64], len: usize) -> Box<dyn Loaded + 'a> {
         let _load_span = pixel_obs::span("load");
         let config = self.config;

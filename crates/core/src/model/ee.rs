@@ -11,8 +11,9 @@ use crate::area::AreaBreakdown;
 use crate::calibration as cal;
 use crate::config::{AcceleratorConfig, Clocks, Design};
 use crate::energy::OperationEnergies;
-use crate::omac::{ActivityMac, EeMac};
+use crate::omac::EeMac;
 use crate::overrides::ModelOverrides;
+use pixel_dnn::inference::MacEngine;
 use pixel_electronics::dsent;
 use pixel_electronics::gates::LogicDepth;
 use pixel_electronics::stripes::StripesMac;
@@ -81,7 +82,7 @@ impl DesignModel for EeModel {
         (0.5, 0.5)
     }
 
-    fn functional_engine(&self, config: &AcceleratorConfig) -> Box<dyn ActivityMac> {
+    fn functional_engine(&self, config: &AcceleratorConfig) -> Box<dyn MacEngine> {
         Box::new(EeMac::new(config.lanes, config.bits_per_lane))
     }
 }

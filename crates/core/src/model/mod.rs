@@ -32,8 +32,8 @@ use crate::area::AreaBreakdown;
 use crate::calibration as cal;
 use crate::config::{AcceleratorConfig, Clocks, Design};
 use crate::energy::OperationEnergies;
-use crate::omac::ActivityMac;
 use crate::overrides::ModelOverrides;
+use pixel_dnn::inference::MacEngine;
 use pixel_electronics::activation::TanhUnit;
 use pixel_electronics::gates::GateCount;
 use pixel_electronics::register::GATES_PER_FLIPFLOP;
@@ -96,7 +96,7 @@ pub trait DesignModel: Send + Sync {
     fn analytic_activity(&self) -> (f64, f64);
 
     /// Builds the bit-true functional MAC engine of this design.
-    fn functional_engine(&self, config: &AcceleratorConfig) -> Box<dyn ActivityMac>;
+    fn functional_engine(&self, config: &AcceleratorConfig) -> Box<dyn MacEngine>;
 }
 
 /// The backend registry, indexed in [`Design::ALL`] order.
@@ -240,6 +240,7 @@ pub(crate) fn optical_static_power(config: &AcceleratorConfig) -> StaticPower {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pixel_dnn::inference::PerWindow;
 
     #[test]
     fn registry_order_matches_design_all() {
@@ -263,8 +264,12 @@ mod tests {
         for design in Design::ALL {
             let cfg = AcceleratorConfig::new(design, 4, 8);
             let engine = design.model().functional_engine(&cfg);
-            assert_eq!(engine.inner_product(&n, &s), expect, "{design}");
-            assert!(engine.activity().gated_slots() > 0, "{design}");
+            let per_window = PerWindow(engine.as_ref());
+            let mut out = [0];
+            let mut loaded = per_window.load(&s, s.len());
+            loaded.fire(&n, &mut out);
+            assert_eq!(out[0], expect, "{design}");
+            assert!(loaded.finish().gated_slots > 0, "{design}");
         }
     }
 

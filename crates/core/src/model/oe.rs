@@ -12,8 +12,9 @@ use crate::area::AreaBreakdown;
 use crate::calibration as cal;
 use crate::config::{AcceleratorConfig, Clocks, Design};
 use crate::energy::OperationEnergies;
-use crate::omac::{ActivityMac, OeMac};
+use crate::omac::OeMac;
 use crate::overrides::ModelOverrides;
+use pixel_dnn::inference::MacEngine;
 use pixel_electronics::cla::Cla;
 use pixel_electronics::converter::SerialConverter;
 use pixel_electronics::dsent;
@@ -94,7 +95,7 @@ impl DesignModel for OeModel {
         (0.25, 0.25)
     }
 
-    fn functional_engine(&self, config: &AcceleratorConfig) -> Box<dyn ActivityMac> {
+    fn functional_engine(&self, config: &AcceleratorConfig) -> Box<dyn MacEngine> {
         Box::new(OeMac::new(config.lanes, config.bits_per_lane))
     }
 }

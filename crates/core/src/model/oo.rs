@@ -13,8 +13,9 @@ use crate::area::AreaBreakdown;
 use crate::calibration as cal;
 use crate::config::{AcceleratorConfig, Clocks, Design};
 use crate::energy::OperationEnergies;
-use crate::omac::{ActivityMac, OoMac};
+use crate::omac::OoMac;
 use crate::overrides::ModelOverrides;
+use pixel_dnn::inference::MacEngine;
 use pixel_electronics::cla::Cla;
 use pixel_electronics::comparator::ComparatorLadder;
 use pixel_electronics::converter::AmplitudeConverter;
@@ -100,7 +101,7 @@ impl DesignModel for OoModel {
         (0.25, 0.25)
     }
 
-    fn functional_engine(&self, config: &AcceleratorConfig) -> Box<dyn ActivityMac> {
+    fn functional_engine(&self, config: &AcceleratorConfig) -> Box<dyn MacEngine> {
         Box::new(OoMac::new(config.lanes, config.bits_per_lane))
     }
 }

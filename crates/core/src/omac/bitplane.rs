@@ -31,7 +31,7 @@
 
 use crate::omac::activity::word_stream_activity;
 use crate::tile::Tile;
-use pixel_dnn::inference::Loaded;
+use pixel_dnn::inference::{ActivityTally, Loaded, Tallied};
 use std::ops::Deref;
 
 /// Windows a fully packed plane carries (the `u64` lane width).
@@ -672,10 +672,10 @@ pub(crate) trait PlaneEngine {
     /// them.
     fn check_operands(&self, _words: &[u64]) {}
 
-    /// Charges a batch of inner products in closed form — exactly what
-    /// [`pixel_dnn::inference::MacEngine::inner_product`] tallies once
-    /// per product.
-    fn charge(&self, block: &BlockStreams);
+    /// Charges a batch of inner products to `tally` in closed form —
+    /// exactly what [`pixel_dnn::inference::MacEngine::count_product`]
+    /// counts once per product.
+    fn charge(&self, block: &BlockStreams, tally: &mut ActivityTally);
 }
 
 /// Which operand of a GEMM rides the 64 plane lanes of [`load_planes`].
@@ -684,15 +684,15 @@ pub(crate) enum Lanes<'a> {
     /// on lane `m mod 64` of group `m / 64`, and each fired row, prepared
     /// as a [`PreparedKernel`], fires on every group — the input
     /// broadcast of PIXEL's dataflow, one neuron word reaching every
-    /// filter. The engine checks kernel words at load and row words at
-    /// fire.
+    /// filter.
     Kernels,
     /// The rows (the fabric): each fired block of up to 64 rows packs
     /// into one group and crosses `transport` once. The first `tiles`
     /// kernels are resident, each in a [`Tile`] prepared once at load;
     /// kernels past them stream, each prepared into one reused kernel as
     /// it fires. The register files and the transport carry `bits`, so
-    /// wider words are truncated, never rejected.
+    /// words wider than that which the engine takes (OE, OO) are
+    /// truncated; EE rejects them, as in the other orientation.
     Rows {
         /// Physical tiles, one resident kernel each.
         tiles: usize,
@@ -701,6 +701,10 @@ pub(crate) enum Lanes<'a> {
     },
 }
 
+/// One lane orientation's fire: fills a block's outputs and, for gated
+/// streams, adds the rows' per-position (RLᵢ, RTᵢ) to the given sums.
+type FireBlock<'a> = Box<dyn FnMut(&[u64], &mut [u64], &mut [Sums]) + 'a>;
+
 /// The one plane loader: loads `kernels` (whole kernels of `len` words)
 /// onto a design's plane engine with either operand on the plane lanes
 /// ([`Lanes`]). Both orientations fire [`plane_inner_product`] — products
@@ -708,14 +712,16 @@ pub(crate) enum Lanes<'a> {
 /// do — and charge each fire's `rows × kernels` products to the design
 /// once, through [`Streams::fold`] over per-position stream sums: the
 /// packed side's from its groups' planes, the prepared side's from its
-/// words, the kernels' once per load. Words above `bits` are dropped on
-/// both sides, as the packing and the kernel drop them.
+/// words, the kernels' once per load. The charges add up in the load's
+/// own tally, which [`Loaded::finish`] returns. The engine checks kernel
+/// words at load and row words at fire; words above `bits` it takes are
+/// dropped on both sides, as the packing and the kernel drop them.
 ///
 /// # Panics
 ///
-/// Panics if the engine rejects an operand word (see [`Lanes`]), `len`
-/// is zero, `kernels` is empty or not whole kernels of `len` words, or
-/// `bits` is outside `1..=16`.
+/// Panics if the engine rejects an operand word
+/// ([`PlaneEngine::check_operands`]), `len` is zero, `kernels` is empty
+/// or not whole kernels of `len` words, or `bits` is outside `1..=16`.
 pub(crate) fn load_planes<'a, E: PlaneEngine>(
     engine: impl Deref<Target = E> + 'a,
     bits: u32,
@@ -725,17 +731,16 @@ pub(crate) fn load_planes<'a, E: PlaneEngine>(
 ) -> Box<dyn Loaded + 'a> {
     let filters = kernels.len() / len;
     let gated = E::STREAMS == Streams::Gated;
-    // The kernels' per-position (KLᵢ, KTᵢ), and reused by every fire:
-    // the rows' (RLᵢ, RTᵢ), a prepared row or streamed kernel, the
+    // Reused by every fire: a prepared row or streamed kernel, the
     // accumulator and one group's lane sums.
-    let mut kernel_sums: Vec<Sums> = vec![(0, 0); len];
-    let mut row_sums: Vec<Sums> = vec![(0, 0); len];
     let mut prepared = PreparedKernel::default();
     let mut acc = PlaneAccumulator::new();
     let mut values = Vec::with_capacity(PLANE_WINDOWS);
-    match lanes {
+    // The kernels' per-position (KLᵢ, KTᵢ), and the orientation's fire.
+    let mut kernel_sums: Vec<Sums> = vec![(0, 0); len];
+    engine.check_operands(kernels);
+    let mut fire: FireBlock<'a> = match lanes {
         Lanes::Kernels => {
-            engine.check_operands(kernels);
             let groups: Vec<WindowGroup> = kernels
                 .chunks(PLANE_WINDOWS * len)
                 .map(|chunk| WindowGroup::pack(chunk, len, chunk.len() / len, bits))
@@ -743,8 +748,7 @@ pub(crate) fn load_planes<'a, E: PlaneEngine>(
             for group in &groups {
                 add_group_streams(&mut kernel_sums, group);
             }
-            Box::new(move |rows: &[u64], out: &mut [u64]| {
-                engine.check_operands(rows);
+            Box::new(move |rows: &[u64], out: &mut [u64], sums: &mut [Sums]| {
                 for (row, outputs) in rows.chunks_exact(len).zip(out.chunks_exact_mut(filters)) {
                     prepared.prepare(row, bits);
                     for (group, slots) in groups.iter().zip(outputs.chunks_mut(PLANE_WINDOWS)) {
@@ -752,13 +756,9 @@ pub(crate) fn load_planes<'a, E: PlaneEngine>(
                         slots.copy_from_slice(&values);
                     }
                 }
-                row_sums.fill((0, 0));
                 if gated {
-                    add_word_streams(&mut row_sums, rows, bits);
+                    add_word_streams(sums, rows, bits);
                 }
-                let count = (rows.len() / len) as u64;
-                let block = E::STREAMS.fold((count, filters as u64), &kernel_sums, &row_sums);
-                engine.charge(&block);
             })
         }
         Lanes::Rows {
@@ -776,8 +776,7 @@ pub(crate) fn load_planes<'a, E: PlaneEngine>(
                 })
                 .collect();
             let mut group = WindowGroup::default();
-            Box::new(move |rows: &[u64], out: &mut [u64]| {
-                row_sums.fill((0, 0));
+            Box::new(move |rows: &[u64], out: &mut [u64], sums: &mut [Sums]| {
                 let blocks = rows.chunks(PLANE_WINDOWS * len);
                 for (block, outputs) in blocks.zip(out.chunks_mut(PLANE_WINDOWS * filters)) {
                     // Stage spans open per group under the caller's span,
@@ -805,15 +804,23 @@ pub(crate) fn load_planes<'a, E: PlaneEngine>(
                         }
                     }
                     if gated {
-                        add_group_streams(&mut row_sums, &group);
+                        add_group_streams(sums, &group);
                     }
                 }
-                let count = (rows.len() / len) as u64;
-                let block = E::STREAMS.fold((count, filters as u64), &kernel_sums, &row_sums);
-                engine.charge(&block);
             })
         }
-    }
+    };
+    let mut row_sums: Vec<Sums> = vec![(0, 0); len];
+    Box::new(Tallied::new(
+        move |rows: &[u64], out: &mut [u64], tally: &mut ActivityTally| {
+            engine.check_operands(rows);
+            row_sums.fill((0, 0));
+            fire(rows, out, &mut row_sums);
+            let count = (rows.len() / len) as u64;
+            let block = E::STREAMS.fold((count, filters as u64), &kernel_sums, &row_sums);
+            engine.charge(&block, tally);
+        },
+    ))
 }
 
 #[cfg(test)]

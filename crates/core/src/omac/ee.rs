@@ -1,12 +1,11 @@
 //! The all-electrical (EE) functional MAC: Stripes bit-serial hardware.
 
-use crate::omac::activity::{word_stream_activity, ActivityCounter, StreamActivity};
+use crate::omac::activity::{word_stream_activity, StreamActivity};
 use crate::omac::bitplane::{load_planes, BlockStreams, Lanes, PlaneEngine, Streams};
-use crate::omac::{fill_lane_chunk, ActivityMac};
-use pixel_dnn::inference::{Loaded, MacEngine};
+use crate::omac::fill_lane_chunk;
+use pixel_dnn::inference::{ActivityTally, Loaded, MacEngine};
 use pixel_electronics::cla::Cla;
 use pixel_electronics::stripes::StripesMac;
-use std::cell::RefCell;
 
 /// Bit-true EE MAC unit: `lanes` parallel Stripes lanes feeding a wide
 /// output accumulator.
@@ -15,9 +14,6 @@ pub struct EeMac {
     stripes: StripesMac,
     lanes: usize,
     output_accumulator: Cla,
-    activity: ActivityCounter,
-    /// Reused per-chunk operand buffers (neurons, synapses).
-    scratch: RefCell<(Vec<u64>, Vec<u64>)>,
 }
 
 impl EeMac {
@@ -34,8 +30,6 @@ impl EeMac {
             stripes: StripesMac::new(lanes, bits),
             lanes,
             output_accumulator: Cla::new(64),
-            activity: ActivityCounter::new(),
-            scratch: RefCell::new((Vec::new(), Vec::new())),
         }
     }
 
@@ -58,50 +52,51 @@ impl EeMac {
     }
 }
 
+/// Advances the `omac.ee.*` counters by `mac_ops` multiply-accumulates
+/// and the activity they `counted`.
+fn observe(mac_ops: u64, counted: &ActivityTally) {
+    if pixel_obs::enabled() {
+        pixel_obs::add("omac.ee.mac_ops", mac_ops);
+        pixel_obs::add("omac.ee.serial_slots", counted.gated_slots);
+        pixel_obs::add("omac.ee.bit_toggles", counted.bit_toggles);
+        pixel_obs::add("omac.ee.cla_ops", counted.cla_ops);
+    }
+}
+
 impl MacEngine for EeMac {
     fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
+        self.count_product(neurons, synapses, &mut ActivityTally::default())
+    }
+
+    fn count_product(&self, neurons: &[u64], synapses: &[u64], tally: &mut ActivityTally) -> u64 {
         let bits = self.stripes.bits();
-        let before_slots = self.activity.gated_slots();
-        let before_toggles = self.activity.bit_toggles();
-        let before_cla = self.activity.cla_ops();
         assert_eq!(neurons.len(), synapses.len(), "operand length mismatch");
         self.check_operands(neurons);
         self.check_operands(synapses);
-        let mut scratch = self.scratch.borrow_mut();
-        let (nbuf, sbuf) = &mut *scratch;
+        let mut counted = ActivityTally::default();
+        let (mut nbuf, mut sbuf) = (Vec::new(), Vec::new());
         let mut acc = 0u64;
         let mut start = 0;
         while start < neurons.len() {
-            fill_lane_chunk(neurons, synapses, start, self.lanes, nbuf, sbuf);
+            fill_lane_chunk(neurons, synapses, start, self.lanes, &mut nbuf, &mut sbuf);
             // Stripes walks each synapse word bit-serially: the gating
             // stream whose activity the energy model charges for.
-            for &synapse in sbuf.iter() {
-                self.activity
-                    .add_stream(&word_stream_activity(synapse, bits));
+            for &synapse in &sbuf {
+                counted += word_stream_activity(synapse, bits);
             }
             let chunk = self
                 .stripes
-                .mac(nbuf, sbuf)
+                .mac(&nbuf, &sbuf)
                 // lint:allow(P002) operand widths checked before the first chunk
                 .expect("operands checked against the precision");
             let (sum, carry) = self.output_accumulator.add(acc, chunk.value, false);
-            self.activity.add_cla_op();
+            counted.cla_ops += 1;
             debug_assert!(!carry, "window accumulator overflow");
             acc = sum;
             start += self.lanes;
         }
-        if pixel_obs::enabled() {
-            pixel_obs::add("omac.ee.mac_ops", neurons.len() as u64);
-            pixel_obs::add(
-                "omac.ee.serial_slots",
-                self.activity.gated_slots() - before_slots,
-            );
-            pixel_obs::add(
-                "omac.ee.bit_toggles",
-                self.activity.bit_toggles() - before_toggles,
-            );
-            pixel_obs::add("omac.ee.cla_ops", self.activity.cla_ops() - before_cla);
-        }
+        observe(neurons.len() as u64, &counted);
+        *tally += counted;
         acc
     }
 
@@ -144,7 +139,7 @@ impl PlaneEngine for EeMac {
     /// included: every lane position serializes its synapse word over
     /// `bits` slots (lit slots and toggles are the [`Streams::Synapse`]
     /// totals), and every chunk costs one output CLA add.
-    fn charge(&self, block: &BlockStreams) {
+    fn charge(&self, block: &BlockStreams, tally: &mut ActivityTally) {
         let products = block.products;
         if products == 0 {
             return;
@@ -152,25 +147,18 @@ impl PlaneEngine for EeMac {
         let bits = u64::from(self.bits());
         let chunks = products * block.len.div_ceil(self.lanes) as u64;
         let positions = chunks * self.lanes as u64;
-        self.activity.add_stream(&StreamActivity {
+        let mut charged = ActivityTally {
+            cla_ops: chunks,
+            ..ActivityTally::default()
+        };
+        charged += StreamActivity {
             slots: positions * bits,
             lit: block.lit,
             toggles: block.toggles,
             pairs: positions * (bits - 1),
-        });
-        self.activity.add_cla_ops(chunks);
-        if pixel_obs::enabled() {
-            pixel_obs::add("omac.ee.mac_ops", products * block.len as u64);
-            pixel_obs::add("omac.ee.serial_slots", positions * bits);
-            pixel_obs::add("omac.ee.bit_toggles", block.toggles);
-            pixel_obs::add("omac.ee.cla_ops", chunks);
-        }
-    }
-}
-
-impl ActivityMac for EeMac {
-    fn activity(&self) -> &ActivityCounter {
-        &self.activity
+        };
+        observe(products * block.len as u64, &charged);
+        *tally += charged;
     }
 }
 
@@ -206,13 +194,13 @@ mod tests {
         let mac = EeMac::new(4, 4);
         // One chunk of four lanes: 4 synapses × 4 serial slots each.
         // 0b1010 serializes LSB-first as 0,1,0,1 → 2 lit slots, 3 toggles.
-        let _ = mac.inner_product(&[1, 1, 1, 1], &[0b1010, 0, 0, 0]);
-        let a = mac.activity();
-        assert_eq!(a.gated_slots(), 16);
-        assert_eq!(a.lit_slots(), 2);
-        assert_eq!(a.bit_toggles(), 3);
-        assert_eq!(a.toggle_pairs(), 12);
-        assert_eq!(a.cla_ops(), 1);
+        let mut a = ActivityTally::default();
+        let _ = mac.count_product(&[1, 1, 1, 1], &[0b1010, 0, 0, 0], &mut a);
+        assert_eq!(a.gated_slots, 16);
+        assert_eq!(a.lit_slots, 2);
+        assert_eq!(a.bit_toggles, 3);
+        assert_eq!(a.toggle_pairs, 12);
+        assert_eq!(a.cla_ops, 1);
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //! (`load_rows`) the rows it transports. Both fire the same plane
 //! kernel and charge the same device activity the per-window path
 //! tallies.
+//!
+//! Counted activity is a value: the per-window path counts each
+//! product into the caller's [`ActivityTally`]
+//! ([`MacEngine::count_product`]), a load counts every fire into its
+//! own and hands it back from [`pixel_dnn::inference::Loaded::finish`].
+//! The engines hold no mutable state, so they are `Send + Sync`.
 
 pub mod activity;
 pub mod bitplane;
@@ -30,26 +36,15 @@ pub mod ee;
 pub mod oe;
 pub mod oo;
 
-pub use activity::ActivityCounter;
 pub use bitplane::{PlaneAccumulator, PreparedKernel, WindowGroup, PLANE_WINDOWS};
 pub use ee::EeMac;
 pub use oe::OeMac;
 pub use oo::OoMac;
+pub use pixel_dnn::inference::ActivityTally;
 
 use crate::config::{AcceleratorConfig, Design};
 use bitplane::{load_planes, Lanes};
 use pixel_dnn::inference::{Loaded, MacEngine};
-
-/// A functional MAC engine that tallies its device activity.
-///
-/// All three bit-true OMACs implement this; the
-/// [`crate::model::DesignModel`] backends hand them out so the audit and
-/// validation layers can run *any* design's engine and read its counted
-/// activity without naming the concrete type.
-pub trait ActivityMac: MacEngine {
-    /// The engine's device-activity tallies.
-    fn activity(&self) -> &ActivityCounter;
-}
 
 /// Builds the functional MAC engine matching a configuration, through
 /// the configuration's [`crate::model::DesignModel`] backend.
@@ -93,7 +88,7 @@ pub(crate) fn load_rows<'a>(
 /// Copies the `lanes`-wide chunk starting at `start` from both operand
 /// slices into the scratch buffers, zero-padding the tail — the
 /// scheduling every OMAC applies when a window is larger than its lane
-/// count, in a form that reuses per-engine scratch instead of
+/// count, in a form that reuses one product's scratch instead of
 /// materializing two fresh vectors per chunk.
 pub(crate) fn fill_lane_chunk(
     neurons: &[u64],
@@ -116,6 +111,7 @@ pub(crate) fn fill_lane_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::functional_fabric::FunctionalFabric;
     use pixel_dnn::inference::{DirectMac, MacEngine, PerWindow};
     use pixel_units::rng::SplitMix64;
     use std::panic::{self, AssertUnwindSafe};
@@ -142,26 +138,23 @@ mod tests {
         }
     }
 
-    /// Fires each of `blocks` once on one load of `kernels` through
-    /// `engine` with the rows on the plane lanes, `tiles` kernels
-    /// resident and the transport a no-op; returns each fire's outputs.
-    fn fire_rows_on_lanes<E: bitplane::PlaneEngine>(
-        engine: &E,
-        bits: u32,
-        tiles: usize,
-        (kernels, len): (&[u64], usize),
+    /// Fires each of `blocks` once on `loaded`, which holds kernels of
+    /// `len` words, `filters` of them; returns each fire's outputs and
+    /// the load's tally.
+    fn fire_blocks(
+        mut loaded: Box<dyn Loaded + '_>,
         blocks: &[Vec<u64>],
-    ) -> Vec<Vec<u64>> {
-        let transport = Box::new(|_: &mut WindowGroup| {});
-        let mut loaded = load_planes(engine, bits, kernels, len, Lanes::Rows { tiles, transport });
-        blocks
+        (filters, len): (usize, usize),
+    ) -> (Vec<Vec<u64>>, ActivityTally) {
+        let outputs = blocks
             .iter()
             .map(|rows| {
-                let mut out = vec![u64::MAX; rows.len() / len * (kernels.len() / len)];
+                let mut out = vec![u64::MAX; rows.len() / len * filters];
                 loaded.fire(rows, &mut out);
                 out
             })
-            .collect()
+            .collect();
+        (outputs, loaded.finish())
     }
 
     /// The rows-on-lanes theorem: for every design, a load with the rows
@@ -194,48 +187,24 @@ mod tests {
                 OeMac::new(lanes, bits),
                 OoMac::new(lanes, bits),
             );
+            let fire = |loaded| fire_blocks(loaded, &blocks, (kernels, len));
+            let on_rows = || Lanes::Rows {
+                tiles,
+                transport: Box::new(|_: &mut WindowGroup| {}),
+            };
             let fired = [
-                fire_rows_on_lanes(&ee, bits, tiles, (&w, len), &blocks),
-                fire_rows_on_lanes(&oe, bits, tiles, (&w, len), &blocks),
-                fire_rows_on_lanes(&oo, bits, tiles, (&w, len), &blocks),
+                fire(load_planes(&ee, bits, &w, len, on_rows())),
+                fire(load_planes(&oe, bits, &w, len, on_rows())),
+                fire(load_planes(&oo, bits, &w, len, on_rows())),
             ];
-            let engines: [&dyn ActivityMac; 3] = [&ee, &oe, &oo];
+            let per_window = [PerWindow(&ee), PerWindow(&oe), PerWindow(&oo)];
             let label = format!(
                 "case {case}: rows={rows:?} kernels={kernels} len={len} lanes={lanes} bits={bits} tiles={tiles}"
             );
-            for ((d, engine), got) in Design::ALL.into_iter().zip(engines).zip(fired) {
-                let reference = d
-                    .model()
-                    .functional_engine(&AcceleratorConfig::new(d, lanes, bits));
-                let per_window = PerWindow(reference.as_ref());
-                let mut loaded = per_window.load(&w, len);
-                for (rows, got) in blocks.iter().zip(got) {
-                    let mut want = vec![0; rows.len() / len * kernels];
-                    loaded.fire(rows, &mut want);
-                    assert_eq!(got, want, "{d} {label}");
-                }
-                assert_eq!(
-                    tallies(engine.activity()),
-                    tallies(reference.activity()),
-                    "{d} {label}"
-                );
+            for ((d, got), reference) in Design::ALL.into_iter().zip(fired).zip(&per_window) {
+                assert_eq!(got, fire(reference.load(&w, len)), "{d} {label}");
             }
         }
-    }
-
-    /// Every [`ActivityCounter`] tally, in one comparable array.
-    fn tallies(a: &ActivityCounter) -> [u64; 9] {
-        [
-            a.mrr_slots(),
-            a.mzi_slots(),
-            a.cla_ops(),
-            a.comparator_decisions(),
-            a.oe_conversions(),
-            a.gated_slots(),
-            a.lit_slots(),
-            a.bit_toggles(),
-            a.toggle_pairs(),
-        ]
     }
 
     /// The block theorem: for every design, a load fired on the
@@ -288,62 +257,45 @@ mod tests {
                     })
                     .collect()
             };
-            let a = draw(rows * len);
+            let a = vec![draw(rows * len)];
             let w = draw(kernels * len);
             let label = format!(
                 "case {case}: rows={rows} kernels={kernels} len={len} lanes={lanes} bits={bits}"
             );
             for d in Design::ALL {
-                let cfg = AcceleratorConfig::new(d, lanes, bits);
-                let block = d.model().functional_engine(&cfg);
-                let reference = d.model().functional_engine(&cfg);
-                let mut got = vec![u64::MAX; rows * kernels];
-                let mut want = vec![0; rows * kernels];
-                block.load(&w, len).fire(&a, &mut got);
-                PerWindow(reference.as_ref())
-                    .load(&w, len)
-                    .fire(&a, &mut want);
-                assert_eq!(got, want, "{d} {label}");
+                let engine = d
+                    .model()
+                    .functional_engine(&AcceleratorConfig::new(d, lanes, bits));
+                let per_window = PerWindow(engine.as_ref());
+                let fire = |loaded| fire_blocks(loaded, &a, (kernels, len));
                 assert_eq!(
-                    tallies(block.activity()),
-                    tallies(reference.activity()),
+                    fire(engine.load(&w, len)),
+                    fire(per_window.load(&w, len)),
                     "{d} {label}"
                 );
             }
         }
     }
 
-    /// Out-of-range operands keep their per-window behaviour on the
-    /// block path: OE/OO drop the bits above the precision, tallies
-    /// included, and EE rejects them as the Stripes operand check does,
-    /// before either engine tallies anything.
+    /// Out-of-range operands keep their per-window behaviour on both
+    /// block paths, the scalar engines' and the fabric's: OE/OO drop the
+    /// bits above the precision, tallies included, and EE rejects them
+    /// as the Stripes operand check does.
     #[test]
     fn block_path_keeps_the_per_window_operand_range() {
-        let rows = [0b1_0110, 3, 0xFF, 7];
+        let rows = vec![vec![0b1_0110, 3, 0xFF, 7]];
         let kernels = [0b11_0101, 0x1F, 2, 9, 1, 0xF0];
+        let run = |engine: &dyn MacEngine| {
+            let call = || fire_blocks(engine.load(&kernels, 2), &rows, (3, 2));
+            panic::catch_unwind(AssertUnwindSafe(call)).ok()
+        };
         for d in Design::ALL {
             let cfg = AcceleratorConfig::new(d, 3, 4);
-            let block = d.model().functional_engine(&cfg);
-            let reference = d.model().functional_engine(&cfg);
-            let (mut got, mut want) = ([0; 6], [0; 6]);
-            let run = |engine: &dyn MacEngine, out: &mut [u64]| {
-                let call = AssertUnwindSafe(|| engine.load(&kernels, 2).fire(&rows, out));
-                panic::catch_unwind(call).is_ok()
-            };
-            let ran = run(block.as_ref(), &mut got);
-            assert_eq!(ran, run(&PerWindow(reference.as_ref()), &mut want), "{d}");
-            assert_eq!(ran, d != Design::Ee, "{d}");
-            if ran {
-                assert_eq!(got, want, "{d}");
-                assert_eq!(
-                    tallies(block.activity()),
-                    tallies(reference.activity()),
-                    "{d}"
-                );
-            } else {
-                assert_eq!(tallies(reference.activity()), [0; 9], "{d}");
-                assert_eq!(tallies(block.activity()), [0; 9], "{d}");
-            }
+            let engine = d.model().functional_engine(&cfg);
+            let want = run(&PerWindow(engine.as_ref()));
+            assert_eq!(want.is_some(), d != Design::Ee, "{d}");
+            assert_eq!(run(engine.as_ref()), want, "{d}");
+            assert_eq!(run(&FunctionalFabric::new(cfg)), want, "{d} fabric");
         }
     }
 

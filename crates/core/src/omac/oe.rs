@@ -8,28 +8,15 @@
 //! partial products, exactly as Stripes does — `p` cycles per `p`-bit
 //! synapse.
 
-use crate::omac::activity::{bit_stream_activity, ActivityCounter, StreamActivity};
+use crate::omac::activity::{bit_stream_activity, StreamActivity};
 use crate::omac::bitplane::{load_planes, BlockStreams, Lanes, PlaneEngine, Streams};
-use crate::omac::{fill_lane_chunk, ActivityMac};
-use pixel_dnn::inference::{Loaded, MacEngine};
+use crate::omac::fill_lane_chunk;
+use pixel_dnn::inference::{ActivityTally, Loaded, MacEngine};
 use pixel_electronics::cla::Cla;
 use pixel_electronics::converter::SerialConverter;
 use pixel_electronics::shifter::BarrelShifter;
 use pixel_photonics::mrr::DoubleMrrFilter;
 use pixel_photonics::signal::PulseTrain;
-use std::cell::RefCell;
-
-/// Reused per-window buffers: operand chunks, launched lane trains, the
-/// gated drop-port train, and the quantized-level staging for the o/e
-/// converter.
-#[derive(Debug, Default)]
-struct OeScratch {
-    nbuf: Vec<u64>,
-    sbuf: Vec<u64>,
-    trains: Vec<PulseTrain>,
-    gated: PulseTrain,
-    levels: Vec<u32>,
-}
 
 /// Bit-true OE MAC unit.
 #[derive(Debug)]
@@ -40,8 +27,6 @@ pub struct OeMac {
     converter: SerialConverter,
     shifter: BarrelShifter,
     accumulator: Cla,
-    activity: ActivityCounter,
-    scratch: RefCell<OeScratch>,
 }
 
 impl OeMac {
@@ -61,8 +46,6 @@ impl OeMac {
             converter: SerialConverter::new(bits),
             shifter: BarrelShifter::new(64),
             accumulator: Cla::new(64),
-            activity: ActivityCounter::new(),
-            scratch: RefCell::new(OeScratch::default()),
         }
     }
 
@@ -79,90 +62,78 @@ impl OeMac {
     }
 
     /// One Stripes cycle for one lane: optically AND the neuron train
-    /// against synapse bit `bit_index`, convert, and return the partial
+    /// against synapse bit `bit_index` into `gated`, convert it through
+    /// `levels`, count the cycle into `tally` and return the partial
     /// product already shifted into position.
-    #[cfg(test)]
-    fn partial(&self, neuron: &PulseTrain, synapse: u64, bit_index: u32) -> u64 {
-        let mut scratch = self.scratch.borrow_mut();
-        let OeScratch { gated, levels, .. } = &mut *scratch;
-        self.partial_with(neuron, synapse, bit_index, gated, levels)
-    }
-
-    /// [`Self::partial`] against caller-held scratch, so the window loop
-    /// can run it without re-borrowing (or re-allocating) per cycle.
-    fn partial_with(
+    fn partial(
         &self,
         neuron: &PulseTrain,
         synapse: u64,
         bit_index: u32,
         gated: &mut PulseTrain,
         levels: &mut Vec<u32>,
+        tally: &mut ActivityTally,
     ) -> u64 {
         let gate = (synapse >> bit_index) & 1 == 1;
         self.filter.and_into(neuron, gate, gated);
-        self.activity.add_mrr_slots(gated.len() as u64);
-        self.activity
-            .add_stream(&bit_stream_activity(gated.iter().map(|a| a > 0.5)));
+        tally.mrr_slots += gated.len() as u64;
+        *tally += bit_stream_activity(gated.iter().map(|a| a > 0.5));
         gated.quantized_levels_into(levels);
         let word = self
             .converter
             .decode(levels)
             // lint:allow(P002) a noiseless binary optical train decodes losslessly
             .expect("binary optical train decodes losslessly");
-        self.activity.add_oe_conversion();
+        tally.oe_conversions += 1;
         self.shifter.shift_left(word, bit_index)
+    }
+}
+
+/// Advances the `omac.oe.*` counters by `mac_ops` multiply-accumulates
+/// and the activity they `counted`.
+fn observe(mac_ops: u64, counted: &ActivityTally) {
+    if pixel_obs::enabled() {
+        pixel_obs::add("omac.oe.mac_ops", mac_ops);
+        pixel_obs::add("omac.oe.mrr_slots", counted.mrr_slots);
+        pixel_obs::add("omac.oe.bit_toggles", counted.bit_toggles);
+        pixel_obs::add("omac.oe.oe_conversions", counted.oe_conversions);
     }
 }
 
 impl MacEngine for OeMac {
     fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
-        let before_mrr = self.activity.mrr_slots();
-        let before_toggles = self.activity.bit_toggles();
-        let before_conversions = self.activity.oe_conversions();
+        self.count_product(neurons, synapses, &mut ActivityTally::default())
+    }
+
+    fn count_product(&self, neurons: &[u64], synapses: &[u64], tally: &mut ActivityTally) -> u64 {
         assert_eq!(neurons.len(), synapses.len(), "operand length mismatch");
-        let mut scratch = self.scratch.borrow_mut();
-        let OeScratch {
-            nbuf,
-            sbuf,
-            trains,
-            gated,
-            levels,
-        } = &mut *scratch;
+        let mut counted = ActivityTally::default();
+        let (mut nbuf, mut sbuf) = (Vec::new(), Vec::new());
+        let mut trains = vec![PulseTrain::new(); self.lanes];
+        let (mut gated, mut levels) = (PulseTrain::new(), Vec::new());
         let mut acc = 0u64;
         let mut start = 0;
         while start < neurons.len() {
-            fill_lane_chunk(neurons, synapses, start, self.lanes, nbuf, sbuf);
+            fill_lane_chunk(neurons, synapses, start, self.lanes, &mut nbuf, &mut sbuf);
             // Fire all lanes' neuron words as optical trains (one WDM λ each).
-            if trains.len() != self.lanes {
-                trains.resize_with(self.lanes, PulseTrain::new);
-            }
-            for (train, &n) in trains.iter_mut().zip(nbuf.iter()) {
+            for (train, &n) in trains.iter_mut().zip(&nbuf) {
                 train.write_bits(n, self.bits as usize);
             }
             // p serial cycles over the synapse bits, as in STR.
             for bit in 0..self.bits {
-                for (train, &synapse) in trains.iter().zip(sbuf.iter()) {
-                    let p = self.partial_with(train, synapse, bit, gated, levels);
+                for (train, &synapse) in trains.iter().zip(&sbuf) {
+                    let p =
+                        self.partial(train, synapse, bit, &mut gated, &mut levels, &mut counted);
                     let (sum, carry) = self.accumulator.add(acc, p, false);
-                    self.activity.add_cla_op();
+                    counted.cla_ops += 1;
                     debug_assert!(!carry, "window accumulator overflow");
                     acc = sum;
                 }
             }
             start += self.lanes;
         }
-        if pixel_obs::enabled() {
-            pixel_obs::add("omac.oe.mac_ops", neurons.len() as u64);
-            pixel_obs::add("omac.oe.mrr_slots", self.activity.mrr_slots() - before_mrr);
-            pixel_obs::add(
-                "omac.oe.bit_toggles",
-                self.activity.bit_toggles() - before_toggles,
-            );
-            pixel_obs::add(
-                "omac.oe.oe_conversions",
-                self.activity.oe_conversions() - before_conversions,
-            );
-        }
+        observe(neurons.len() as u64, &counted);
+        *tally += counted;
         acc
     }
 
@@ -187,7 +158,7 @@ impl PlaneEngine for OeMac {
     /// CLA-accumulates it. A set synapse bit streams the neuron word and
     /// a clear one streams darkness, so lit slots and toggles are the
     /// [`Streams::Gated`] totals.
-    fn charge(&self, block: &BlockStreams) {
+    fn charge(&self, block: &BlockStreams, tally: &mut ActivityTally) {
         let products = block.products;
         if products == 0 {
             return;
@@ -195,27 +166,20 @@ impl PlaneEngine for OeMac {
         let bits = u64::from(self.bits);
         let positions = products * (block.len.div_ceil(self.lanes) * self.lanes) as u64;
         let partials = positions * bits;
-        self.activity.add_mrr_slots(partials * bits);
-        self.activity.add_stream(&StreamActivity {
+        let mut charged = ActivityTally {
+            mrr_slots: partials * bits,
+            oe_conversions: partials,
+            cla_ops: partials,
+            ..ActivityTally::default()
+        };
+        charged += StreamActivity {
             slots: partials * bits,
             lit: block.lit,
             toggles: block.toggles,
             pairs: partials * (bits - 1),
-        });
-        self.activity.add_oe_conversions(partials);
-        self.activity.add_cla_ops(partials);
-        if pixel_obs::enabled() {
-            pixel_obs::add("omac.oe.mac_ops", products * block.len as u64);
-            pixel_obs::add("omac.oe.mrr_slots", partials * bits);
-            pixel_obs::add("omac.oe.bit_toggles", block.toggles);
-            pixel_obs::add("omac.oe.oe_conversions", partials);
-        }
-    }
-}
-
-impl ActivityMac for OeMac {
-    fn activity(&self) -> &ActivityCounter {
-        &self.activity
+        };
+        observe(products * block.len as u64, &charged);
+        *tally += charged;
     }
 }
 
@@ -238,11 +202,16 @@ mod tests {
         // §III-A: λ0 carries 0010₂ with the MRR off → 0000₂ reaches the EP.
         let mac = OeMac::new(4, 4);
         let train = PulseTrain::from_bits(0b0010, 4);
-        assert_eq!(mac.partial(&train, 0b0000, 0), 0);
+        let (mut gated, mut levels) = (PulseTrain::new(), Vec::new());
+        let mut tally = ActivityTally::default();
+        let mut partial =
+            |synapse, bit| mac.partial(&train, synapse, bit, &mut gated, &mut levels, &mut tally);
+        assert_eq!(partial(0b0000, 0), 0);
         // With the synapse LSB on, the word passes unshifted.
-        assert_eq!(mac.partial(&train, 0b0001, 0), 0b0010);
+        assert_eq!(partial(0b0001, 0), 0b0010);
         // Synapse bit 2 on → shifted left 2.
-        assert_eq!(mac.partial(&train, 0b0100, 2), 0b1000);
+        assert_eq!(partial(0b0100, 2), 0b1000);
+        assert_eq!(tally.oe_conversions, 3, "one conversion per cycle");
     }
 
     #[test]

@@ -10,20 +10,20 @@
 //! comparator-ladder o/e converter (design 2) resolves the levels, and a
 //! final electrical accumulate combines wavelengths and window chunks.
 
-use crate::omac::activity::{bit_stream_activity, ActivityCounter, StreamActivity};
+use crate::omac::activity::{bit_stream_activity, StreamActivity};
 use crate::omac::bitplane::{load_planes, BlockStreams, Lanes, PlaneEngine, Streams};
-use crate::omac::{fill_lane_chunk, ActivityMac};
-use pixel_dnn::inference::{Loaded, MacEngine};
+use crate::omac::fill_lane_chunk;
+use pixel_dnn::inference::{ActivityTally, Loaded, MacEngine};
 use pixel_electronics::cla::Cla;
 use pixel_electronics::converter::AmplitudeConverter;
 use pixel_photonics::constants::OPTICAL_CLOCK_HZ;
 use pixel_photonics::mrr::DoubleMrrFilter;
 use pixel_photonics::mzi::MziChain;
 use pixel_photonics::signal::PulseTrain;
-use std::cell::RefCell;
 
-/// Reused per-multiply buffers: the launched neuron train, one gated
-/// partial product per synapse bit, and the MZI-combined output.
+/// One product's buffers, reused across its multiplies: the launched
+/// neuron train, one gated partial product per synapse bit, and the
+/// MZI-combined output.
 #[derive(Debug, Default)]
 struct MulScratch {
     train: PulseTrain,
@@ -40,10 +40,6 @@ pub struct OoMac {
     chain: MziChain,
     converter: AmplitudeConverter,
     accumulator: Cla,
-    activity: ActivityCounter,
-    /// Reused per-chunk operand buffers (neurons, synapses).
-    chunks: RefCell<(Vec<u64>, Vec<u64>)>,
-    mul: RefCell<MulScratch>,
 }
 
 impl OoMac {
@@ -64,9 +60,6 @@ impl OoMac {
             chain: MziChain::delay_matched(bits as usize, OPTICAL_CLOCK_HZ),
             converter: AmplitudeConverter::new(bits),
             accumulator: Cla::new(64),
-            activity: ActivityCounter::new(),
-            chunks: RefCell::new((Vec::new(), Vec::new())),
-            mul: RefCell::new(MulScratch::default()),
         }
     }
 
@@ -91,25 +84,14 @@ impl OoMac {
     /// Computes one full product optically: gate the neuron train with
     /// each synapse bit (MRR AND), accumulate the partial products in the
     /// MZI chain, resolve the multi-level output through the comparator
-    /// ladder.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pixel_core::omac::OoMac;
-    ///
-    /// let mac = OoMac::new(1, 8);
-    /// assert_eq!(mac.optical_multiply(113, 201), 113 * 201);
-    /// ```
-    #[must_use]
-    pub fn optical_multiply(&self, neuron: u64, synapse: u64) -> u64 {
-        let mut mul = self.mul.borrow_mut();
-        self.multiply_with(neuron, synapse, &mut mul)
-    }
-
-    /// [`Self::optical_multiply`] against caller-held scratch, so the
-    /// window loop can run it without re-borrowing per MAC.
-    fn multiply_with(&self, neuron: u64, synapse: u64, bufs: &mut MulScratch) -> u64 {
+    /// ladder — in `bufs`, counting every device event into `tally`.
+    fn multiply(
+        &self,
+        neuron: u64,
+        synapse: u64,
+        bufs: &mut MulScratch,
+        tally: &mut ActivityTally,
+    ) -> u64 {
         let MulScratch {
             train,
             partials,
@@ -124,17 +106,14 @@ impl OoMac {
             self.filter
                 .and_into(train, (synapse >> j) & 1 == 1, partial);
         }
-        self.activity
-            .add_mrr_slots(u64::from(self.bits) * u64::from(self.bits));
+        tally.mrr_slots += u64::from(self.bits) * u64::from(self.bits);
         for partial in partials.iter() {
-            self.activity
-                .add_stream(&bit_stream_activity(partial.iter().map(|a| a > 0.5)));
+            *tally += bit_stream_activity(partial.iter().map(|a| a > 0.5));
         }
         self.chain.accumulate_into(partials, combined);
-        self.activity.add_mzi_slots(combined.len() as u64);
-        self.activity
-            .add_comparator_decisions(combined.len() as u64);
-        self.activity.add_oe_conversion();
+        tally.mzi_slots += combined.len() as u64;
+        tally.comparator_decisions += combined.len() as u64;
+        tally.oe_conversions += 1;
         self.converter
             .decode(&combined.amplitudes())
             // lint:allow(P002) amplitude levels bounded by bits-per-lane accumulation
@@ -142,37 +121,42 @@ impl OoMac {
     }
 }
 
+/// Advances the `omac.oo.*` counters by `mac_ops` multiply-accumulates
+/// and the activity they `counted`.
+fn observe(mac_ops: u64, counted: &ActivityTally) {
+    if pixel_obs::enabled() {
+        pixel_obs::add("omac.oo.mac_ops", mac_ops);
+        pixel_obs::add("omac.oo.mrr_slots", counted.mrr_slots);
+        pixel_obs::add("omac.oo.mzi_slots", counted.mzi_slots);
+        pixel_obs::add("omac.oo.bit_toggles", counted.bit_toggles);
+    }
+}
+
 impl MacEngine for OoMac {
     fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
-        let before_mrr = self.activity.mrr_slots();
-        let before_mzi = self.activity.mzi_slots();
-        let before_toggles = self.activity.bit_toggles();
+        self.count_product(neurons, synapses, &mut ActivityTally::default())
+    }
+
+    fn count_product(&self, neurons: &[u64], synapses: &[u64], tally: &mut ActivityTally) -> u64 {
         assert_eq!(neurons.len(), synapses.len(), "operand length mismatch");
-        let mut chunks = self.chunks.borrow_mut();
-        let (nbuf, sbuf) = &mut *chunks;
-        let mut mul = self.mul.borrow_mut();
+        let mut counted = ActivityTally::default();
+        let (mut nbuf, mut sbuf) = (Vec::new(), Vec::new());
+        let mut mul = MulScratch::default();
         let mut acc = 0u64;
         let mut start = 0;
         while start < neurons.len() {
-            fill_lane_chunk(neurons, synapses, start, self.lanes, nbuf, sbuf);
-            for (&n, &s) in nbuf.iter().zip(sbuf.iter()) {
-                let product = self.multiply_with(n, s, &mut mul);
+            fill_lane_chunk(neurons, synapses, start, self.lanes, &mut nbuf, &mut sbuf);
+            for (&n, &s) in nbuf.iter().zip(&sbuf) {
+                let product = self.multiply(n, s, &mut mul, &mut counted);
                 let (sum, carry) = self.accumulator.add(acc, product, false);
-                self.activity.add_cla_op();
+                counted.cla_ops += 1;
                 debug_assert!(!carry, "window accumulator overflow");
                 acc = sum;
             }
             start += self.lanes;
         }
-        if pixel_obs::enabled() {
-            pixel_obs::add("omac.oo.mac_ops", neurons.len() as u64);
-            pixel_obs::add("omac.oo.mrr_slots", self.activity.mrr_slots() - before_mrr);
-            pixel_obs::add("omac.oo.mzi_slots", self.activity.mzi_slots() - before_mzi);
-            pixel_obs::add(
-                "omac.oo.bit_toggles",
-                self.activity.bit_toggles() - before_toggles,
-            );
-        }
+        observe(neurons.len() as u64, &counted);
+        *tally += counted;
         acc
     }
 
@@ -197,7 +181,7 @@ impl PlaneEngine for OoMac {
     /// `2·bits − 1` slots resolved by as many comparator decisions, one
     /// o/e conversion — then one CLA accumulate. Lit slots and toggles
     /// are the [`Streams::Gated`] totals.
-    fn charge(&self, block: &BlockStreams) {
+    fn charge(&self, block: &BlockStreams, tally: &mut ActivityTally) {
         let products = block.products;
         if products == 0 {
             return;
@@ -205,29 +189,22 @@ impl PlaneEngine for OoMac {
         let bits = u64::from(self.bits);
         let positions = products * (block.len.div_ceil(self.lanes) * self.lanes) as u64;
         let combined = 2 * bits - 1;
-        self.activity.add_mrr_slots(positions * bits * bits);
-        self.activity.add_stream(&StreamActivity {
+        let mut charged = ActivityTally {
+            mrr_slots: positions * bits * bits,
+            mzi_slots: positions * combined,
+            comparator_decisions: positions * combined,
+            oe_conversions: positions,
+            cla_ops: positions,
+            ..ActivityTally::default()
+        };
+        charged += StreamActivity {
             slots: positions * bits * bits,
             lit: block.lit,
             toggles: block.toggles,
             pairs: positions * bits * (bits - 1),
-        });
-        self.activity.add_mzi_slots(positions * combined);
-        self.activity.add_comparator_decisions(positions * combined);
-        self.activity.add_oe_conversions(positions);
-        self.activity.add_cla_ops(positions);
-        if pixel_obs::enabled() {
-            pixel_obs::add("omac.oo.mac_ops", products * block.len as u64);
-            pixel_obs::add("omac.oo.mrr_slots", positions * bits * bits);
-            pixel_obs::add("omac.oo.mzi_slots", positions * combined);
-            pixel_obs::add("omac.oo.bit_toggles", block.toggles);
-        }
-    }
-}
-
-impl ActivityMac for OoMac {
-    fn activity(&self) -> &ActivityCounter {
-        &self.activity
+        };
+        observe(products * block.len as u64, &charged);
+        *tally += charged;
     }
 }
 
@@ -237,14 +214,20 @@ mod tests {
     use pixel_dnn::inference::DirectMac;
     use pixel_units::rng::SplitMix64;
 
+    /// One optical multiply on fresh buffers.
+    fn optical_multiply(mac: &OoMac, neuron: u64, synapse: u64) -> u64 {
+        let tally = &mut ActivityTally::default();
+        mac.multiply(neuron, synapse, &mut MulScratch::default(), tally)
+    }
+
     #[test]
     fn optical_multiply_small_cases() {
         let mac = OoMac::new(1, 4);
-        assert_eq!(mac.optical_multiply(0, 0), 0);
-        assert_eq!(mac.optical_multiply(15, 15), 225);
-        assert_eq!(mac.optical_multiply(6, 6), 36);
-        assert_eq!(mac.optical_multiply(9, 1), 9);
-        assert_eq!(mac.optical_multiply(1, 9), 9);
+        assert_eq!(optical_multiply(&mac, 0, 0), 0);
+        assert_eq!(optical_multiply(&mac, 15, 15), 225);
+        assert_eq!(optical_multiply(&mac, 6, 6), 36);
+        assert_eq!(optical_multiply(&mac, 9, 1), 9);
+        assert_eq!(optical_multiply(&mac, 1, 9), 9);
     }
 
     #[test]
@@ -254,7 +237,7 @@ mod tests {
         // the product.
         let mac = OoMac::new(4, 4);
         // Synapse 1011₂ = 11: 6·11 = 66.
-        assert_eq!(mac.optical_multiply(0b0110, 0b1011), 66);
+        assert_eq!(optical_multiply(&mac, 0b0110, 0b1011), 66);
     }
 
     #[test]
@@ -283,7 +266,7 @@ mod tests {
         for _ in 0..256 {
             let a = rng.range_u64(0, 255);
             let b = rng.range_u64(0, 255);
-            assert_eq!(mac.optical_multiply(a, b), a * b, "a={a} b={b}");
+            assert_eq!(optical_multiply(&mac, a, b), a * b, "a={a} b={b}");
         }
     }
 

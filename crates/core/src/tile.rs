@@ -7,8 +7,9 @@
 //! mask each weight to their width, and prepares what the file reads
 //! back for the plane kernel ([`PreparedKernel`]), once, so every group
 //! fired on the tile streams neurons past the same prepared synapses.
-//! The design's engine, which fires and charges those groups, belongs to
-//! the load (`omac::bitplane::load_planes`), one per load.
+//! The design's engine, which fires those groups, and the tally they
+//! are charged to belong to the load (`omac::bitplane::load_planes`),
+//! one each per load.
 
 use crate::omac::PreparedKernel;
 use pixel_electronics::register::RegisterFile;

@@ -15,12 +15,18 @@
 //! receptive fields at a time with [`gather_window`], image-major across
 //! the batch, and fires each block. A fully-connected layer is one fire
 //! with the batch's images as rows and the weight rows as kernels.
+//!
+//! Counted device activity is a value, not engine state: a load counts
+//! what its fires do and hands the [`ActivityTally`] back when it is
+//! finished ([`Loaded::finish`]), and [`run_layer`] returns each layer's.
+//! Engines that count nothing (such as [`DirectMac`]) finish with zero.
 
 use crate::layer::{Layer, LayerKind, PoolKind, Shape};
 use crate::network::Network;
 use crate::quant::Precision;
 use crate::tensor::Tensor;
 use pixel_units::rng::SplitMix64;
+use std::ops::AddAssign;
 use std::slice::from_ref;
 
 /// Convolution windows gathered per [`Loaded::fire`] call.
@@ -34,24 +40,33 @@ pub trait MacEngine {
     /// was constructed for.
     fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64;
 
+    /// [`Self::inner_product`], adding the device events it performs to
+    /// `tally`. The default counts nothing.
+    fn count_product(&self, neurons: &[u64], synapses: &[u64], _tally: &mut ActivityTally) -> u64 {
+        self.inner_product(neurons, synapses)
+    }
+
     /// Loads a kernel set — kernels of `len` values back to back, `len`
     /// positive — for [`Loaded::fire`] to run blocks of rows against.
     ///
-    /// The default fires by calling [`Self::inner_product`] row-major,
+    /// The default fires by calling [`Self::count_product`] row-major,
     /// kernel-minor — (row 0, kernel 0), (row 0, kernel 1), …, (row 1,
     /// kernel 0), … — the order a window-at-a-time convolution visits
-    /// them, so engines with per-call state (activity tallies, noise
-    /// draws) see the same call sequence either way. An override must
-    /// produce the same values; an engine that tallies device activity
-    /// (the functional OMACs) must also leave every tally total where the
-    /// per-call loop would, so counted activity does not depend on the
-    /// path. [`PerWindow`] runs the default over any engine.
+    /// them, so engines with per-call state (noise draws) see the same
+    /// call sequence either way — and counts every product into the
+    /// load's tally, which [`Loaded::finish`] returns. An override must
+    /// produce the same values, and an engine that counts device activity
+    /// (the functional OMACs) must finish with the tally the per-call
+    /// loop would, so counted activity does not depend on the path.
+    /// [`PerWindow`] runs the default over any engine.
     fn load<'a>(&'a self, kernels: &'a [u64], len: usize) -> Box<dyn Loaded + 'a> {
-        Box::new(move |rows: &[u64], out: &mut [u64]| {
-            each_pair(rows, kernels, len, out, |row, kernel| {
-                self.inner_product(row, kernel)
-            });
-        })
+        Box::new(Tallied::new(
+            move |rows: &[u64], out: &mut [u64], tally: &mut ActivityTally| {
+                each_pair(rows, kernels, len, out, |row, kernel| {
+                    self.count_product(row, kernel, tally)
+                });
+            },
+        ))
     }
 
     /// Engine name for reports.
@@ -61,18 +76,114 @@ pub trait MacEngine {
 }
 
 /// A kernel set loaded onto a [`MacEngine`]. Any
-/// `FnMut(rows, out)` closure is one.
+/// `FnMut(rows, out)` closure is one that counts nothing.
 pub trait Loaded {
     /// Every inner product of a block of rows against the loaded
     /// kernels: `rows` holds rows of the loaded `len` values back to
     /// back, and with `filters` kernels loaded, `out[r·filters + m]`
     /// receives row `r` · kernel `m`.
     fn fire(&mut self, rows: &[u64], out: &mut [u64]);
+
+    /// Ends the load and returns the device activity its fires counted.
+    /// The default counts nothing.
+    fn finish(self: Box<Self>) -> ActivityTally {
+        ActivityTally::default()
+    }
 }
 
 impl<F: FnMut(&[u64], &mut [u64])> Loaded for F {
     fn fire(&mut self, rows: &[u64], out: &mut [u64]) {
         self(rows, out);
+    }
+}
+
+/// A [`Loaded`] that counts: each fire runs `fire(rows, out, tally)`
+/// against the load's own tally, which [`Loaded::finish`] returns.
+pub struct Tallied<F> {
+    fire: F,
+    tally: ActivityTally,
+}
+
+impl<F: FnMut(&[u64], &mut [u64], &mut ActivityTally)> Tallied<F> {
+    /// A load whose fires run `fire`, with a zero tally.
+    pub fn new(fire: F) -> Self {
+        Self {
+            fire,
+            tally: ActivityTally::default(),
+        }
+    }
+}
+
+impl<F: FnMut(&[u64], &mut [u64], &mut ActivityTally)> Loaded for Tallied<F> {
+    fn fire(&mut self, rows: &[u64], out: &mut [u64]) {
+        let Self { fire, tally } = self;
+        fire(rows, out, tally);
+    }
+
+    fn finish(self: Box<Self>) -> ActivityTally {
+        self.tally
+    }
+}
+
+/// Device events a bit-true execution counted: the slots, conversions
+/// and additions the energy model charges for, and the lit slots and
+/// toggles of the serialized slot streams its activity factors describe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ActivityTally {
+    /// Bit-slots streamed through double-MRR filters.
+    pub mrr_slots: u64,
+    /// Bit-slots routed through MZI accumulator stages.
+    pub mzi_slots: u64,
+    /// Carry-lookahead additions.
+    pub cla_ops: u64,
+    /// Comparator-ladder slot decisions.
+    pub comparator_decisions: u64,
+    /// Optical-to-electrical word conversions.
+    pub oe_conversions: u64,
+    /// Slots of the measured serialized streams.
+    pub gated_slots: u64,
+    /// Measured slots carrying a one (light on / bit set).
+    pub lit_slots: u64,
+    /// Transitions between adjacent measured slots.
+    pub bit_toggles: u64,
+    /// Adjacent-slot pairs of the measured streams.
+    pub toggle_pairs: u64,
+}
+
+impl ActivityTally {
+    /// Fraction of measured slots that were lit (0 when none measured).
+    #[must_use]
+    pub fn lit_rate(&self) -> f64 {
+        ratio(self.lit_slots, self.gated_slots)
+    }
+
+    /// Fraction of adjacent-slot pairs that toggled (0 when none).
+    #[must_use]
+    pub fn toggle_rate(&self) -> f64 {
+        ratio(self.bit_toggles, self.toggle_pairs)
+    }
+}
+
+impl AddAssign for ActivityTally {
+    fn add_assign(&mut self, other: Self) {
+        self.mrr_slots += other.mrr_slots;
+        self.mzi_slots += other.mzi_slots;
+        self.cla_ops += other.cla_ops;
+        self.comparator_decisions += other.comparator_decisions;
+        self.oe_conversions += other.oe_conversions;
+        self.gated_slots += other.gated_slots;
+        self.lit_slots += other.lit_slots;
+        self.bit_toggles += other.bit_toggles;
+        self.toggle_pairs += other.toggle_pairs;
+    }
+}
+
+#[allow(clippy::cast_precision_loss)]
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -134,15 +245,20 @@ impl MacEngine for DirectMac {
 }
 
 /// The window-at-a-time reference over any engine: it forwards only
-/// [`MacEngine::inner_product`], so the trait's default row-major,
-/// kernel-minor [`MacEngine::load`] runs in place of the engine's own.
-/// Loaded engines are checked and timed against it.
+/// [`MacEngine::inner_product`] and [`MacEngine::count_product`], so the
+/// trait's default row-major, kernel-minor [`MacEngine::load`] runs in
+/// place of the engine's own. Loaded engines are checked and timed
+/// against it, tallies included.
 #[derive(Clone, Copy)]
 pub struct PerWindow<'a>(pub &'a dyn MacEngine);
 
 impl MacEngine for PerWindow<'_> {
     fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
         self.0.inner_product(neurons, synapses)
+    }
+
+    fn count_product(&self, neurons: &[u64], synapses: &[u64], tally: &mut ActivityTally) -> u64 {
+        self.0.count_product(neurons, synapses, tally)
     }
 }
 
@@ -397,6 +513,7 @@ pub fn gather_window(
 /// fired in one [`Loaded::fire`] call, which writes the block's outputs
 /// in place. With the default [`MacEngine::load`] the engine sees exactly
 /// the per-window call sequence — window by window, filter by filter.
+/// Returns the load's [`ActivityTally`].
 ///
 /// # Errors
 ///
@@ -413,7 +530,7 @@ pub fn conv_windows(
     engine: &dyn MacEngine,
     first: usize,
     out: &mut [u64],
-) -> Result<(), ShapeError> {
+) -> Result<ActivityTally, ShapeError> {
     let LayerKind::Conv {
         filters,
         kernel,
@@ -430,7 +547,7 @@ pub fn conv_windows(
     let window = kernel * kernel * layer.input.c;
     if window == 0 || filters == 0 {
         // Empty sums: every output is already zero.
-        return Ok(());
+        return Ok(ActivityTally::default());
     }
     let e = layer.output_feature_size();
     let count = out.len() / filters;
@@ -450,7 +567,7 @@ pub fn conv_windows(
         drop(gather_span);
         loaded.fire(rows, outputs);
     }
-    Ok(())
+    Ok(loaded.finish())
 }
 
 /// Executes one convolution layer through [`conv_windows`].
@@ -475,25 +592,25 @@ pub fn conv2d(
 
 /// The fully-connected lowering: the weight rows load as kernels and fire
 /// once, with each input, read flat in HWC order, as a row, so `out`
-/// receives the outputs image by image.
+/// receives the outputs image by image. Returns the load's tally.
 fn fc_rows(
     layer: &Layer,
     inputs: &[Tensor],
     weights: &LayerWeights,
     engine: &dyn MacEngine,
     out: &mut [u64],
-) -> Result<(), ShapeError> {
+) -> Result<ActivityTally, ShapeError> {
     for input in inputs {
         ShapeError::check(layer, input)?;
     }
     let len = layer.input.elements();
-    if len > 0 && !out.is_empty() {
-        let rows: Vec<u64> = inputs.iter().flat_map(Tensor::data).copied().collect();
-        engine
-            .load(weights.kernels(layer.weight_count()), len)
-            .fire(&rows, out);
+    if len == 0 || out.is_empty() {
+        return Ok(ActivityTally::default());
     }
-    Ok(())
+    let rows: Vec<u64> = inputs.iter().flat_map(Tensor::data).copied().collect();
+    let mut loaded = engine.load(weights.kernels(layer.weight_count()), len);
+    loaded.fire(&rows, out);
+    Ok(loaded.finish())
 }
 
 /// Executes one fully-connected layer as a one-row GEMM; the input may
@@ -626,7 +743,7 @@ pub fn forward_batch(
     for (layer, w) in network.layers().iter().zip(weights) {
         let _layer_span = pixel_obs::span(&layer.name);
         pixel_obs::add("dnn.forward.layers", 1);
-        let flat = run_layer(layer, &current, w, engine)?;
+        let (flat, _) = run_layer(layer, &current, w, engine)?;
         current = Tensor::unbatch(layer.output_shape(), current.len(), &flat);
         if layer.is_compute() {
             for t in &mut current {
@@ -639,15 +756,20 @@ pub fn forward_batch(
 
 /// The per-layer step [`forward_batch`] and [`replay_layers`] share: runs
 /// `layer` over every input through `engine` and returns the raw outputs
-/// image by image, back to back.
-fn run_layer(
+/// image by image, back to back, with the [`ActivityTally`] the layer's
+/// load counted (zero for a pool).
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if an input tensor does not match the layer.
+pub fn run_layer(
     layer: &Layer,
     inputs: &[Tensor],
     weights: &LayerWeights,
     engine: &dyn MacEngine,
-) -> Result<Vec<u64>, ShapeError> {
+) -> Result<(Vec<u64>, ActivityTally), ShapeError> {
     let mut out = vec![0u64; inputs.len() * layer.output_shape().elements()];
-    match layer.kind {
+    let tally = match layer.kind {
         LayerKind::Conv { .. } => conv_windows(layer, inputs, weights, engine, 0, &mut out)?,
         LayerKind::Fc { .. } => fc_rows(layer, inputs, weights, engine, &mut out)?,
         LayerKind::Pool { .. } => {
@@ -655,9 +777,10 @@ fn run_layer(
             for input in inputs {
                 out.extend_from_slice(pool(layer, input)?.data());
             }
+            ActivityTally::default()
         }
-    }
-    Ok(out)
+    };
+    Ok((out, tally))
 }
 
 /// Fully-connected weights a replay generates at once (8 MiB of `u64`s).
@@ -719,7 +842,7 @@ pub fn replay_layers(
         let mut values = Vec::new();
         for slice in replay_slices(layer) {
             let w = LayerWeights::generate(&slice, || rng.range_u64(0, limit));
-            values.extend(run_layer(&slice, &input, &w, engine)?);
+            values.extend(run_layer(&slice, &input, &w, engine)?.0);
         }
         let mut out = Tensor::from_flat_vec(values);
         if layer.is_compute() {
@@ -831,6 +954,36 @@ mod tests {
             .flat_map(|r| kernels.chunks(2).map(move |k| (r.to_vec(), k.to_vec())))
             .collect();
         assert_eq!(calls, expected);
+    }
+
+    /// Counts one CLA add per product.
+    struct Counter;
+
+    impl MacEngine for Counter {
+        fn inner_product(&self, neurons: &[u64], synapses: &[u64]) -> u64 {
+            DirectMac.inner_product(neurons, synapses)
+        }
+
+        fn count_product(&self, n: &[u64], s: &[u64], tally: &mut ActivityTally) -> u64 {
+            tally.cla_ops += 1;
+            self.inner_product(n, s)
+        }
+    }
+
+    #[test]
+    fn a_load_finishes_with_what_its_fires_counted() {
+        let kernels = [1, 2, 3, 4, 5, 6];
+        for engine in [&Counter as &dyn MacEngine, &PerWindow(&Counter)] {
+            let mut loaded = engine.load(&kernels, 2);
+            let mut out = [0; 6];
+            loaded.fire(&[1, 1, 2, 2], &mut out);
+            assert_eq!(out, [3, 7, 11, 6, 14, 22]);
+            loaded.fire(&[3, 3], &mut out[..3]);
+            assert_eq!(loaded.finish().cla_ops, 9, "one count per product");
+        }
+        let mut loaded = DirectMac.load(&kernels, 2);
+        loaded.fire(&[1, 1], &mut [0; 3]);
+        assert_eq!(loaded.finish(), ActivityTally::default());
     }
 
     #[test]

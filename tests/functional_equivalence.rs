@@ -5,9 +5,9 @@
 
 use pixel::core::config::{AcceleratorConfig, Design};
 use pixel::core::functional_fabric::FunctionalFabric;
-use pixel::core::omac::{engine_for, PLANE_WINDOWS};
+use pixel::core::omac::{engine_for, EeMac, OeMac, OoMac, PLANE_WINDOWS};
 use pixel::dnn::inference::{
-    forward, forward_batch, replay_layers, DirectMac, LayerWeights, MacEngine, PerWindow,
+    forward, forward_batch, replay_layers, run_layer, DirectMac, LayerWeights, MacEngine, PerWindow,
 };
 use pixel::dnn::layer::{Layer, LayerKind, PoolKind, Shape};
 use pixel::dnn::network::Network;
@@ -123,6 +123,66 @@ fn whole_lenet_batch_is_bit_true_on_the_fabric() {
         assert_eq!(got, want, "{design}");
         assert_eq!(fabric.detected_words(), words, "{design}");
     }
+}
+
+/// The engines hold no mutable state, so one engine can serve many
+/// threads.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<EeMac>();
+    send_sync::<OeMac>();
+    send_sync::<OoMac>();
+    send_sync::<FunctionalFabric>();
+};
+
+/// A 70-image LeNet batch, run layer by layer through `run_layer` and
+/// requantized between layers, gives equal outputs and counts equal
+/// device activity — all nine tallies of every compute layer — on the
+/// fabric (rows on the plane lanes), on the scalar OMAC's block path
+/// (kernels on the lanes) and on its per-window device walk.
+fn lenet_layer_tallies_match_on_fabric_block_and_per_window_paths(design: Design) {
+    const IMAGES: usize = 70;
+    let net = zoo::lenet();
+    let precision = Precision::new(4);
+    let weights = random_weights(&net, precision, 71);
+    let mut current: Vec<Tensor> = (0..IMAGES as u64)
+        .map(|i| random_input(net.layers()[0].input, precision, 710 + i))
+        .collect();
+    let config = AcceleratorConfig::new(design, 4, precision.bits());
+    let fabric = FunctionalFabric::new(config);
+    let block = engine_for(&config);
+    let per_window = PerWindow(block.as_ref());
+    let engines: [&dyn MacEngine; 3] = [&fabric, block.as_ref(), &per_window];
+    for (layer, w) in net.layers().iter().zip(&weights) {
+        let [fabric_run, block_run, per_window_run] =
+            engines.map(|engine| run_layer(layer, &current, w, engine).expect("LeNet chains"));
+        let label = format!("{design} {}", layer.name);
+        assert_eq!(fabric_run, block_run, "{label}: block path");
+        assert_eq!(fabric_run, per_window_run, "{label}: per-window");
+        let (flat, tally) = fabric_run;
+        assert_eq!(layer.is_compute(), tally.gated_slots > 0, "{label}");
+        current = Tensor::unbatch(layer.output_shape(), IMAGES, &flat);
+        if layer.is_compute() {
+            for t in &mut current {
+                precision.requantize(t);
+            }
+        }
+    }
+}
+
+#[test]
+fn lenet_layer_tallies_match_on_ee() {
+    lenet_layer_tallies_match_on_fabric_block_and_per_window_paths(Design::Ee);
+}
+
+#[test]
+fn lenet_layer_tallies_match_on_oe() {
+    lenet_layer_tallies_match_on_fabric_block_and_per_window_paths(Design::Oe);
+}
+
+#[test]
+fn lenet_layer_tallies_match_on_oo() {
+    lenet_layer_tallies_match_on_fabric_block_and_per_window_paths(Design::Oo);
 }
 
 /// Largest layer, in MACs, a sampled replay runs on the fabric.
