@@ -186,9 +186,12 @@ out=$(./target/release/reproduce table1 --profile)
 echo "$out" | grep -q "== profile" || { echo "profile table missing" >&2; exit 1; }
 echo "$out" | grep -q "dnn.analysis.layers" || { echo "expected counter missing" >&2; exit 1; }
 ./target/release/reproduce --list > /dev/null
-# The paper's §III-A worked example asserts its partial sum (42) on the
-# fabric of every design.
-cargo run --release -q --example interconnect_broadcast > /dev/null
+# Every example runs; its own asserts are the check. The paper's §III-A
+# worked example asserts its partial sum (42) on the fabric of every
+# design.
+for example in interconnect_broadcast glyph_classification throughput_batching programmable_photonics; do
+  cargo run --release -q --example "$example" > /dev/null
+done
 serve_out=$(./target/release/reproduce serve --jobs 2)
 echo "$serve_out" | grep -q "saturation knee" || { echo "serve knee line missing" >&2; exit 1; }
 if ./target/release/reproduce no-such-artifact 2> /dev/null; then

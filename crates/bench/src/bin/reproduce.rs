@@ -96,7 +96,7 @@ const ARTIFACTS: [Artifact; 22] = [
     ),
     (
         "ablation",
-        "Extension — sensitivity of the headline EDP claims to calibrated constants",
+        "Extension — sensitivity of the headline EDP claims to calibrated constants; EE adder and multiplier baselines",
         pixel_bench::ablation,
     ),
     (
@@ -346,7 +346,7 @@ fn main() -> ExitCode {
         let jsonl = pixel_bench::opts::take_metrics();
         if jsonl.is_empty() {
             eprintln!(
-                "--metrics: the selected artifacts emitted no metrics (serve and flightrec do)"
+                "--metrics: the selected artifacts emitted no metrics (serve, flightrec and fleet do)"
             );
         }
         if let Err(err) = std::fs::write(path, jsonl) {

@@ -1,9 +1,10 @@
-//! Shared harness code for the PIXEL reproduction benchmarks.
+//! The artifact renderers of the PIXEL reproduction.
 //!
-//! Every table and figure of the paper's evaluation has a std-only bench
-//! (`benches/`) and a subcommand of the `reproduce` binary; both call the
-//! generator functions here, which wrap `pixel_core::dse` with the exact
-//! parameter grids the paper uses.
+//! Every table and figure of the paper's evaluation, and every
+//! extension artifact, is one function here that returns its rendered
+//! text; the `reproduce` binary prints them by key and `reproduce bench`
+//! ([`perf`]) times the functional simulation. The paper artifacts wrap
+//! `pixel_core::dse` with the exact parameter grids the paper uses.
 
 pub mod opts;
 pub mod perf;
@@ -11,18 +12,9 @@ pub mod timing;
 
 use pixel_core::dse;
 use pixel_core::report;
+use pixel_core::sweep::SweepEngine;
 use pixel_dnn::analysis::{analyze_network, FcCountConvention};
 use pixel_dnn::zoo;
-
-/// Shared harness for the artifact bench binaries: prints the rendered
-/// artifact once under a title banner, then times regenerating it with
-/// the default budget. Every `benches/` binary that wraps one artifact
-/// is a one-line call to this.
-pub fn artifact_bench(title: &str, name: &str, artifact: fn() -> String) -> timing::Measurement {
-    println!("\n== {title} ==");
-    println!("{}", artifact());
-    timing::bench(name, artifact)
-}
 
 /// The lanes sweep of Fig. 4 and Fig. 6.
 pub const LANES_SWEEP: [usize; 4] = [2, 4, 8, 16];
@@ -66,7 +58,11 @@ pub fn table1() -> String {
 #[must_use]
 pub fn fig4() -> String {
     let _span = pixel_obs::span("fig4");
-    report::format_energy_per_bit(&dse::fig4_energy_per_bit(&LANES_SWEEP, &BITS_SWEEP))
+    report::format_energy_per_bit(&dse::fig4_energy_per_bit(
+        &SweepEngine::with_default_jobs(),
+        &LANES_SWEEP,
+        &BITS_SWEEP,
+    ))
 }
 
 /// Renders Fig. 5's data table (AlexNet, LeNet, VGG16 components).
@@ -74,14 +70,21 @@ pub fn fig4() -> String {
 pub fn fig5() -> String {
     let _span = pixel_obs::span("fig5");
     let nets = [zoo::alexnet(), zoo::lenet(), zoo::vgg16()];
-    report::format_components(&dse::fig5_component_energy(&nets, &[4, 8, 16]))
+    report::format_components(&dse::fig5_component_energy(
+        &SweepEngine::with_default_jobs(),
+        &nets,
+        &[4, 8, 16],
+    ))
 }
 
 /// Renders Fig. 6's data table.
 #[must_use]
 pub fn fig6() -> String {
     let _span = pixel_obs::span("fig6");
-    report::format_area(&dse::fig6_area(&LANES_SWEEP))
+    report::format_area(&dse::fig6_area(
+        &SweepEngine::with_default_jobs(),
+        &LANES_SWEEP,
+    ))
 }
 
 /// Renders Fig. 7's data table.
@@ -89,7 +92,11 @@ pub fn fig6() -> String {
 pub fn fig7() -> String {
     let _span = pixel_obs::span("fig7");
     report::format_normalized(
-        &dse::fig7_normalized_energy(&zoo::all_networks(), &BITS_SWEEP),
+        &dse::fig7_normalized_energy(
+            &SweepEngine::with_default_jobs(),
+            &zoo::all_networks(),
+            &BITS_SWEEP,
+        ),
         "energy",
     )
 }
@@ -99,6 +106,7 @@ pub fn fig7() -> String {
 pub fn fig8() -> String {
     let _span = pixel_obs::span("fig8");
     report::format_latency(&dse::fig8_latency_geomean(
+        &SweepEngine::with_default_jobs(),
         &zoo::all_networks(),
         &fig8_bits_sweep(),
     ))
@@ -108,7 +116,9 @@ pub fn fig8() -> String {
 #[must_use]
 pub fn fig9() -> String {
     let _span = pixel_obs::span("fig9");
-    report::format_layer_latency(&dse::fig9_zfnet_layer_latency())
+    report::format_layer_latency(&dse::fig9_zfnet_layer_latency(
+        &SweepEngine::with_default_jobs(),
+    ))
 }
 
 /// Renders Fig. 10's data table, plus the headline geomean improvements.
@@ -116,10 +126,14 @@ pub fn fig9() -> String {
 pub fn fig10() -> String {
     let _span = pixel_obs::span("fig10");
     let mut s = report::format_normalized(
-        &dse::fig10_normalized_edp(&zoo::all_networks(), &BITS_SWEEP),
+        &dse::fig10_normalized_edp(
+            &SweepEngine::with_default_jobs(),
+            &zoo::all_networks(),
+            &BITS_SWEEP,
+        ),
         "EDP",
     );
-    let (oe, oo) = dse::headline_edp_improvements();
+    let (oe, oo) = dse::headline_edp_improvements(&SweepEngine::with_default_jobs());
     s.push_str(&format!(
         "\ngeomean EDP improvement at 4 lanes / 16 bits: OE {:.1}% (paper 48.4%), OO {:.1}% (paper 73.9%)\n",
         oe * 100.0,
@@ -132,7 +146,7 @@ pub fn fig10() -> String {
 #[must_use]
 pub fn table2() -> String {
     let _span = pixel_obs::span("table2");
-    report::format_table2(&dse::table2_breakdown())
+    report::format_table2(&dse::table2_breakdown(&SweepEngine::with_default_jobs()))
 }
 
 /// Extension artifact: power analysis across designs (beyond the paper).
@@ -160,7 +174,9 @@ pub fn power() -> String {
     s
 }
 
-/// Extension artifact: sensitivity ablations on the calibrated constants.
+/// Extension artifact: sensitivity ablations on the calibrated
+/// constants, then the EE datapath's component choices against their
+/// textbook baselines.
 #[must_use]
 pub fn ablation() -> String {
     let _span = pixel_obs::span("ablation");
@@ -181,6 +197,22 @@ pub fn ablation() -> String {
             p.parameter,
             p.oe_improvement * 100.0,
             p.oo_improvement * 100.0
+        ));
+    }
+    s.push_str(
+        "\nwidth | CLA gates  delay [ns] | RCA gates  delay [ns] | STR lane gates | array gates  depth\n",
+    );
+    for c in pixel_core::model::ee::component_baselines(&[4, 8, 16, 32]) {
+        s.push_str(&format!(
+            "{:>5} | {:>9} {:>11.2} | {:>9} {:>11.2} | {:>14} | {:>11} {:>6}\n",
+            c.width,
+            c.cla_gates,
+            c.cla_delay.as_nanos(),
+            c.rca_gates,
+            c.rca_delay.as_nanos(),
+            c.stripes_lane_gates,
+            c.array_gates,
+            c.array_depth,
         ));
     }
     s
@@ -322,7 +354,6 @@ pub fn pam() -> String {
 #[must_use]
 pub fn serve() -> String {
     let _span = pixel_obs::span("serve");
-    use pixel_core::sweep::SweepEngine;
     use pixel_serve::arrivals::Workload;
     use pixel_serve::saturation::{render_curves, saturation_sweep, SweepSpec};
 
@@ -341,7 +372,6 @@ pub fn serve() -> String {
 #[must_use]
 pub fn fleet() -> String {
     let _span = pixel_obs::span("fleet");
-    use pixel_core::sweep::SweepEngine;
     use pixel_fleet::sweep::{fleet_sweep, metrics_jsonl, render_fleet, FleetSweepSpec};
 
     let seed = pixel_core::seed::artifact_seed("fleet", 2026);

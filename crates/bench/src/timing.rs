@@ -1,8 +1,6 @@
-//! Minimal std-only timing harness for the `benches/` binaries.
+//! Minimal std-only timer behind `reproduce bench` ([`crate::perf`]).
 //!
-//! The bench binaries (`cargo bench`) print a reproduced artifact once
-//! and then measure how long regenerating it takes. This module provides
-//! the measurement loop: a short warm-up, then timed batches until a
+//! The measurement loop: a short warm-up, then timed batches until a
 //! wall-clock budget is spent, reporting both the mean per-iteration
 //! time across every repetition and the true median of the per-rep
 //! means.
@@ -25,33 +23,6 @@ pub struct Measurement {
     /// nanoseconds (for an even rep count, the average of the two
     /// middle reps). For a single [`measure`] this equals [`Self::mean_ns`].
     pub median_ns: f64,
-}
-
-impl Measurement {
-    /// Mean per-iteration time as a [`Duration`].
-    #[must_use]
-    pub fn mean(&self) -> Duration {
-        Duration::from_secs_f64(self.mean_ns / 1e9)
-    }
-
-    /// Median per-iteration time as a [`Duration`].
-    #[must_use]
-    pub fn median(&self) -> Duration {
-        Duration::from_secs_f64(self.median_ns / 1e9)
-    }
-}
-
-fn format_duration(d: Duration) -> String {
-    let ns = d.as_secs_f64() * 1e9;
-    if ns < 1_000.0 {
-        format!("{ns:.1} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2} µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2} ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3} s", ns / 1_000_000_000.0)
-    }
 }
 
 /// Elapsed nanoseconds since `start`, clamped so a sub-tick timer (or a
@@ -140,18 +111,6 @@ pub fn measure_median<T>(budget: Duration, reps: usize, mut f: impl FnMut() -> T
     }
 }
 
-/// Times `f` with the default 200 ms budget and prints one
-/// `name ... mean (N iters)` report line.
-pub fn bench<T>(name: &str, f: impl FnMut() -> T) -> Measurement {
-    let m = measure(Duration::from_millis(200), f);
-    println!(
-        "bench {name:<40} {:>12}/iter  ({} iters)",
-        format_duration(m.mean()),
-        m.iterations
-    );
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +147,7 @@ mod tests {
         let m = measure(Duration::from_millis(30), || {
             std::thread::sleep(Duration::from_millis(2));
         });
-        assert!(m.mean() >= Duration::from_millis(1), "mean {:?}", m.mean());
+        assert!(m.mean_ns >= 1e6, "mean {} ns", m.mean_ns);
     }
 
     #[test]
@@ -198,7 +157,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(delay.next().unwrap()));
         });
         assert!(m.iterations >= 3);
-        assert!(m.median() >= Duration::from_millis(1));
+        assert!(m.median_ns >= 1e6, "median {} ns", m.median_ns);
         assert!(m.mean_ns > 0.0);
     }
 
@@ -208,13 +167,5 @@ mod tests {
         // Even count: average of the two middle reps, not either one.
         assert_eq!(median_of(vec![4.0, 1.0, 2.0, 100.0]), 3.0);
         assert_eq!(median_of(vec![5.0]), 5.0);
-    }
-
-    #[test]
-    fn duration_formatting_picks_sane_units() {
-        assert!(format_duration(Duration::from_nanos(500)).ends_with("ns"));
-        assert!(format_duration(Duration::from_micros(50)).ends_with("µs"));
-        assert!(format_duration(Duration::from_millis(50)).ends_with("ms"));
-        assert!(format_duration(Duration::from_secs(2)).ends_with(" s"));
     }
 }

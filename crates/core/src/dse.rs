@@ -1,14 +1,12 @@
 //! Design-space exploration: the sweeps behind every figure and table.
 //!
 //! Each function regenerates the data series of one paper artifact; the
-//! `reproduce` binary and the criterion benches are thin wrappers over
-//! these. Every artifact routes through [`SweepEngine`]: the design
-//! points are laid out as a flat grid, mapped in parallel over worker
-//! threads, and evaluated through the engine's shared memoizing
+//! `reproduce` binary renders them. Every artifact routes through the
+//! [`SweepEngine`] its caller passes: the design points are laid out as
+//! a flat grid, mapped in parallel over the engine's worker threads,
+//! and evaluated through its shared memoizing
 //! [`crate::model::EvalContext`]. Results are returned in grid order,
-//! so a parallel sweep is bitwise-identical to a serial one; the
-//! `*_with` variants take an explicit engine (worker count, overrides),
-//! the plain functions use the process-default worker count.
+//! so a parallel sweep is bitwise-identical to a serial one.
 
 use crate::config::{AcceleratorConfig, Design};
 use crate::edp::geomean;
@@ -34,13 +32,7 @@ pub struct EnergyPerBitPoint {
 
 /// Fig. 4: energy/bit of a single MAC unit over lanes × bits/lane.
 #[must_use]
-pub fn fig4_energy_per_bit(lanes_sweep: &[usize], bits_sweep: &[u32]) -> Vec<EnergyPerBitPoint> {
-    fig4_energy_per_bit_with(&SweepEngine::with_default_jobs(), lanes_sweep, bits_sweep)
-}
-
-/// Fig. 4 through an explicit [`SweepEngine`].
-#[must_use]
-pub fn fig4_energy_per_bit_with(
+pub fn fig4_energy_per_bit(
     engine: &SweepEngine,
     lanes_sweep: &[usize],
     bits_sweep: &[u32],
@@ -85,13 +77,7 @@ pub struct ComponentEnergyBar {
 /// Fig. 5: per-component energy for the given networks at 4 lanes over a
 /// bits/lane sweep.
 #[must_use]
-pub fn fig5_component_energy(networks: &[Network], bits_sweep: &[u32]) -> Vec<ComponentEnergyBar> {
-    fig5_component_energy_with(&SweepEngine::with_default_jobs(), networks, bits_sweep)
-}
-
-/// Fig. 5 through an explicit [`SweepEngine`].
-#[must_use]
-pub fn fig5_component_energy_with(
+pub fn fig5_component_energy(
     engine: &SweepEngine,
     networks: &[Network],
     bits_sweep: &[u32],
@@ -130,13 +116,7 @@ pub struct AreaPoint {
 
 /// Fig. 6: fabric area at 4 bits/lane over a lane sweep.
 #[must_use]
-pub fn fig6_area(lanes_sweep: &[usize]) -> Vec<AreaPoint> {
-    fig6_area_with(&SweepEngine::with_default_jobs(), lanes_sweep)
-}
-
-/// Fig. 6 through an explicit [`SweepEngine`].
-#[must_use]
-pub fn fig6_area_with(engine: &SweepEngine, lanes_sweep: &[usize]) -> Vec<AreaPoint> {
+pub fn fig6_area(engine: &SweepEngine, lanes_sweep: &[usize]) -> Vec<AreaPoint> {
     let points: Vec<(Design, usize)> = Design::ALL
         .iter()
         .flat_map(|&design| lanes_sweep.iter().map(move |&lanes| (design, lanes)))
@@ -168,13 +148,7 @@ pub struct NormalizedPoint {
 
 /// Fig. 7: energy normalized to EE, per network × bits/lane, at 8 lanes.
 #[must_use]
-pub fn fig7_normalized_energy(networks: &[Network], bits_sweep: &[u32]) -> Vec<NormalizedPoint> {
-    fig7_normalized_energy_with(&SweepEngine::with_default_jobs(), networks, bits_sweep)
-}
-
-/// Fig. 7 through an explicit [`SweepEngine`].
-#[must_use]
-pub fn fig7_normalized_energy_with(
+pub fn fig7_normalized_energy(
     engine: &SweepEngine,
     networks: &[Network],
     bits_sweep: &[u32],
@@ -186,13 +160,7 @@ pub fn fig7_normalized_energy_with(
 
 /// Fig. 10: EDP normalized to EE, per network × bits/lane, at 4 lanes.
 #[must_use]
-pub fn fig10_normalized_edp(networks: &[Network], bits_sweep: &[u32]) -> Vec<NormalizedPoint> {
-    fig10_normalized_edp_with(&SweepEngine::with_default_jobs(), networks, bits_sweep)
-}
-
-/// Fig. 10 through an explicit [`SweepEngine`].
-#[must_use]
-pub fn fig10_normalized_edp_with(
+pub fn fig10_normalized_edp(
     engine: &SweepEngine,
     networks: &[Network],
     bits_sweep: &[u32],
@@ -247,13 +215,7 @@ pub struct LatencyPoint {
 
 /// Fig. 8: geomean latency across the six CNNs at 8 lanes, bits/lane 1–32.
 #[must_use]
-pub fn fig8_latency_geomean(networks: &[Network], bits_sweep: &[u32]) -> Vec<LatencyPoint> {
-    fig8_latency_geomean_with(&SweepEngine::with_default_jobs(), networks, bits_sweep)
-}
-
-/// Fig. 8 through an explicit [`SweepEngine`].
-#[must_use]
-pub fn fig8_latency_geomean_with(
+pub fn fig8_latency_geomean(
     engine: &SweepEngine,
     networks: &[Network],
     bits_sweep: &[u32],
@@ -291,13 +253,7 @@ pub struct LayerLatencyPoint {
 
 /// Fig. 9: ZFNet per-layer latency at 8 lanes, 8 bits/lane.
 #[must_use]
-pub fn fig9_zfnet_layer_latency() -> Vec<LayerLatencyPoint> {
-    fig9_zfnet_layer_latency_with(&SweepEngine::with_default_jobs())
-}
-
-/// Fig. 9 through an explicit [`SweepEngine`].
-#[must_use]
-pub fn fig9_zfnet_layer_latency_with(engine: &SweepEngine) -> Vec<LayerLatencyPoint> {
+pub fn fig9_zfnet_layer_latency(engine: &SweepEngine) -> Vec<LayerLatencyPoint> {
     let net = zoo::zfnet();
     let groups = engine.map(&Design::ALL, |ctx, &design| {
         let _span = pixel_obs::span(design.label());
@@ -330,13 +286,7 @@ pub struct TableIiRow {
 /// Table II: component energies for ResNet-34, GoogLeNet and ZFNet at
 /// 4 lanes, 16 bits/lane.
 #[must_use]
-pub fn table2_breakdown() -> Vec<TableIiRow> {
-    table2_breakdown_with(&SweepEngine::with_default_jobs())
-}
-
-/// Table II through an explicit [`SweepEngine`].
-#[must_use]
-pub fn table2_breakdown_with(engine: &SweepEngine) -> Vec<TableIiRow> {
+pub fn table2_breakdown(engine: &SweepEngine) -> Vec<TableIiRow> {
     let networks = [zoo::resnet34(), zoo::googlenet(), zoo::zfnet()];
     let points: Vec<(&Network, Design)> = networks
         .iter()
@@ -358,13 +308,7 @@ pub fn table2_breakdown_with(engine: &SweepEngine) -> Vec<TableIiRow> {
 /// EE at 4 lanes, 16 bits/lane, across the six networks. Returns
 /// `(oe_improvement, oo_improvement)` as fractions (paper: 0.484, 0.739).
 #[must_use]
-pub fn headline_edp_improvements() -> (f64, f64) {
-    headline_edp_improvements_with(&SweepEngine::with_default_jobs())
-}
-
-/// Headline EDP improvements through an explicit [`SweepEngine`].
-#[must_use]
-pub fn headline_edp_improvements_with(engine: &SweepEngine) -> (f64, f64) {
+pub fn headline_edp_improvements(engine: &SweepEngine) -> (f64, f64) {
     let networks = zoo::all_networks();
     let edps = engine.map(&Design::ALL, |ctx, &design| {
         let _span = pixel_obs::span(design.label());
@@ -389,14 +333,14 @@ mod tests {
     #[test]
     fn headline_improvements_match_paper() {
         // Paper: OE 48.4%, OO 73.9%.
-        let (oe, oo) = headline_edp_improvements();
+        let (oe, oo) = headline_edp_improvements(&SweepEngine::with_default_jobs());
         assert!((oe - 0.484).abs() < 0.08, "OE improvement {oe}");
         assert!((oo - 0.739).abs() < 0.06, "OO improvement {oo}");
     }
 
     #[test]
     fn fig4_shapes() {
-        let points = fig4_energy_per_bit(&[4], &[4, 8, 16, 32]);
+        let points = fig4_energy_per_bit(&SweepEngine::with_default_jobs(), &[4], &[4, 8, 16, 32]);
         let series = |d: Design| -> Vec<f64> {
             points
                 .iter()
@@ -412,7 +356,7 @@ mod tests {
 
     #[test]
     fn fig6_ordering() {
-        let points = fig6_area(&[2, 4, 8]);
+        let points = fig6_area(&SweepEngine::with_default_jobs(), &[2, 4, 8]);
         for lanes in [2usize, 4, 8] {
             let area = |d: Design| {
                 points
@@ -431,7 +375,7 @@ mod tests {
         // At 4 bits/lane on 8 lanes EE is competitive; at 32 bits/lane the
         // optical designs win decisively.
         let nets = [zoo::lenet()];
-        let points = fig7_normalized_energy(&nets, &[4, 32]);
+        let points = fig7_normalized_energy(&SweepEngine::with_default_jobs(), &nets, &[4, 32]);
         let value = |d: Design, b: u32| {
             points
                 .iter()
@@ -449,7 +393,7 @@ mod tests {
     fn fig8_ee_monotone_and_optical_u() {
         let nets = [zoo::lenet(), zoo::zfnet()];
         let bits: Vec<u32> = vec![1, 2, 4, 8, 10, 16, 24, 32];
-        let points = fig8_latency_geomean(&nets, &bits);
+        let points = fig8_latency_geomean(&SweepEngine::with_default_jobs(), &nets, &bits);
         let series = |d: Design| -> Vec<f64> {
             bits.iter()
                 .map(|&b| {
@@ -479,7 +423,7 @@ mod tests {
 
     #[test]
     fn fig9_oo_fastest_per_layer() {
-        let points = fig9_zfnet_layer_latency();
+        let points = fig9_zfnet_layer_latency(&SweepEngine::with_default_jobs());
         let conv2 = |d: Design| {
             points
                 .iter()
@@ -496,7 +440,7 @@ mod tests {
 
     #[test]
     fn table2_has_nine_rows() {
-        let rows = table2_breakdown();
+        let rows = table2_breakdown(&SweepEngine::with_default_jobs());
         assert_eq!(rows.len(), 9);
         assert!(rows.iter().all(|r| r.breakdown.total().value() > 0.0));
     }
@@ -509,23 +453,20 @@ mod tests {
         let parallel = SweepEngine::new(4);
         let nets = [zoo::lenet(), zoo::alexnet()];
         assert_eq!(
-            fig4_energy_per_bit_with(&serial, &[2, 4, 8], &[4, 8, 16, 32]),
-            fig4_energy_per_bit_with(&parallel, &[2, 4, 8], &[4, 8, 16, 32]),
+            fig4_energy_per_bit(&serial, &[2, 4, 8], &[4, 8, 16, 32]),
+            fig4_energy_per_bit(&parallel, &[2, 4, 8], &[4, 8, 16, 32]),
         );
         assert_eq!(
-            fig7_normalized_energy_with(&serial, &nets, &[4, 16]),
-            fig7_normalized_energy_with(&parallel, &nets, &[4, 16]),
+            fig7_normalized_energy(&serial, &nets, &[4, 16]),
+            fig7_normalized_energy(&parallel, &nets, &[4, 16]),
         );
         assert_eq!(
-            fig8_latency_geomean_with(&serial, &nets, &[4, 8, 16]),
-            fig8_latency_geomean_with(&parallel, &nets, &[4, 8, 16]),
+            fig8_latency_geomean(&serial, &nets, &[4, 8, 16]),
+            fig8_latency_geomean(&parallel, &nets, &[4, 8, 16]),
         );
-        assert_eq!(
-            table2_breakdown_with(&serial),
-            table2_breakdown_with(&parallel),
-        );
-        let (oe_s, oo_s) = headline_edp_improvements_with(&serial);
-        let (oe_p, oo_p) = headline_edp_improvements_with(&parallel);
+        assert_eq!(table2_breakdown(&serial), table2_breakdown(&parallel),);
+        let (oe_s, oo_s) = headline_edp_improvements(&serial);
+        let (oe_p, oo_p) = headline_edp_improvements(&parallel);
         assert!(oe_s == oe_p && oo_s == oo_p);
     }
 
@@ -533,10 +474,10 @@ mod tests {
     fn sweeps_reuse_the_engine_cache() {
         let engine = SweepEngine::new(2);
         let nets = [zoo::lenet()];
-        let first = fig7_normalized_energy_with(&engine, &nets, &[4, 16]);
+        let first = fig7_normalized_energy(&engine, &nets, &[4, 16]);
         let entries = engine.ctx().derived_entries();
         assert!(entries > 0);
-        let second = fig7_normalized_energy_with(&engine, &nets, &[4, 16]);
+        let second = fig7_normalized_energy(&engine, &nets, &[4, 16]);
         assert_eq!(first, second);
         // No new derivations on the second pass.
         assert_eq!(engine.ctx().derived_entries(), entries);

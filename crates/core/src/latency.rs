@@ -164,6 +164,17 @@ mod tests {
     }
 
     #[test]
+    fn a_partial_round_costs_a_whole_firing() {
+        // Eq. 11 rounds up: a word past the last full round fires a
+        // round of its own.
+        let config = cfg(Design::Oo, 8, AcceleratorConfig::DEFAULT_NATIVE_BITS);
+        let round = config.macs_per_firing();
+        assert_eq!(firings(&config, &counts(round)), 1.0);
+        assert_eq!(firings(&config, &counts(round + 1)), 2.0);
+        assert_eq!(firings(&config, &counts(1)), 1.0);
+    }
+
+    #[test]
     fn latency_is_positive_and_finite_for_all_designs() {
         let c = counts(1_000);
         for d in Design::ALL {

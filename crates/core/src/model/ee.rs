@@ -14,11 +14,14 @@ use crate::energy::OperationEnergies;
 use crate::omac::EeMac;
 use crate::overrides::ModelOverrides;
 use pixel_dnn::inference::MacEngine;
+use pixel_electronics::cla::Cla;
 use pixel_electronics::dsent;
 use pixel_electronics::gates::LogicDepth;
+use pixel_electronics::multiplier::ArrayMultiplier;
+use pixel_electronics::ripple::RippleCarryAdder;
 use pixel_electronics::stripes::StripesMac;
 use pixel_electronics::technology::Technology;
-use pixel_units::{Area, Energy};
+use pixel_units::{Area, Energy, Time};
 
 /// The Stripes-style all-electrical design.
 #[derive(Debug, Clone, Copy, Default)]
@@ -85,4 +88,52 @@ impl DesignModel for EeModel {
     fn functional_engine(&self, config: &AcceleratorConfig) -> Box<dyn MacEngine> {
         Box::new(EeMac::new(config.lanes, config.bits_per_lane))
     }
+}
+
+/// The EE datapath's two component choices against their textbook
+/// alternatives at one operand width: the carry-lookahead adder against
+/// a ripple-carry adder, and a one-lane Stripes bit-serial MAC
+/// (accumulator included) against a parallel array multiplier.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ComponentBaseline {
+    /// Operand width \[bits\].
+    pub width: u32,
+    /// Carry-lookahead adder gates.
+    pub cla_gates: u64,
+    /// Carry-lookahead adder critical-path delay (DSENT, 22 nm).
+    pub cla_delay: Time,
+    /// Ripple-carry adder gates.
+    pub rca_gates: u64,
+    /// Ripple-carry adder critical-path delay (DSENT, 22 nm).
+    pub rca_delay: Time,
+    /// One-lane Stripes MAC gates, accumulator included.
+    pub stripes_lane_gates: u64,
+    /// Array multiplier gates.
+    pub array_gates: u64,
+    /// Array multiplier logic depth \[levels\].
+    pub array_depth: u32,
+}
+
+/// One [`ComponentBaseline`] per operand width.
+#[must_use]
+pub fn component_baselines(widths: &[u32]) -> Vec<ComponentBaseline> {
+    let tech = Technology::bulk22lvt();
+    widths
+        .iter()
+        .map(|&width| {
+            let cla = Cla::new(width);
+            let rca = RippleCarryAdder::new(width);
+            let array = ArrayMultiplier::new(width);
+            ComponentBaseline {
+                width,
+                cla_gates: cla.gate_count().get(),
+                cla_delay: dsent::estimate(cla.gate_count(), cla.logic_depth(), &tech).delay,
+                rca_gates: rca.gate_count().get(),
+                rca_delay: dsent::estimate(rca.gate_count(), rca.logic_depth(), &tech).delay,
+                stripes_lane_gates: StripesMac::new(1, width).gate_count().get(),
+                array_gates: array.gate_count().get(),
+                array_depth: array.logic_depth().get(),
+            }
+        })
+        .collect()
 }

@@ -2,7 +2,7 @@
 //!
 //! The evaluation models read their coefficients from
 //! [`crate::calibration`]; an [`ModelOverrides`] value scales or replaces
-//! the ones DESIGN.md flags as uncertain, so the ablation benches can ask
+//! the ones DESIGN.md flags as uncertain, so `reproduce ablation` can ask
 //! "how much does the conclusion depend on this constant?".
 
 /// Multiplicative and absolute overrides on the calibrated model.

@@ -1,7 +1,7 @@
 //! Plain-text table formatting for the reproduction artifacts.
 //!
 //! Used by the `reproduce` binary and EXPERIMENTS.md generation; kept in
-//! the library so benches and tests can snapshot the same output.
+//! the library so the snapshot tests pin the same output.
 
 use crate::audit::ActivityAuditRow;
 use crate::dse::{
@@ -216,10 +216,11 @@ pub fn format_layer_latency(points: &[LayerLatencyPoint]) -> String {
 mod tests {
     use super::*;
     use crate::dse;
+    use crate::sweep::SweepEngine;
 
     #[test]
     fn table2_formats_all_rows() {
-        let rows = dse::table2_breakdown();
+        let rows = dse::table2_breakdown(&SweepEngine::with_default_jobs());
         let text = format_table2(&rows);
         assert!(text.contains("ResNet-34"));
         assert!(text.contains("GoogLeNet"));
@@ -229,7 +230,7 @@ mod tests {
 
     #[test]
     fn energy_per_bit_table_has_sorted_keys() {
-        let points = dse::fig4_energy_per_bit(&[8, 2], &[8, 4]);
+        let points = dse::fig4_energy_per_bit(&SweepEngine::with_default_jobs(), &[8, 2], &[8, 4]);
         let text = format_energy_per_bit(&points);
         let first_data_line = text.lines().nth(1).unwrap();
         assert!(first_data_line.trim_start().starts_with("2    4"));
@@ -237,7 +238,7 @@ mod tests {
 
     #[test]
     fn area_table_renders() {
-        let points = dse::fig6_area(&[2, 4]);
+        let points = dse::fig6_area(&SweepEngine::with_default_jobs(), &[2, 4]);
         let text = format_area(&points);
         assert_eq!(text.lines().count(), 3);
         assert!(!text.contains("NaN"));
@@ -245,7 +246,7 @@ mod tests {
 
     #[test]
     fn layer_latency_preserves_network_order() {
-        let points = dse::fig9_zfnet_layer_latency();
+        let points = dse::fig9_zfnet_layer_latency(&SweepEngine::with_default_jobs());
         let text = format_layer_latency(&points);
         let conv1_pos = text.find("Conv1").unwrap();
         let fc3_pos = text.find("FC3").unwrap();

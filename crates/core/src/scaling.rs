@@ -96,7 +96,7 @@ pub fn scaling_sweep(design: Design, sizes: &[usize]) -> Vec<ScalingPoint> {
         .collect()
 }
 
-/// Sanity accessor used by benches: confirms a configuration's fabric
+/// Sanity accessor: confirms a configuration's fabric
 /// fits its design's budget.
 #[must_use]
 pub fn config_is_feasible(config: &AcceleratorConfig) -> bool {

@@ -2,9 +2,8 @@
 //!
 //! Stripes trades a big combinational multiplier for `p` cheap serial
 //! cycles. This module supplies the multiplier Stripes replaces — an
-//! `n × n` carry-save array — so that trade can be quantified (the
-//! `ablation_baselines` bench compares both on gates, depth and energy
-//! per multiply).
+//! `n × n` carry-save array — so that trade can be quantified
+//! (`reproduce ablation` compares both on gates and depth).
 
 use crate::gates::{GateCount, LogicDepth};
 use crate::ripple::GATES_PER_FULL_ADDER;

@@ -3,7 +3,7 @@
 //! The paper adopts carry-lookahead adders; the ripple-carry design is
 //! the classic lower-area / higher-latency alternative (one full adder
 //! per bit: ~5 gates, 2 levels each), kept here so the CLA choice can be
-//! quantified (see the `ablation_baselines` bench).
+//! quantified (see `reproduce ablation`).
 
 use crate::gates::{GateCount, LogicDepth};
 

@@ -4,6 +4,7 @@
 
 use pixel::core::config::Design;
 use pixel::core::dse;
+use pixel::core::sweep::SweepEngine;
 use pixel::dnn::zoo;
 
 #[test]
@@ -37,7 +38,7 @@ fn all_artifact_strings_render() {
 #[test]
 fn fig5_components_cover_every_cell() {
     let nets = [zoo::alexnet(), zoo::lenet(), zoo::vgg16()];
-    let bars = dse::fig5_component_energy(&nets, &[4, 8, 16]);
+    let bars = dse::fig5_component_energy(&SweepEngine::with_default_jobs(), &nets, &[4, 8, 16]);
     // 3 networks × 3 designs × 3 bit widths.
     assert_eq!(bars.len(), 27);
     for bar in &bars {
@@ -53,8 +54,8 @@ fn fig5_components_cover_every_cell() {
 fn fig7_and_fig10_are_normalized_to_ee() {
     let nets = zoo::all_networks();
     for points in [
-        dse::fig7_normalized_energy(&nets, &[4, 16]),
-        dse::fig10_normalized_edp(&nets, &[4, 16]),
+        dse::fig7_normalized_energy(&SweepEngine::with_default_jobs(), &nets, &[4, 16]),
+        dse::fig10_normalized_edp(&SweepEngine::with_default_jobs(), &nets, &[4, 16]),
     ] {
         for p in points.iter().filter(|p| p.design == Design::Ee) {
             assert!(
@@ -72,14 +73,14 @@ fn fig7_and_fig10_are_normalized_to_ee() {
 fn fig8_covers_full_bits_range() {
     let nets = [zoo::lenet()];
     let bits: Vec<u32> = (1..=32).collect();
-    let points = dse::fig8_latency_geomean(&nets, &bits);
+    let points = dse::fig8_latency_geomean(&SweepEngine::with_default_jobs(), &nets, &bits);
     assert_eq!(points.len(), 3 * 32);
     assert!(points.iter().all(|p| p.latency_geomean > 0.0));
 }
 
 #[test]
 fn table2_respects_paper_orderings() {
-    let rows = dse::table2_breakdown();
+    let rows = dse::table2_breakdown(&SweepEngine::with_default_jobs());
     for net in ["ResNet-34", "GoogLeNet", "ZFNet"] {
         let get = |d: Design| {
             rows.iter()

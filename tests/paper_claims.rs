@@ -9,6 +9,7 @@ use pixel::core::accelerator::Accelerator;
 use pixel::core::config::{AcceleratorConfig, Design};
 use pixel::core::dse;
 use pixel::core::energy::OperationEnergies;
+use pixel::core::sweep::SweepEngine;
 use pixel::dnn::zoo;
 
 fn accel(design: Design, lanes: usize, bits: u32) -> Accelerator {
@@ -50,7 +51,7 @@ fn claim_53_8_percent_accumulation_improvement() {
 /// EE at 4 lanes, 16 bits/lane (geomean across the six CNNs).
 #[test]
 fn claim_headline_edp_improvements() {
-    let (oe, oo) = dse::headline_edp_improvements();
+    let (oe, oo) = dse::headline_edp_improvements(&SweepEngine::with_default_jobs());
     assert!((oe - 0.484).abs() < 0.08, "OE geomean improvement {oe}");
     assert!((oo - 0.739).abs() < 0.06, "OO geomean improvement {oo}");
     assert!(oo > oe, "OO dominates OE");
@@ -116,7 +117,7 @@ fn claim_table_ii_cells() {
         ("ZFNet", Design::Oe, [62.9, 336.0, 34.2, 76.6, 39.9, 20.1]),
         ("ZFNet", Design::Oo, [62.9, 155.0, 34.2, 76.6, 39.9, 30.4]),
     ];
-    let rows = dse::table2_breakdown();
+    let rows = dse::table2_breakdown(&SweepEngine::with_default_jobs());
     for (net, design, expected) in paper {
         let row = rows
             .iter()
@@ -185,7 +186,11 @@ fn claim_fig6_area_ordering() {
 #[test]
 fn claim_fig8_latency_shapes() {
     let nets = zoo::all_networks();
-    let points = dse::fig8_latency_geomean(&nets, &[1, 2, 4, 8, 10, 16, 24, 32]);
+    let points = dse::fig8_latency_geomean(
+        &SweepEngine::with_default_jobs(),
+        &nets,
+        &[1, 2, 4, 8, 10, 16, 24, 32],
+    );
     let series = |design: Design| -> Vec<f64> {
         points
             .iter()
