@@ -187,13 +187,6 @@ impl CoherentEngine {
         &self.attenuations
     }
 
-    /// The electronic post-scale recovering absolute magnitudes
-    /// (`σ_max`, applied at the receiver).
-    #[must_use]
-    pub fn post_scale(&self) -> f64 {
-        self.scale
-    }
-
     /// Applies the matrix to a real vector through the optical path.
     ///
     /// # Panics
@@ -281,7 +274,7 @@ mod tests {
             .attenuations()
             .iter()
             .all(|&a| (0.0..=1.0 + 1e-12).contains(&a)));
-        assert!(engine.post_scale() > 0.0);
+        assert!(engine.scale > 0.0);
     }
 
     #[test]

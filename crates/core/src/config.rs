@@ -125,13 +125,6 @@ impl AcceleratorConfig {
         }
     }
 
-    /// Returns a copy with a different design (for like-for-like sweeps).
-    #[must_use]
-    pub fn with_design(mut self, design: Design) -> Self {
-        self.design = design;
-        self
-    }
-
     /// Returns a copy with a different tile count.
     ///
     /// # Panics
@@ -193,7 +186,6 @@ mod tests {
         let cfg = AcceleratorConfig::new(Design::Oe, 4, 16);
         assert_eq!(cfg.macs_per_firing(), 64);
         assert_eq!(cfg.with_tiles(4).macs_per_firing(), 16);
-        assert_eq!(cfg.with_design(Design::Oo).design, Design::Oo);
         assert_eq!(cfg.to_string(), "OE (4 lanes, 16 bits/lane, 16 tiles)");
     }
 

@@ -44,12 +44,6 @@ impl EeMac {
     pub fn bits(&self) -> u32 {
         self.stripes.bits()
     }
-
-    /// The underlying Stripes datapath.
-    #[must_use]
-    pub fn stripes(&self) -> &StripesMac {
-        &self.stripes
-    }
 }
 
 /// Advances the `omac.ee.*` counters by `mac_ops` multiply-accumulates

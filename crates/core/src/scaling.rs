@@ -8,7 +8,7 @@
 //! grid caps the fabric size. This module finds that cap from the link
 //! model.
 
-use crate::config::{AcceleratorConfig, Design};
+use crate::config::Design;
 use pixel_photonics::link::PhotonicLink;
 use pixel_units::{Length, Power};
 
@@ -96,24 +96,9 @@ pub fn scaling_sweep(design: Design, sizes: &[usize]) -> Vec<ScalingPoint> {
         .collect()
 }
 
-/// Sanity accessor: confirms a configuration's fabric
-/// fits its design's budget.
-#[must_use]
-pub fn config_is_feasible(config: &AcceleratorConfig) -> bool {
-    config.design == Design::Ee || budget_closes(config.design, config.tiles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_fabric_is_feasible() {
-        for d in Design::ALL {
-            let cfg = AcceleratorConfig::new(d, 4, 16);
-            assert!(config_is_feasible(&cfg), "{d}");
-        }
-    }
 
     #[test]
     fn required_power_grows_with_size() {

@@ -1,4 +1,4 @@
-//! Classification metrics: argmax, top-k, accuracy.
+//! Classification metrics: argmax and accuracy.
 
 /// Index of the maximum score (first on ties).
 ///
@@ -16,15 +16,6 @@ pub fn argmax(scores: &[u64]) -> usize {
         .unwrap_or(0)
 }
 
-/// Indices of the `k` largest scores, descending (stable on ties).
-#[must_use]
-pub fn top_k(scores: &[u64], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| scores[b].cmp(&scores[a]).then(a.cmp(&b)));
-    idx.truncate(k);
-    idx
-}
-
 /// Fraction of `(predicted, actual)` pairs that agree.
 #[must_use]
 pub fn accuracy(pairs: &[(usize, usize)]) -> f64 {
@@ -36,24 +27,6 @@ pub fn accuracy(pairs: &[(usize, usize)]) -> f64 {
     #[allow(clippy::cast_precision_loss)]
     {
         correct / pairs.len() as f64
-    }
-}
-
-/// Top-k accuracy: fraction of examples whose label appears in the top-k
-/// predictions.
-#[must_use]
-pub fn top_k_accuracy(examples: &[(Vec<u64>, usize)], k: usize) -> f64 {
-    if examples.is_empty() {
-        return 0.0;
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let hits = examples
-        .iter()
-        .filter(|(scores, label)| top_k(scores, k).contains(label))
-        .count() as f64;
-    #[allow(clippy::cast_precision_loss)]
-    {
-        hits / examples.len() as f64
     }
 }
 
@@ -76,27 +49,8 @@ mod tests {
     }
 
     #[test]
-    fn top_k_ordering() {
-        assert_eq!(top_k(&[10, 40, 20, 30], 2), vec![1, 3]);
-        assert_eq!(top_k(&[10, 40], 5), vec![1, 0]);
-        assert_eq!(top_k(&[5, 5, 5], 2), vec![0, 1]);
-    }
-
-    #[test]
     fn accuracy_fraction() {
         assert!((accuracy(&[(0, 0), (1, 2), (3, 3), (4, 4)]) - 0.75).abs() < 1e-12);
         assert_eq!(accuracy(&[]), 0.0);
-    }
-
-    #[test]
-    fn top_k_accuracy_widens_with_k() {
-        let examples = vec![
-            (vec![9u64, 5, 1], 0usize), // top-1 hit
-            (vec![5, 9, 1], 0),         // top-2 hit
-            (vec![1, 5, 9], 0),         // top-3 hit
-        ];
-        assert!((top_k_accuracy(&examples, 1) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((top_k_accuracy(&examples, 2) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((top_k_accuracy(&examples, 3) - 1.0).abs() < 1e-12);
     }
 }

@@ -36,19 +36,6 @@ impl Precision {
         value.min(self.max_value())
     }
 
-    /// Quantizes a float in `[0, 1]` to the full range.
-    #[must_use]
-    pub fn quantize_unit(self, x: f64) -> u64 {
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
-        {
-            (x.clamp(0.0, 1.0) * self.max_value() as f64).round() as u64
-        }
-    }
-
     /// Rescales a tensor so its maximum fits this precision, by a uniform
     /// right shift (power-of-two requantization, as fixed-point inference
     /// hardware does between layers). Returns the shift used.
@@ -88,16 +75,6 @@ mod tests {
         assert_eq!(p.max_value(), 15);
         assert_eq!(p.clamp(20), 15);
         assert_eq!(p.clamp(7), 7);
-    }
-
-    #[test]
-    fn quantize_unit_endpoints() {
-        let p = Precision::new(8);
-        assert_eq!(p.quantize_unit(0.0), 0);
-        assert_eq!(p.quantize_unit(1.0), 255);
-        assert_eq!(p.quantize_unit(0.5), 128);
-        assert_eq!(p.quantize_unit(2.0), 255);
-        assert_eq!(p.quantize_unit(-1.0), 0);
     }
 
     #[test]

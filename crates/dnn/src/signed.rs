@@ -146,14 +146,6 @@ pub fn signed_fully_connected(
         .collect()
 }
 
-/// Re-quantizes signed pre-activations back into codes for the next
-/// layer: symmetric clamp-and-shift (`value >> shift`, saturating into the
-/// scheme's signed range). Returns the codes.
-#[must_use]
-pub fn requantize_signed(values: &[i64], shift: u32, quant: &SignedQuant) -> Vec<u64> {
-    values.iter().map(|&v| quant.encode(v >> shift)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,14 +209,6 @@ mod tests {
         let w_codes: Vec<u64> = w.iter().flatten().map(|&v| qw.encode(v)).collect();
         let out = signed_fully_connected(&DirectMac, &x_codes, &qi, &w_codes, &qw);
         assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn requantize_saturates_into_range() {
-        let q = SignedQuant::centered(Precision::new(4)); // −8..=7
-        let codes = requantize_signed(&[100, -100, 12, -3], 2, &q);
-        let decoded: Vec<i64> = codes.iter().map(|&c| q.decode(c)).collect();
-        assert_eq!(decoded, vec![7, -8, 3, -1]);
     }
 
     #[test]

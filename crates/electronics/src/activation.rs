@@ -4,8 +4,7 @@
 //! piecewise-linear (PL) approximation with bit-level mapping (after
 //! Zamanlooy & Mirhassani, TVLSI 2014) for ultra-low gate count. This
 //! module implements that approximation in fixed-point integer arithmetic
-//! (so it can run inside the bit-true pipelines) along with its gate model,
-//! plus ReLU and a tanh-derived sigmoid.
+//! (so it can run inside the bit-true pipelines) along with its gate model.
 
 use crate::gates::{GateCount, LogicDepth};
 
@@ -104,18 +103,6 @@ impl TanhUnit {
     }
 }
 
-/// Rectified linear unit on raw integers.
-#[must_use]
-pub fn relu(x: i64) -> i64 {
-    x.max(0)
-}
-
-/// Sigmoid built from the tanh unit: `σ(x) = (tanh(x/2) + 1)/2`, in Q4.12.
-#[must_use]
-pub fn sigmoid_fixed(unit: &TanhUnit, x: i64) -> i64 {
-    (unit.eval_fixed(x / 2) + SCALE) / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,22 +145,6 @@ mod tests {
             x += 0.01;
         }
         assert!(worst < 0.04, "worst-case error {worst}");
-    }
-
-    #[test]
-    fn relu_basic() {
-        assert_eq!(relu(-5), 0);
-        assert_eq!(relu(0), 0);
-        assert_eq!(relu(17), 17);
-    }
-
-    #[test]
-    fn sigmoid_properties() {
-        let t = TanhUnit::new();
-        let mid = sigmoid_fixed(&t, 0);
-        assert_eq!(mid, SCALE / 2, "σ(0) = 0.5");
-        assert!(sigmoid_fixed(&t, to_fixed(6.0)) >= SCALE - 8);
-        assert!(sigmoid_fixed(&t, to_fixed(-6.0)) <= 8);
     }
 
     #[test]

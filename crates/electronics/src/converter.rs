@@ -136,12 +136,6 @@ impl AmplitudeConverter {
         self.ladder.levels()
     }
 
-    /// The comparator ladder.
-    #[must_use]
-    pub fn ladder(&self) -> &ComparatorLadder {
-        &self.ladder
-    }
-
     /// Decodes per-slot amplitudes into the accumulated value
     /// `Σ level(slot)·2^slot`.
     ///

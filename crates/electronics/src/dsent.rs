@@ -49,19 +49,6 @@ impl DeviceEstimate {
             delay: self.delay + other.delay,
         }
     }
-
-    /// Replicates the component `n` times in parallel.
-    #[must_use]
-    pub fn replicated(self, n: usize) -> Self {
-        #[allow(clippy::cast_precision_loss)]
-        let k = n as f64;
-        Self {
-            dynamic_energy_per_op: self.dynamic_energy_per_op * k,
-            area: self.area * k,
-            static_power: self.static_power * k,
-            delay: self.delay,
-        }
-    }
 }
 
 /// Estimates a component with the default 0.5 activity factor.
@@ -128,14 +115,5 @@ mod tests {
 
         let serial = a.then(b);
         assert!((serial.delay.as_nanos() - (a.delay + b.delay).as_nanos()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn replication_multiplies_all_but_delay() {
-        let a = estimate(GateCount::new(100), LogicDepth::new(4), &tech());
-        let r = a.replicated(4);
-        assert_eq!(r.delay, a.delay);
-        assert!((r.area / a.area - 4.0).abs() < 1e-12);
-        assert!((r.dynamic_energy_per_op / a.dynamic_energy_per_op - 4.0).abs() < 1e-12);
     }
 }

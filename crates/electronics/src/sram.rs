@@ -2,12 +2,11 @@
 //!
 //! Per-tile register files hold the active filter, but full layers live
 //! in on-chip SRAM (as in every accelerator the paper compares against).
-//! This module provides a 6T-cell SRAM macro model — capacity, area,
-//! read/write energy, leakage — plus a functional banked store used by
-//! the weight-streaming path.
+//! This module provides the 6T-cell SRAM macro model — capacity, area,
+//! read/write energy — that the weight-streaming path prices.
 
 use crate::technology::Technology;
-use pixel_units::{Area, Energy, Power};
+use pixel_units::{Area, Energy};
 
 /// A single-port SRAM macro of `words × word_bits`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,99 +56,6 @@ impl SramMacro {
         tech.energy_per_gate_switch
             * (f64::from(self.word_bits) * Self::ACCESS_ENERGY_PER_BIT_GATES)
     }
-
-    /// Leakage power under `tech` (cells leak like ~0.1 gate each).
-    #[must_use]
-    pub fn leakage(&self, tech: &Technology) -> Power {
-        #[allow(clippy::cast_precision_loss)]
-        let cells = self.capacity_bits() as f64;
-        tech.leakage_per_gate * (cells * 0.1)
-    }
-
-    /// Energy to stream `words` consecutive words out (filter pre-load).
-    #[must_use]
-    pub fn stream_energy(&self, tech: &Technology, words: usize) -> Energy {
-        #[allow(clippy::cast_precision_loss)]
-        let n = words as f64;
-        self.access_energy(tech) * n
-    }
-}
-
-/// A functional banked weight store backed by the macro model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightBuffer {
-    sram: SramMacro,
-    data: Vec<u64>,
-    mask: u64,
-}
-
-impl WeightBuffer {
-    /// Creates a zeroed buffer.
-    #[must_use]
-    pub fn new(words: usize, word_bits: u32) -> Self {
-        let sram = SramMacro::new(words, word_bits);
-        let mask = if word_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << word_bits) - 1
-        };
-        Self {
-            sram,
-            data: vec![0; words],
-            mask,
-        }
-    }
-
-    /// The macro model.
-    #[must_use]
-    pub fn sram(&self) -> &SramMacro {
-        &self.sram
-    }
-
-    /// Number of words.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if the buffer has zero capacity (never, by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Writes one word (truncated to the word width).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    pub fn write(&mut self, addr: usize, value: u64) {
-        self.data[addr] = value & self.mask;
-    }
-
-    /// Reads one word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    #[must_use]
-    pub fn read(&self, addr: usize) -> u64 {
-        self.data[addr]
-    }
-
-    /// Loads a filter's weights starting at `base`; returns the energy of
-    /// the burst under `tech`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on overflow of the address range.
-    pub fn load_filter(&mut self, base: usize, weights: &[u64], tech: &Technology) -> Energy {
-        assert!(base + weights.len() <= self.data.len(), "address overflow");
-        for (i, &w) in weights.iter().enumerate() {
-            self.write(base + i, w);
-        }
-        self.sram.stream_energy(tech, weights.len())
-    }
 }
 
 #[cfg(test)]
@@ -181,31 +87,5 @@ mod tests {
         let narrow = SramMacro::new(64, 8).access_energy(&tech());
         let wide = SramMacro::new(64, 32).access_energy(&tech());
         assert!((wide / narrow - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn buffer_round_trip_with_truncation() {
-        let mut buf = WeightBuffer::new(8, 4);
-        buf.write(3, 0x1F);
-        assert_eq!(buf.read(3), 0xF);
-        assert_eq!(buf.read(0), 0);
-        assert_eq!(buf.len(), 8);
-        assert!(!buf.is_empty());
-    }
-
-    #[test]
-    fn filter_load_charges_stream_energy() {
-        let mut buf = WeightBuffer::new(64, 16);
-        let e = buf.load_filter(8, &[1, 2, 3, 4], &tech());
-        assert_eq!(buf.read(9), 2);
-        let expected = buf.sram().access_energy(&tech()) * 4.0;
-        assert!((e.value() - expected.value()).abs() < 1e-24);
-    }
-
-    #[test]
-    #[should_panic(expected = "address overflow")]
-    fn filter_overflow_panics() {
-        let mut buf = WeightBuffer::new(4, 16);
-        let _ = buf.load_filter(2, &[1, 2, 3], &tech());
     }
 }

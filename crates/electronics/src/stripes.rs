@@ -104,12 +104,6 @@ impl StripesMac {
         self.bits
     }
 
-    /// The accumulator CLA.
-    #[must_use]
-    pub fn accumulator(&self) -> &Cla {
-        &self.accumulator
-    }
-
     /// Validates that every operand fits the configured precision.
     fn check_operands(&self, values: &[u64]) -> Result<(), OperandRangeError> {
         let limit = if self.bits >= 64 {

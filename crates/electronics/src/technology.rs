@@ -42,14 +42,6 @@ impl Technology {
             delay_per_level: Time::from_nanos(0.295),
         }
     }
-
-    /// Returns a copy with dynamic energy scaled by `factor` (used by the
-    /// calibration layer).
-    #[must_use]
-    pub fn with_energy_scale(mut self, factor: f64) -> Self {
-        self.energy_per_gate_switch = self.energy_per_gate_switch * factor;
-        self
-    }
 }
 
 impl Default for Technology {
@@ -69,14 +61,5 @@ mod tests {
         assert!((t.leakage_per_gate.value() * 212.0 - 0.17e-6).abs() < 1e-12);
         // Depth 10 → 2.95 ns.
         assert!((t.delay_per_level.as_nanos() * 10.0 - 2.95).abs() < 1e-9);
-    }
-
-    #[test]
-    fn energy_scale_only_touches_dynamic_energy() {
-        let base = Technology::bulk22lvt();
-        let scaled = base.with_energy_scale(2.0);
-        assert!((scaled.energy_per_gate_switch / base.energy_per_gate_switch - 2.0).abs() < 1e-12);
-        assert_eq!(scaled.area_per_gate, base.area_per_gate);
-        assert_eq!(scaled.delay_per_level, base.delay_per_level);
     }
 }

@@ -132,12 +132,6 @@ impl AdmissionControl {
     pub fn shed(&self) -> &[u64] {
         &self.shed
     }
-
-    /// Total requests rejected at the router.
-    #[must_use]
-    pub fn shed_total(&self) -> u64 {
-        self.shed.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +144,7 @@ mod tests {
         for tenant in [0, 1, 2, 0, 1, 2] {
             assert!(gate.admit(tenant, 0.1));
         }
-        assert_eq!(gate.shed_total(), 0);
+        assert_eq!(gate.shed.iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -182,7 +176,7 @@ mod tests {
         assert!((ratio - 1.5).abs() < 0.05, "ratio {ratio}");
         let total: u64 = admitted.iter().sum();
         assert_eq!(
-            gate.shed_total(),
+            gate.shed.iter().sum::<u64>(),
             rounds * 3 - total,
             "every rejection is counted"
         );

@@ -35,7 +35,7 @@ pub struct RuleInfo {
 }
 
 /// Every rule the analyzer knows, in report order.
-pub const RULES: [RuleInfo; 27] = [
+pub const RULES: [RuleInfo; 28] = [
     RuleInfo {
         id: "D001",
         summary: "no SystemTime / Instant::now outside crates/obs and crates/bench/src/timing.rs",
@@ -79,6 +79,10 @@ pub const RULES: [RuleInfo; 27] = [
     RuleInfo {
         id: "G005",
         summary: "every non-root library module must be reachable over use/call edges from a bin, test, bench or example (checked when the tree has a target)",
+    },
+    RuleInfo {
+        id: "G006",
+        summary: "every pub fn in a library file must be reached over call edges from a bin, test, example, trait impl or another file's tests (checked when the tree has a target)",
     },
     RuleInfo {
         id: "U001",

@@ -100,7 +100,7 @@ fn module_path(rel: &str) -> Vec<String> {
 /// True for target files: bins (`src/bin/*`, `main.rs`), `tests/`,
 /// `benches/` and `examples/`. They feed reference edges, but nothing
 /// resolves into them.
-fn is_target(rel: &str) -> bool {
+pub(crate) fn is_target(rel: &str) -> bool {
     is_test_context(rel)
         || rel.starts_with("src/bin/")
         || rel.contains("/src/bin/")

@@ -356,7 +356,7 @@ fn skip_raw_string(chars: &[char], mut i: usize, line: &mut u32) -> usize {
             i += 1;
         } else if chars[i] == '"' {
             let mut k = 0usize;
-            while k < hashes && i + 1 + k < n && chars[i + 1 + k] == '#' {
+            while k < hashes && chars.get(i + 1 + k) == Some(&'#') {
                 k += 1;
             }
             if k == hashes {
@@ -411,7 +411,7 @@ fn find_test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
             j += 1;
         }
         if j >= tokens.len() {
-            spans.push((start_line, tokens[tokens.len() - 1].line));
+            spans.push((start_line, tokens.last().map_or(start_line, |t| t.line)));
             break;
         }
         if text(j) == ";" {
@@ -433,7 +433,8 @@ fn find_test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
         }
         let end_line = tokens
             .get(j)
-            .map_or_else(|| tokens[tokens.len() - 1].line, |t| t.line);
+            .or(tokens.last())
+            .map_or(start_line, |t| t.line);
         spans.push((start_line, end_line));
         i = j + 1;
     }

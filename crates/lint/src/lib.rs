@@ -34,10 +34,11 @@
 //! * **G-rules (dependency graph)** — the workspace crate graph must be
 //!   acyclic (`G001`), respect the documented layering (`G002`), keep
 //!   the layer-0 leaves dependency-free (`G003`), keep the
-//!   `ee`/`oe`/`oo` backends isolated even transitively (`G004`), and
+//!   `ee`/`oe`/`oo` backends isolated even transitively (`G004`),
 //!   reach every library module from a bin, test, bench or example
-//!   (`G005`); the graph is rendered as the snapshot-pinned
-//!   `reproduce archgraph` artifact.
+//!   (`G005`), and reach every library `pub fn` from one over the call
+//!   graph, its own file's unit tests not counting (`G006`); the graph
+//!   is rendered as the snapshot-pinned `reproduce archgraph` artifact.
 //! * **P1xx (transitive panic paths)** — panic-capable expressions
 //!   *reachable* from artifact entry points via the call graph
 //!   (`P101`–`P103` mirror `P001`–`P003` and share their suppressions;

@@ -127,15 +127,6 @@ impl Snapshot {
             .map(|&(_, v)| v)
     }
 
-    /// Looks up a histogram's stats by exact name.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&HistogramStats> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
-    }
-
     /// Looks up a span's stats by exact path.
     #[must_use]
     pub fn span(&self, path: &str) -> Option<&SpanStats> {

@@ -89,13 +89,6 @@ impl SpanNode {
         self.self_time = self.stats.total.saturating_sub(in_children);
     }
 
-    /// Sum of `total` over the direct children (what self time is
-    /// measured against).
-    #[must_use]
-    pub fn child_total(&self) -> Duration {
-        self.children.iter().map(|c| c.stats.total).sum()
-    }
-
     /// Depth-first walk over the real tree nodes (root excluded),
     /// yielding `(depth, node)` with depth 0 for top-level spans.
     fn walk<'a>(&'a self, depth: usize, f: &mut impl FnMut(usize, &'a Self)) {

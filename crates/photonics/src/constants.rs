@@ -11,22 +11,10 @@ pub const N_SILICON: f64 = 3.48;
 /// Operating wavelength of the photonic layer \[m\] (C-band, 1550 nm).
 pub const OPERATING_WAVELENGTH: f64 = 1550e-9;
 
-/// Group velocity of light in a silicon waveguide \[m/s\]: `c / n_Si`.
-#[must_use]
-pub fn silicon_group_velocity() -> f64 {
-    SPEED_OF_LIGHT / N_SILICON
-}
-
 /// Propagation delay through `length` of silicon (Eq. 7 form: `d · n_Si/c`).
 #[must_use]
 pub fn silicon_propagation_delay(length: Length) -> Time {
     Time::new(length.value() * N_SILICON / SPEED_OF_LIGHT)
-}
-
-/// Path length light covers in silicon during `time`.
-#[must_use]
-pub fn silicon_propagation_length(time: Time) -> Length {
-    Length::new(time.value() * SPEED_OF_LIGHT / N_SILICON)
 }
 
 /// MRR radius quoted by the paper [µm → m] (§II-A1, 7.5 µm).
@@ -89,25 +77,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn group_velocity_is_c_over_n() {
-        let v = silicon_group_velocity();
-        assert!((v - SPEED_OF_LIGHT / 3.48).abs() < 1.0);
-    }
-
-    #[test]
     fn eq7_mrr_s_path_delay() {
         // Paper Eq. 7: d = 2π·7.5 µm ≈ 47.1 µm ⇒ t ≈ 0.547 ps.
         let d = Length::from_micrometres(2.0 * std::f64::consts::PI * 7.5);
         let t = silicon_propagation_delay(d);
         assert!((t.as_picos() - 0.547).abs() < 0.005, "got {}", t.as_picos());
-    }
-
-    #[test]
-    fn propagation_round_trip() {
-        let t = Time::from_picos(100.0);
-        let d = silicon_propagation_length(t);
-        let t2 = silicon_propagation_delay(d);
-        assert!((t2.as_picos() - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -33,7 +33,6 @@ impl std::error::Error for ExceedsChannelCapacityError {}
 pub struct FabryPerotLaser {
     power_per_wavelength: Power,
     wall_plug_efficiency: f64,
-    turn_on_delay: Time,
     wavelengths: usize,
 }
 
@@ -59,7 +58,6 @@ impl FabryPerotLaser {
         Ok(Self {
             power_per_wavelength,
             wall_plug_efficiency: wall_plug_efficiency.clamp(1e-6, 1.0),
-            turn_on_delay: Time::from_nanos(1.0),
             wavelengths,
         })
     }
@@ -68,24 +66,6 @@ impl FabryPerotLaser {
     #[must_use]
     pub fn wavelengths(&self) -> usize {
         self.wavelengths
-    }
-
-    /// Optical output power per wavelength.
-    #[must_use]
-    pub fn power_per_wavelength(&self) -> Power {
-        self.power_per_wavelength
-    }
-
-    /// Wall-plug efficiency (electrical→optical).
-    #[must_use]
-    pub fn wall_plug_efficiency(&self) -> f64 {
-        self.wall_plug_efficiency
-    }
-
-    /// Turn-on delay ("short turn-on delay" — default 1 ns).
-    #[must_use]
-    pub fn turn_on_delay(&self) -> Time {
-        self.turn_on_delay
     }
 
     /// Total optical output power.
@@ -166,6 +146,6 @@ mod tests {
     #[test]
     fn efficiency_is_clamped() {
         let laser = FabryPerotLaser::new(1, Power::from_milliwatts(1.0), 3.0).unwrap();
-        assert!((laser.wall_plug_efficiency() - 1.0).abs() < 1e-12);
+        assert!((laser.wall_plug_efficiency - 1.0).abs() < 1e-12);
     }
 }

@@ -17,19 +17,20 @@
 //!
 //! # Example
 //!
-//! Computing the S-path delay through a double-MRR filter (Eq. 7 of the
-//! paper) and the delay-matched spacing of an MZI accumulator (Eq. 9):
+//! The optical AND of a neuron train with one synapse bit (a double-MRR
+//! filter in the cross state), shift-accumulated by a delay-matched MZI
+//! chain (Eq. 9):
 //!
 //! ```
 //! use pixel_photonics::mrr::DoubleMrrFilter;
 //! use pixel_photonics::mzi::MziChain;
+//! use pixel_photonics::signal::PulseTrain;
 //!
-//! let filter = DoubleMrrFilter::default();
-//! let delay_ps = filter.s_path_delay().as_picos();
-//! assert!((delay_ps - 0.547).abs() < 0.01);
-//!
-//! let chain = MziChain::delay_matched(8, 10.0e9);
-//! assert!((chain.inter_stage_spacing_m() - 6.77e-3).abs() < 0.2e-3);
+//! let neuron = PulseTrain::from_bits(0b0110, 4);
+//! let partial = DoubleMrrFilter::default().and(&neuron, true);
+//! let chain = MziChain::delay_matched(2, 10.0e9);
+//! let sum = chain.accumulate(&[partial.clone(), partial]);
+//! assert_eq!(sum.positional_value(), 6 + 2 * 6);
 //! ```
 
 pub mod complex;

@@ -10,28 +10,6 @@ use crate::photodetector::Photodetector;
 use crate::units::{Energy, Length, Power, Time};
 use crate::waveguide::Waveguide;
 
-/// Error returned when a link budget cannot close.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkBudgetError {
-    /// Power arriving at the detector per pulse.
-    pub received: Power,
-    /// Detector sensitivity.
-    pub required: Power,
-}
-
-impl std::fmt::Display for LinkBudgetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "link budget does not close: {:.3} µW received, {:.3} µW required",
-            self.received.as_microwatts(),
-            self.required.as_microwatts()
-        )
-    }
-}
-
-impl std::error::Error for LinkBudgetError {}
-
 /// A point-to-point photonic link on one wavelength.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhotonicLink {
@@ -78,12 +56,6 @@ impl PhotonicLink {
         )
     }
 
-    /// The laser feeding the link.
-    #[must_use]
-    pub fn laser(&self) -> &FabryPerotLaser {
-        &self.laser
-    }
-
     /// The waveguide span.
     #[must_use]
     pub fn waveguide(&self) -> &Waveguide {
@@ -100,31 +72,6 @@ impl PhotonicLink {
     #[must_use]
     pub fn total_loss_db(&self) -> f64 {
         self.modulator_loss_db + self.waveguide.loss_db()
-    }
-
-    /// Optical power arriving at the detector per wavelength.
-    #[must_use]
-    pub fn received_power(&self) -> Power {
-        let linear = 10f64.powf(-self.total_loss_db() / 10.0);
-        self.laser.power_per_wavelength() * linear
-    }
-
-    /// Verifies the budget closes (received power ≥ detector sensitivity).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinkBudgetError`] when the received power is below the
-    /// detector sensitivity.
-    pub fn check_budget(&self) -> Result<Power, LinkBudgetError> {
-        let received = self.received_power();
-        if received < self.detector.sensitivity() {
-            Err(LinkBudgetError {
-                received,
-                required: self.detector.sensitivity(),
-            })
-        } else {
-            Ok(received)
-        }
     }
 
     /// Minimum laser power per wavelength for the budget to close.
@@ -166,35 +113,6 @@ impl PhotonicLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn short_link_budget_closes() {
-        let link = PhotonicLink::paper_default(Length::from_millimetres(5.0));
-        let received = link.check_budget().expect("budget should close");
-        assert!(received >= link.detector().sensitivity());
-    }
-
-    #[test]
-    fn long_link_budget_fails() {
-        // 1 mW laser, −20 dBm sensitivity → 20 dB margin; 1 dB modulator +
-        // 1.3 dB/cm means ~15 cm kills it.
-        let link = PhotonicLink::paper_default(Length::from_centimetres(20.0));
-        let err = link.check_budget().unwrap_err();
-        assert!(err.received < err.required);
-        assert!(err.to_string().contains("does not close"));
-    }
-
-    #[test]
-    fn required_power_is_consistent_with_budget() {
-        let link = PhotonicLink::paper_default(Length::from_centimetres(10.0));
-        let required = link.required_laser_power();
-        // Budget closes exactly when the laser supplies `required`.
-        let margin_db =
-            10.0 * (link.laser().power_per_wavelength().value() / required.value()).log10();
-        let loss_margin =
-            10.0 * (link.received_power().value() / link.detector().sensitivity().value()).log10();
-        assert!((margin_db - loss_margin).abs() < 1e-9);
-    }
 
     #[test]
     fn latency_comes_from_waveguide() {

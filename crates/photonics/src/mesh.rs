@@ -23,17 +23,6 @@ pub struct Unitary {
 }
 
 impl Unitary {
-    /// Creates a matrix from row-major entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != n²`.
-    #[must_use]
-    pub fn from_rows(n: usize, data: Vec<Complex>) -> Self {
-        assert_eq!(data.len(), n * n, "need n² entries");
-        Self { n, data }
-    }
-
     /// The identity.
     #[must_use]
     pub fn identity(n: usize) -> Self {
@@ -431,7 +420,10 @@ mod tests {
                 *v = v.scale(1.0 / norm);
             }
         }
-        Unitary::from_rows(n, rows.into_iter().flatten().collect())
+        Unitary {
+            n,
+            data: rows.into_iter().flatten().collect(),
+        }
     }
 
     #[test]

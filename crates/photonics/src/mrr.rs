@@ -11,7 +11,7 @@
 
 use crate::constants;
 use crate::signal::PulseTrain;
-use crate::units::{Area, Energy, Length, Time};
+use crate::units::{Area, Energy, Length};
 
 /// Drive state of a double-MRR filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -63,30 +63,10 @@ impl DoubleMrrFilter {
         }
     }
 
-    /// Ring radius.
-    #[must_use]
-    pub fn radius(&self) -> Length {
-        self.radius
-    }
-
     /// Electrical drive energy per modulated bit.
     #[must_use]
     pub fn energy_per_bit(&self) -> Energy {
         self.energy_per_bit
-    }
-
-    /// The S-shaped path length through both rings: two half-circumferences,
-    /// i.e. one full circumference `2πr` (paper §IV-A2).
-    #[must_use]
-    pub fn s_path_length(&self) -> Length {
-        Length::new(2.0 * std::f64::consts::PI * self.radius.value())
-    }
-
-    /// Propagation delay through the filter (paper Eq. 7): `d · n_Si / c`,
-    /// ≈ 0.547 ps for the default 7.5 µm rings.
-    #[must_use]
-    pub fn s_path_delay(&self) -> Time {
-        constants::silicon_propagation_delay(self.s_path_length())
     }
 
     /// Footprint of the double-ring structure. Each ring occupies a
@@ -179,35 +159,10 @@ impl SynapseLaneFilters {
         }
     }
 
-    /// Number of wavelengths this lane filters.
-    #[must_use]
-    pub fn wavelength_count(&self) -> usize {
-        self.filters.len()
-    }
-
     /// Total ring count (2 per double filter).
     #[must_use]
     pub fn ring_count(&self) -> usize {
         self.filters.len() * 2
-    }
-
-    /// ANDs each per-wavelength neuron train against `synapse_bit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `neurons.len()` differs from the lane's wavelength count.
-    #[must_use]
-    pub fn and_all(&self, neurons: &[PulseTrain], synapse_bit: bool) -> Vec<PulseTrain> {
-        assert_eq!(
-            neurons.len(),
-            self.filters.len(),
-            "one neuron train per wavelength"
-        );
-        self.filters
-            .iter()
-            .zip(neurons)
-            .map(|(f, n)| f.and(n, synapse_bit))
-            .collect()
     }
 
     /// Aggregate footprint of the lane's rings.
@@ -220,13 +175,6 @@ impl SynapseLaneFilters {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn eq7_delay_matches_paper() {
-        let f = DoubleMrrFilter::default();
-        assert!((f.s_path_length().as_micrometres() - 47.1).abs() < 0.1);
-        assert!((f.s_path_delay().as_picos() - 0.547).abs() < 0.005);
-    }
 
     #[test]
     fn bar_state_passes_through() {
@@ -294,26 +242,9 @@ mod tests {
     }
 
     #[test]
-    fn lane_filters_and_each_wavelength() {
+    fn lane_drives_two_rings_per_wavelength() {
         let lane = SynapseLaneFilters::uniform(4, DoubleMrrFilter::default());
         assert_eq!(lane.ring_count(), 8);
-        let neurons: Vec<_> = [2u64, 4, 6, 9]
-            .iter()
-            .map(|&v| PulseTrain::from_bits(v, 4))
-            .collect();
-        let on = lane.and_all(&neurons, true);
-        let off = lane.and_all(&neurons, false);
-        for (i, &v) in [2u64, 4, 6, 9].iter().enumerate() {
-            assert_eq!(on[i].to_bits(), Some(v));
-            assert_eq!(off[i].to_bits(), Some(0));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one neuron train per wavelength")]
-    fn lane_rejects_wrong_arity() {
-        let lane = SynapseLaneFilters::uniform(4, DoubleMrrFilter::default());
-        let _ = lane.and_all(&[PulseTrain::from_bits(1, 4)], true);
     }
 
     #[test]

@@ -43,29 +43,11 @@ impl Mzi {
         }
     }
 
-    /// Bar-state switch: `φ_upper = 0, φ_lower = π` (Fig. 1d).
-    #[must_use]
-    pub fn bar() -> Self {
-        Self::new(0.0, std::f64::consts::PI)
-    }
-
-    /// Cross-state switch: `φ_upper = φ_lower = π/2` (Fig. 1e).
-    #[must_use]
-    pub fn cross() -> Self {
-        Self::new(std::f64::consts::FRAC_PI_2, std::f64::consts::FRAC_PI_2)
-    }
-
     /// Tunable coupler with splitting angle `θ ∈ (0, π/2)` and zero common
     /// phase: combines both inputs onto one output (Fig. 1c/f).
     #[must_use]
     pub fn coupler(theta: f64) -> Self {
         Self::new(theta, -theta)
-    }
-
-    /// Upper-arm phase shift.
-    #[must_use]
-    pub fn phi_upper(&self) -> f64 {
-        self.phi_upper
     }
 
     /// Lower-arm phase shift.
@@ -103,18 +85,6 @@ impl Mzi {
     pub fn propagate(&self, i0: Complex, i1: Complex) -> (Complex, Complex) {
         let [h00, h01, h10, h11] = self.transfer_matrix();
         (h00 * i0 + h01 * i1, h10 * i0 + h11 * i1)
-    }
-
-    /// Power splitting ratio from `i₀` into `o₀` (`sin²θ`).
-    #[must_use]
-    pub fn bar_power_ratio(&self) -> f64 {
-        self.theta().sin().powi(2)
-    }
-
-    /// Arm length of the phase shifters.
-    #[must_use]
-    pub fn arm_length(&self) -> Length {
-        self.arm_length
     }
 
     /// Propagation delay through the device arms.
@@ -202,28 +172,16 @@ impl MziChain {
         self.bit_period
     }
 
-    /// Inter-stage connecting path length (Eq. 9), ≈ 6.6 mm at 10 GHz with
-    /// the paper's constants (the paper rounds to 6.77 mm).
-    #[must_use]
-    pub fn inter_stage_spacing_m(&self) -> f64 {
-        self.inter_stage_path.value()
-    }
-
-    /// Total optical path: `n·d_MZI + (n−1)·d_path` (paper §IV-A2).
-    #[must_use]
-    pub fn total_length(&self) -> Length {
-        #[allow(clippy::cast_precision_loss)]
-        let n = self.stages as f64;
-        Length::new(
-            n * constants::mzi_arm_length().value() + (n - 1.0) * self.inter_stage_path.value(),
-        )
-    }
-
-    /// Total propagation delay through the chain (Eq. 10): ≈ 0.736 ns for
-    /// 8 stages at 10 GHz.
+    /// Total propagation delay through the chain (Eq. 10) over its optical
+    /// path `n·d_MZI + (n−1)·d_path` (paper §IV-A2): ≈ 0.736 ns for 8
+    /// stages at 10 GHz.
     #[must_use]
     pub fn total_propagation_delay(&self) -> Time {
-        constants::silicon_propagation_delay(self.total_length())
+        #[allow(clippy::cast_precision_loss)]
+        let n = self.stages as f64;
+        let path =
+            n * constants::mzi_arm_length().value() + (n - 1.0) * self.inter_stage_path.value();
+        constants::silicon_propagation_delay(Length::new(path))
     }
 
     /// Accumulates per-stage pulse trains optically.
@@ -306,31 +264,11 @@ mod tests {
     use std::f64::consts::FRAC_PI_4;
 
     #[test]
-    fn bar_state_routes_straight() {
-        let mzi = Mzi::bar();
-        let (o0, o1) = mzi.propagate(Complex::ONE, Complex::ZERO);
-        assert!((o0.norm_sqr() - 1.0).abs() < 1e-12, "bar keeps power on o0");
-        assert!(o1.norm_sqr() < 1e-12);
-    }
-
-    #[test]
-    fn cross_state_routes_across() {
-        let mzi = Mzi::cross();
-        let (o0, o1) = mzi.propagate(Complex::ONE, Complex::ZERO);
-        assert!(o0.norm_sqr() < 1e-12);
-        assert!(
-            (o1.norm_sqr() - 1.0).abs() < 1e-12,
-            "cross moves power to o1"
-        );
-    }
-
-    #[test]
     fn coupler_splits_power() {
         let mzi = Mzi::coupler(FRAC_PI_4);
         let (o0, o1) = mzi.propagate(Complex::ONE, Complex::ZERO);
         assert!((o0.norm_sqr() - 0.5).abs() < 1e-12);
         assert!((o1.norm_sqr() - 0.5).abs() < 1e-12);
-        assert!((mzi.bar_power_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -355,24 +293,15 @@ mod tests {
     fn eq9_path_length_at_10ghz() {
         let chain = MziChain::delay_matched(8, 10.0e9);
         // c/(n_Si · 10 GHz) − 2 mm ≈ 6.61 mm; the paper rounds to 6.77 mm.
-        let mm = chain.inter_stage_spacing_m() * 1e3;
+        let mm = chain.inter_stage_path.value() * 1e3;
         assert!((mm - 6.61).abs() < 0.05, "got {mm} mm");
-    }
-
-    #[test]
-    fn eq10_total_delay_matches_paper_within_rounding() {
-        // Paper: (8·2 mm + 7·6.77 mm)·n_Si/c = 0.736 ns. With Eq. 9 exactly
-        // satisfied the delay is (stages-1) bit periods + stage transits.
-        let chain = MziChain::delay_matched(8, 10.0e9);
-        let t = chain.total_propagation_delay().as_nanos();
-        assert!((t - 0.736).abs() < 0.03, "got {t} ns");
     }
 
     #[test]
     fn delay_matching_is_exact_one_bit_period_per_stage() {
         let chain = MziChain::delay_matched(4, 10.0e9);
         let stage_plus_path = constants::silicon_propagation_delay(Length::new(
-            constants::mzi_arm_length().value() + chain.inter_stage_spacing_m(),
+            constants::mzi_arm_length().value() + chain.inter_stage_path.value(),
         ));
         assert!((stage_plus_path.as_picos() - 100.0).abs() < 1e-6);
     }
@@ -435,6 +364,5 @@ mod tests {
         let short = MziChain::delay_matched(2, 10.0e9);
         let long = MziChain::delay_matched(8, 10.0e9);
         assert!(long.area().value() > short.area().value());
-        assert!(long.total_length().value() > short.total_length().value());
     }
 }

@@ -92,13 +92,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Bit error rate of a binary (on/off) receiver at a given Q-factor:
-/// `BER = Q(q)`. A link engineered to the classic q = 7 runs at ~1e-12.
-#[must_use]
-pub fn ber_from_q_factor(q: f64) -> f64 {
-    q_function(q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,12 +110,6 @@ mod tests {
         assert!((q_function(0.0) - 0.5).abs() < 1e-9);
         assert!(q_function(1.0) > q_function(2.0));
         assert!(q_function(7.0) < 2e-12);
-    }
-
-    #[test]
-    fn classic_link_budget_q7() {
-        let ber = ber_from_q_factor(7.0);
-        assert!(ber < 2e-12 && ber > 1e-14, "BER {ber}");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Germanium-doped photodetector and back-end receiver model.
 //!
 //! Paper §II-A3: Ge photodiodes with transimpedance amplifiers recover
-//! transmitted bits; for the all-optical design the photocurrent is fed to
-//! an array of current comparators that resolve multi-pulse amplitude
-//! levels (o/e converter design 2).
+//! transmitted bits. (The all-optical design's current-comparator ladder,
+//! o/e converter design 2, is `pixel_electronics::converter`.)
 
 use crate::signal::PulseTrain;
 use crate::units::{Energy, Power};
@@ -11,27 +10,19 @@ use crate::units::{Energy, Power};
 /// A germanium photodiode with receiver back end.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Photodetector {
-    responsivity_a_per_w: f64,
     sensitivity: Power,
     energy_per_bit: Energy,
 }
 
 impl Photodetector {
-    /// Creates a detector with the given responsivity \[A/W\], sensitivity
-    /// (minimum detectable power per pulse) and receiver energy per bit.
+    /// Creates a detector with the given sensitivity (minimum detectable
+    /// power per pulse) and receiver energy per bit.
     #[must_use]
-    pub fn new(responsivity_a_per_w: f64, sensitivity: Power, energy_per_bit: Energy) -> Self {
+    pub fn new(sensitivity: Power, energy_per_bit: Energy) -> Self {
         Self {
-            responsivity_a_per_w,
             sensitivity,
             energy_per_bit,
         }
-    }
-
-    /// Responsivity in A/W.
-    #[must_use]
-    pub fn responsivity(&self) -> f64 {
-        self.responsivity_a_per_w
     }
 
     /// Minimum detectable optical power for one pulse level.
@@ -44,12 +35,6 @@ impl Photodetector {
     #[must_use]
     pub fn energy_per_bit(&self) -> Energy {
         self.energy_per_bit
-    }
-
-    /// Photocurrent \[A\] produced by `optical` input power.
-    #[must_use]
-    pub fn photocurrent(&self, optical: Power) -> f64 {
-        self.responsivity_a_per_w * optical.value()
     }
 
     /// Detects a binary train: each slot above half the unit-pulse power
@@ -83,27 +68,6 @@ impl Photodetector {
         Some(word)
     }
 
-    /// Resolves a multi-level train with a ladder of `comparators` current
-    /// comparators: each slot is quantized to an integer pulse count up to
-    /// `comparators`. Returns `None` if any slot exceeds the ladder range
-    /// or the unit pulse is below sensitivity.
-    #[must_use]
-    pub fn detect_levels(
-        &self,
-        train: &PulseTrain,
-        unit_pulse: Power,
-        comparators: u32,
-    ) -> Option<Vec<u32>> {
-        if unit_pulse < self.sensitivity {
-            return None;
-        }
-        let levels = train.quantized_levels();
-        if levels.iter().any(|&l| l > comparators) {
-            return None;
-        }
-        Some(levels)
-    }
-
     /// Receiver energy to process a train of `slots` bit slots.
     #[must_use]
     pub fn detection_energy(&self, slots: usize) -> Energy {
@@ -114,27 +78,16 @@ impl Photodetector {
 }
 
 impl Default for Photodetector {
-    /// 1.0 A/W responsivity, −20 dBm (10 µW) sensitivity, 50 fJ/bit
-    /// receiver — representative Ge detector values.
+    /// −20 dBm (10 µW) sensitivity and a 50 fJ/bit receiver —
+    /// representative Ge detector values.
     fn default() -> Self {
-        Self::new(
-            1.0,
-            Power::from_microwatts(10.0),
-            Energy::from_femtojoules(50.0),
-        )
+        Self::new(Power::from_microwatts(10.0), Energy::from_femtojoules(50.0))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn photocurrent_is_linear() {
-        let pd = Photodetector::default();
-        let i = pd.photocurrent(Power::from_milliwatts(1.0));
-        assert!((i - 1e-3).abs() < 1e-12);
-    }
 
     #[test]
     fn binary_detection_round_trip() {
@@ -156,7 +109,6 @@ mod tests {
         let pd = Photodetector::default();
         let t = PulseTrain::from_bits(0b1, 1);
         assert_eq!(pd.detect_binary(&t, Power::from_microwatts(1.0)), None);
-        assert_eq!(pd.detect_levels(&t, Power::from_microwatts(1.0), 4), None);
     }
 
     #[test]
@@ -190,26 +142,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn level_detection_resolves_amplitudes() {
-        let pd = Photodetector::default();
-        let t = PulseTrain::from_amplitudes(vec![3.0, 0.0, 2.0, 1.0]);
-        let levels = pd
-            .detect_levels(&t, Power::from_microwatts(100.0), 4)
-            .unwrap();
-        assert_eq!(levels, vec![3, 0, 2, 1]);
-    }
-
-    #[test]
-    fn level_detection_limited_by_ladder() {
-        let pd = Photodetector::default();
-        let t = PulseTrain::from_amplitudes(vec![5.0]);
-        assert_eq!(pd.detect_levels(&t, Power::from_microwatts(100.0), 4), None);
-        assert!(pd
-            .detect_levels(&t, Power::from_microwatts(100.0), 5)
-            .is_some());
     }
 
     #[test]

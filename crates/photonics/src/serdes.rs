@@ -5,12 +5,12 @@
 //! per slot on four amplitude levels) is the standard way photonic links
 //! double their bit rate at the same symbol rate, and the OO design
 //! already pays for a comparator-ladder receiver that can resolve levels.
-//! This module provides both serializers and deserializers over
-//! [`PulseTrain`] plus their energy/latency trade, so the format becomes
-//! an architecture knob.
+//! This module provides the serializer onto [`PulseTrain`] plus the
+//! formats' drive-energy trade, so the format becomes an architecture
+//! knob.
 
 use crate::signal::PulseTrain;
-use crate::units::{Energy, Time};
+use crate::units::Energy;
 
 /// A line-coding format for one wavelength.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,15 +32,6 @@ impl Format {
         }
     }
 
-    /// Amplitude levels the receiver must resolve.
-    #[must_use]
-    pub fn levels(self) -> u32 {
-        match self {
-            Self::Ook => 2,
-            Self::Pam4 => 4,
-        }
-    }
-
     /// Slots needed to carry `bits` bits.
     #[must_use]
     pub fn slots_for(self, bits: u32) -> u32 {
@@ -53,11 +44,11 @@ impl Format {
 /// # Examples
 ///
 /// ```
-/// use pixel_photonics::serdes::{deserialize, serialize, Format};
+/// use pixel_photonics::serdes::{serialize, Format};
 ///
 /// let t = serialize(Format::Pam4, 0b1101_0010, 8);
 /// assert_eq!(t.len(), 4); // two bits per slot
-/// assert_eq!(deserialize(Format::Pam4, &t), Ok(0b1101_0010));
+/// assert_eq!(t.quantized_levels(), vec![2, 0, 1, 3]);
 /// ```
 ///
 /// # Panics
@@ -83,58 +74,6 @@ pub fn serialize(format: Format, word: u64, bits: u32) -> PulseTrain {
     }
 }
 
-/// Error returned when a train cannot be decoded in a format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FormatError {
-    /// Offending slot.
-    pub slot: usize,
-    /// Level observed.
-    pub level: u32,
-    /// Levels the format supports.
-    pub max_level: u32,
-}
-
-impl std::fmt::Display for FormatError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "slot {} level {} exceeds the format's maximum {}",
-            self.slot, self.level, self.max_level
-        )
-    }
-}
-
-impl std::error::Error for FormatError {}
-
-/// Deserializes a train back into a word.
-///
-/// # Errors
-///
-/// Returns [`FormatError`] if a slot's level exceeds the format alphabet.
-pub fn deserialize(format: Format, train: &PulseTrain) -> Result<u64, FormatError> {
-    let mut word = 0u64;
-    for (slot, level) in train.quantized_levels().into_iter().enumerate() {
-        if level >= format.levels() {
-            return Err(FormatError {
-                slot,
-                level,
-                max_level: format.levels() - 1,
-            });
-        }
-        let shift = slot as u32 * format.bits_per_slot();
-        if shift < 64 {
-            word |= u64::from(level) << shift;
-        }
-    }
-    Ok(word)
-}
-
-/// Transmission time of a `bits`-bit word at `optical_clock_hz`.
-#[must_use]
-pub fn transmission_time(format: Format, bits: u32, optical_clock_hz: f64) -> Time {
-    Time::new(f64::from(format.slots_for(bits)) / optical_clock_hz)
-}
-
 /// Modulator drive energy per word: every slot is driven; PAM levels are
 /// synthesized with proportionally higher drive swing (level-weighted).
 #[must_use]
@@ -152,21 +91,18 @@ pub fn modulation_energy(format: Format, bits: u32, energy_per_slot: Energy) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pixel_units::rng::SplitMix64;
 
     #[test]
     fn format_arithmetic() {
         assert_eq!(Format::Ook.slots_for(8), 8);
         assert_eq!(Format::Pam4.slots_for(8), 4);
         assert_eq!(Format::Pam4.slots_for(7), 4);
-        assert_eq!(Format::Pam4.levels(), 4);
     }
 
     #[test]
     fn ook_round_trip_is_from_bits() {
         let t = serialize(Format::Ook, 0b1011, 4);
         assert_eq!(t, PulseTrain::from_bits(0b1011, 4));
-        assert_eq!(deserialize(Format::Ook, &t).unwrap(), 0b1011);
     }
 
     #[test]
@@ -175,24 +111,6 @@ mod tests {
         let t = serialize(Format::Pam4, 0b1101_0010, 8);
         assert_eq!(t.len(), 4);
         assert_eq!(t.quantized_levels(), vec![2, 0, 1, 3]);
-        assert_eq!(deserialize(Format::Pam4, &t).unwrap(), 0b1101_0010);
-    }
-
-    #[test]
-    fn ook_rejects_multilevel() {
-        let t = PulseTrain::from_amplitudes(vec![2.0]);
-        let err = deserialize(Format::Ook, &t).unwrap_err();
-        assert_eq!(err.max_level, 1);
-        assert!(err.to_string().contains("level 2"));
-        // PAM-4 decodes the same train happily.
-        assert_eq!(deserialize(Format::Pam4, &t).unwrap(), 2);
-    }
-
-    #[test]
-    fn pam4_halves_transmission_time() {
-        let ook = transmission_time(Format::Ook, 16, 10.0e9);
-        let pam = transmission_time(Format::Pam4, 16, 10.0e9);
-        assert!((ook.value() / pam.value() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -202,23 +120,5 @@ mod tests {
         let pam = modulation_energy(Format::Pam4, 16, per_slot);
         // Half the slots × 3× the swing = 1.5× the energy.
         assert!((pam.value() / ook.value() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn round_trip_any_word() {
-        let mut rng = SplitMix64::seed_from_u64(0x5E2D);
-        for _ in 0..256 {
-            let word = rng.next_u64();
-            let bits = rng.range_u32(1, 64);
-            let masked = if bits == 64 {
-                word
-            } else {
-                word & ((1 << bits) - 1)
-            };
-            for format in [Format::Ook, Format::Pam4] {
-                let t = serialize(format, masked, bits);
-                assert_eq!(deserialize(format, &t).unwrap(), masked, "bits={bits}");
-            }
-        }
     }
 }

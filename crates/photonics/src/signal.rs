@@ -71,7 +71,7 @@ impl Ook {
 /// of at most 64 slots, as [`Self::from_bits`], [`Self::write_bits`] and
 /// [`Self::dark`] launch it, is a slot mask plus a length. Every
 /// multi-level operation ([`Self::superpose`], [`Self::add_shifted`],
-/// [`Self::delayed`], [`Self::attenuated`], [`Self::from_amplitudes`])
+/// [`Self::attenuated`], [`Self::from_amplitudes`])
 /// produces `f64` slots. Every observer, equality included, answers the
 /// same for both forms.
 #[derive(Debug, Clone, Default)]
@@ -155,8 +155,8 @@ impl PulseTrain {
     }
 
     /// Superposes `other`, delayed by `shift` slots, onto this train in
-    /// place — the buffer-reuse form of `self.superpose(&other.delayed(shift))`,
-    /// growing the train with dark slots as needed.
+    /// place (a delay-matched path between cascaded MZIs), growing the
+    /// train with dark slots as needed.
     pub fn add_shifted(&mut self, other: &Self, shift: usize) {
         let slots = self.unpack();
         let needed = shift + other.len();
@@ -246,13 +246,6 @@ impl PulseTrain {
     #[must_use]
     pub fn attenuated(&self, linear_factor: f64) -> Self {
         self.iter().map(|a| a * linear_factor).collect()
-    }
-
-    /// Delays the train by `slots` whole time slots (dark fill at the front).
-    /// This models a delay-matched path between cascaded MZIs.
-    #[must_use]
-    pub fn delayed(&self, slots: usize) -> Self {
-        std::iter::repeat_n(0.0, slots).chain(self.iter()).collect()
     }
 
     /// Superposes two trains slot-by-slot (additive coupling in an MZI).
@@ -452,6 +445,12 @@ mod tests {
     use super::*;
     use pixel_units::rng::SplitMix64;
 
+    /// `t` behind `slots` dark slots: the reference `add_shifted` is
+    /// checked against.
+    fn delayed(t: &PulseTrain, slots: usize) -> PulseTrain {
+        std::iter::repeat_n(0.0, slots).chain(t.iter()).collect()
+    }
+
     /// The same 0/1 slots in both forms: a packed train and an `f64` one.
     fn both_forms(word: u64, len: usize) -> (PulseTrain, PulseTrain) {
         let packed = PulseTrain::from_bits(word, len);
@@ -556,7 +555,6 @@ mod tests {
                     packed.superpose(&other_slots),
                     slots.superpose(&other_packed),
                 ),
-                (packed.delayed(shift), slots.delayed(shift)),
                 (packed.attenuated(0.5), slots.attenuated(0.5)),
                 (
                     PulseTrain::from_amplitudes(packed.amplitudes().into_owned()),
@@ -574,7 +572,7 @@ mod tests {
             assert_same_observations(&acc_packed, &acc_slots, &label);
             assert_eq!(
                 acc_packed,
-                slots.superpose(&other_slots.delayed(shift)),
+                slots.superpose(&delayed(&other_slots, shift)),
                 "{label}"
             );
             // Muxing onto an occupied wavelength superposes.
@@ -597,7 +595,7 @@ mod tests {
             t.set_dark(len);
             assert!(t.packed_word().is_none(), "len={len}");
             assert_eq!(t.len(), len);
-            let long = PulseTrain::from_bits(u64::MAX, 64).delayed(len - 64);
+            let long = delayed(&PulseTrain::from_bits(u64::MAX, 64), len - 64);
             assert!(long.packed_word().is_none(), "len={len}");
             assert_eq!(long.len(), len);
             assert_eq!(long.to_bits(), None, "len={len}: a lit slot past 63");
@@ -666,14 +664,6 @@ mod tests {
         assert_eq!(t.gated(true).to_bits(), Some(0b1011));
         assert_eq!(t.gated(false).to_bits(), Some(0));
         assert_eq!(t.gated(false).len(), 4);
-    }
-
-    #[test]
-    fn delay_shifts_positional_value() {
-        let t = PulseTrain::from_bits(0b1, 1);
-        let d = t.delayed(3);
-        assert_eq!(d.positional_value(), 8); // 1 << 3
-        assert!((d.amplitude(3) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -749,7 +739,7 @@ mod tests {
     fn add_shifted_matches_superpose_of_delayed() {
         let a = PulseTrain::from_bits(0b101, 3);
         let b = PulseTrain::from_bits(0b11, 2);
-        let reference = a.superpose(&b.delayed(2));
+        let reference = a.superpose(&delayed(&b, 2));
         let mut acc = PulseTrain::new();
         acc.add_shifted(&a, 0);
         acc.add_shifted(&b, 2);

@@ -2,39 +2,31 @@
 //!
 //! The logic-level [`crate::mrr`] model treats the double-MRR filter as an
 //! ideal switch; this module supplies the underlying physics the paper's
-//! device citations describe: Lorentzian through/drop responses around
-//! resonance, free spectral range, Q factor, extinction ratio, and the
-//! inter-channel crosstalk that bounds how densely WDM lanes can be
-//! packed.
+//! device citations describe: the Lorentzian drop response around
+//! resonance and its thermal drift, which the heater loop in
+//! [`crate::thermal`] cancels.
 
-use crate::constants::{self, SPEED_OF_LIGHT};
-use crate::units::Length;
-
-/// Group index of a silicon microring (slightly above the material index
-/// due to waveguide dispersion).
-pub const GROUP_INDEX: f64 = 4.2;
+use crate::constants;
 
 /// A single microring resonator's spectral response.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingSpectrum {
-    radius: Length,
     resonance_m: f64,
     q_factor: f64,
 }
 
 impl RingSpectrum {
-    /// Creates a ring of `radius` resonant at `resonance_m` (metres) with
-    /// loaded quality factor `q_factor`.
+    /// Creates a ring resonant at `resonance_m` (metres) with loaded
+    /// quality factor `q_factor`.
     ///
     /// # Panics
     ///
     /// Panics if the resonance wavelength or Q is not positive.
     #[must_use]
-    pub fn new(radius: Length, resonance_m: f64, q_factor: f64) -> Self {
+    pub fn new(resonance_m: f64, q_factor: f64) -> Self {
         assert!(resonance_m > 0.0, "resonance must be positive");
         assert!(q_factor > 0.0, "Q must be positive");
         Self {
-            radius,
             resonance_m,
             q_factor,
         }
@@ -44,11 +36,7 @@ impl RingSpectrum {
     /// 10 000 — representative of the cited 25 Gb/s modulators.
     #[must_use]
     pub fn paper_default() -> Self {
-        Self::new(
-            constants::mrr_radius(),
-            constants::OPERATING_WAVELENGTH,
-            10_000.0,
-        )
+        Self::new(constants::OPERATING_WAVELENGTH, 10_000.0)
     }
 
     /// Resonance wavelength \[m\].
@@ -63,29 +51,10 @@ impl RingSpectrum {
         self.q_factor
     }
 
-    /// Free spectral range `FSR = λ²/(n_g·L)` \[m\], with `L = 2πr`.
-    #[must_use]
-    pub fn free_spectral_range(&self) -> f64 {
-        let circumference = 2.0 * std::f64::consts::PI * self.radius.value();
-        self.resonance_m * self.resonance_m / (GROUP_INDEX * circumference)
-    }
-
     /// Full-width-half-maximum linewidth `λ/Q` \[m\].
     #[must_use]
     pub fn linewidth(&self) -> f64 {
         self.resonance_m / self.q_factor
-    }
-
-    /// Finesse: FSR / linewidth.
-    #[must_use]
-    pub fn finesse(&self) -> f64 {
-        self.free_spectral_range() / self.linewidth()
-    }
-
-    /// Photon lifetime `Q·λ/(2πc)` \[s\].
-    #[must_use]
-    pub fn photon_lifetime(&self) -> f64 {
-        self.q_factor * self.resonance_m / (2.0 * std::f64::consts::PI * SPEED_OF_LIGHT)
     }
 
     /// Drop-port power transmission at wavelength `lambda_m`: a Lorentzian
@@ -96,21 +65,6 @@ impl RingSpectrum {
         let delta = lambda_m - self.resonance_m;
         let x = 2.0 * delta / self.linewidth();
         1.0 / (1.0 + x * x)
-    }
-
-    /// Through-port power transmission (energy conservation with the
-    /// ideal lossless two-port: `T_thru = 1 − T_drop`).
-    #[must_use]
-    pub fn through_transmission(&self, lambda_m: f64) -> f64 {
-        1.0 - self.drop_transmission(lambda_m)
-    }
-
-    /// Extinction ratio \[dB\] between on-resonance and `detuning_m` away.
-    #[must_use]
-    pub fn extinction_ratio_db(&self, detuning_m: f64) -> f64 {
-        let on = self.drop_transmission(self.resonance_m);
-        let off = self.drop_transmission(self.resonance_m + detuning_m);
-        10.0 * (on / off).log10()
     }
 
     /// Returns a copy red-shifted by a temperature change \[K\], using the
@@ -126,43 +80,6 @@ impl RingSpectrum {
     }
 }
 
-/// Worst-case adjacent-channel crosstalk \[dB\] for rings on a WDM grid
-/// with `channel_spacing_m` between resonances: the fraction of a
-/// neighbour's power a ring erroneously drops.
-#[must_use]
-pub fn adjacent_channel_crosstalk_db(ring: &RingSpectrum, channel_spacing_m: f64) -> f64 {
-    let leaked = ring.drop_transmission(ring.resonance() + channel_spacing_m);
-    10.0 * leaked.log10()
-}
-
-/// The minimum WDM channel spacing \[m\] at which adjacent-channel
-/// crosstalk stays below `max_crosstalk_db` (a negative dB figure).
-///
-/// # Panics
-///
-/// Panics if `max_crosstalk_db` is not negative.
-#[must_use]
-pub fn min_channel_spacing(ring: &RingSpectrum, max_crosstalk_db: f64) -> f64 {
-    assert!(
-        max_crosstalk_db < 0.0,
-        "crosstalk bound must be negative dB"
-    );
-    // Invert the Lorentzian: T = 1/(1+x²) ≤ 10^(dB/10).
-    let t = 10f64.powf(max_crosstalk_db / 10.0);
-    let x = (1.0 / t - 1.0).sqrt();
-    x * ring.linewidth() / 2.0
-}
-
-/// How many WDM channels fit in one FSR at the given crosstalk bound.
-#[must_use]
-pub fn channels_per_fsr(ring: &RingSpectrum, max_crosstalk_db: f64) -> usize {
-    let spacing = min_channel_spacing(ring, max_crosstalk_db);
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    {
-        (ring.free_spectral_range() / spacing).floor() as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,7 +92,6 @@ mod tests {
     fn unit_drop_on_resonance() {
         let r = ring();
         assert!((r.drop_transmission(r.resonance()) - 1.0).abs() < 1e-12);
-        assert!(r.through_transmission(r.resonance()) < 1e-12);
     }
 
     #[test]
@@ -186,33 +102,8 @@ mod tests {
     }
 
     #[test]
-    fn fsr_for_paper_ring() {
-        // FSR = λ²/(n_g·2πr) = 1550 nm² / (4.2 · 47.1 µm) ≈ 12.1 nm.
-        let fsr_nm = ring().free_spectral_range() * 1e9;
-        assert!((fsr_nm - 12.1).abs() < 0.3, "FSR {fsr_nm} nm");
-    }
-
-    #[test]
-    fn linewidth_and_finesse() {
-        let r = ring();
-        assert!((r.linewidth() * 1e9 - 0.155).abs() < 1e-3); // λ/Q = 0.155 nm
-        assert!(r.finesse() > 50.0 && r.finesse() < 100.0);
-    }
-
-    #[test]
-    fn photon_lifetime_sub_cycle_at_10ghz() {
-        // Q = 10⁴ at 1550 nm → τ ≈ 8.2 ps, under the 100 ps bit slot, so
-        // the ring can modulate at the paper's 10 GHz.
-        let tau_ps = ring().photon_lifetime() * 1e12;
-        assert!((tau_ps - 8.2).abs() < 0.5, "τ = {tau_ps} ps");
-    }
-
-    #[test]
-    fn extinction_grows_with_detuning() {
-        let r = ring();
-        let near = r.extinction_ratio_db(0.2e-9);
-        let far = r.extinction_ratio_db(1.0e-9);
-        assert!(far > near && near > 0.0);
+    fn linewidth_is_lambda_over_q() {
+        assert!((ring().linewidth() * 1e9 - 0.155).abs() < 1e-3); // λ/Q = 0.155 nm
     }
 
     #[test]
@@ -224,29 +115,5 @@ mod tests {
         // The heater-corrected ring (shift back) recovers.
         let corrected = hot.thermally_shifted(-5.0);
         assert!((corrected.drop_transmission(r.resonance()) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn crosstalk_bounds_channel_density() {
-        let r = ring();
-        // 100 GHz grid at 1550 nm ≈ 0.8 nm spacing.
-        let xt = adjacent_channel_crosstalk_db(&r, 0.8e-9);
-        assert!(xt < -20.0, "100 GHz grid crosstalk {xt} dB");
-        let spacing = min_channel_spacing(&r, -20.0);
-        assert!(spacing < 0.8e-9);
-        // ≥ the paper's 128 wavelengths only with a higher-Q ring; the
-        // default ring supports a few tens per FSR at −20 dB.
-        let n = channels_per_fsr(&r, -20.0);
-        assert!((10..=40).contains(&n), "channels/FSR {n}");
-    }
-
-    #[test]
-    fn min_spacing_is_consistent_with_crosstalk() {
-        let r = ring();
-        for bound in [-15.0, -20.0, -30.0] {
-            let spacing = min_channel_spacing(&r, bound);
-            let xt = adjacent_channel_crosstalk_db(&r, spacing);
-            assert!((xt - bound).abs() < 0.1, "bound {bound}: got {xt}");
-        }
     }
 }

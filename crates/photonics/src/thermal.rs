@@ -28,12 +28,6 @@ impl RingHeaterBank {
         }
     }
 
-    /// Number of rings under thermal control.
-    #[must_use]
-    pub fn rings(&self) -> usize {
-        self.rings
-    }
-
     /// Average total heater power.
     #[must_use]
     pub fn total_power(&self) -> Power {
@@ -46,13 +40,6 @@ impl RingHeaterBank {
     #[must_use]
     pub fn energy_over(&self, duration: Time) -> Energy {
         self.total_power() * duration
-    }
-
-    /// A bank with zero tuning power, modelling the athermal designs the
-    /// paper cites as alternatives.
-    #[must_use]
-    pub fn athermal(rings: usize) -> Self {
-        Self::new(rings, Power::ZERO, 0.0)
     }
 }
 
@@ -99,12 +86,6 @@ impl HeaterController {
         }
     }
 
-    /// Current heater drive in kelvin above ambient.
-    #[must_use]
-    pub fn heater_kelvin(&self) -> f64 {
-        self.heater_kelvin
-    }
-
     /// The ring as currently tuned, under `ambient_kelvin` of external
     /// drift plus the heater's contribution.
     #[must_use]
@@ -134,12 +115,6 @@ impl HeaterController {
         self.tuned_ring(ambient_kelvin)
             .drop_transmission(self.target_m)
     }
-
-    /// Heater power at the current drive, at `mw_per_kelvin` efficiency.
-    #[must_use]
-    pub fn heater_power(&self, mw_per_kelvin: f64) -> Power {
-        Power::from_milliwatts(self.heater_kelvin * mw_per_kelvin)
-    }
 }
 
 #[cfg(test)]
@@ -150,14 +125,6 @@ mod tests {
     fn total_power_scales_with_rings_and_duty() {
         let bank = RingHeaterBank::new(10, Power::from_milliwatts(0.1), 0.5);
         assert!((bank.total_power().as_milliwatts() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn athermal_draws_nothing() {
-        let bank = RingHeaterBank::athermal(64);
-        assert_eq!(bank.rings(), 64);
-        assert!(bank.total_power().value().abs() < 1e-18);
-        assert!(bank.energy_over(Time::from_millis(1.0)).value().abs() < 1e-18);
     }
 
     #[test]
@@ -184,7 +151,7 @@ mod tests {
         let mut ctl = HeaterController::new(RingSpectrum::paper_default(), target(), 0.5, 20.0);
         let transmission = ctl.settle(-4.0, 50);
         assert!(transmission > 0.999, "locked: {transmission}");
-        assert!((ctl.heater_kelvin() - 4.0).abs() < 0.01, "heater ≈ +4 K");
+        assert!((ctl.heater_kelvin - 4.0).abs() < 0.01, "heater ≈ +4 K");
     }
 
     #[test]
@@ -195,7 +162,7 @@ mod tests {
         let mut ctl = HeaterController::new(RingSpectrum::paper_default(), target(), 0.5, 20.0);
         let transmission = ctl.settle(4.0, 50);
         assert!(transmission < 0.1, "unlocked: {transmission}");
-        assert_eq!(ctl.heater_kelvin(), 0.0);
+        assert_eq!(ctl.heater_kelvin, 0.0);
     }
 
     #[test]
@@ -208,15 +175,7 @@ mod tests {
             let mut ctl = HeaterController::new(prebiased, target(), 0.5, 20.0);
             let locked = ctl.settle(ambient, 60);
             assert!(locked > 0.99, "ambient {ambient}: {locked}");
-            assert!((ctl.heater_kelvin() - (5.0 - ambient)).abs() < 0.05);
+            assert!((ctl.heater_kelvin - (5.0 - ambient)).abs() < 0.05);
         }
-    }
-
-    #[test]
-    fn heater_power_tracks_drive() {
-        let mut ctl = HeaterController::new(RingSpectrum::paper_default(), target(), 0.5, 20.0);
-        let _ = ctl.settle(-8.0, 60);
-        let p = ctl.heater_power(0.1); // 0.1 mW/K
-        assert!((p.as_milliwatts() - 0.8).abs() < 0.01, "{p}");
     }
 }

@@ -27,16 +27,6 @@ impl Waveguide {
         }
     }
 
-    /// Creates a waveguide with custom delay/loss coefficients.
-    #[must_use]
-    pub fn with_coefficients(length: Length, delay_ps_per_mm: f64, loss_db_per_cm: f64) -> Self {
-        Self {
-            length,
-            delay_ps_per_mm,
-            loss_db_per_cm,
-        }
-    }
-
     /// Physical length.
     #[must_use]
     pub fn length(&self) -> Length {

@@ -86,13 +86,6 @@ impl BandPlan {
             })
             .collect())
     }
-
-    /// Which tile owns wavelength `id`, if any.
-    #[must_use]
-    pub fn owner(&self, id: WavelengthId) -> Option<usize> {
-        let idx = id.index();
-        (idx < self.total_wavelengths()).then_some(idx / self.lanes)
-    }
 }
 
 /// Multiplexes each tile's per-lane trains onto the shared WDM medium
@@ -145,17 +138,6 @@ mod tests {
         let band3 = plan.tile_band(3).unwrap();
         assert_eq!(band3.first(), Some(&WavelengthId(12)));
         assert_eq!(band3.last(), Some(&WavelengthId(15)));
-    }
-
-    #[test]
-    fn owner_inverse_of_band() {
-        let plan = BandPlan::new(4, 4);
-        for tile in 0..4 {
-            for id in plan.tile_band(tile).unwrap() {
-                assert_eq!(plan.owner(id), Some(tile));
-            }
-        }
-        assert_eq!(plan.owner(WavelengthId(16)), None);
     }
 
     #[test]

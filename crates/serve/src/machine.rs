@@ -196,18 +196,6 @@ impl ServeMachine {
         self.queue.is_empty()
     }
 
-    /// Requests shed so far.
-    #[must_use]
-    pub fn shed_total(&self) -> u64 {
-        self.shed
-    }
-
-    /// Requests completed so far.
-    #[must_use]
-    pub fn completed_total(&self) -> u64 {
-        self.completed
-    }
-
     /// Records one lifecycle event in the flight recorder and, when a
     /// trace sink is active, spills it as JSONL.
     fn emit(&mut self, event: ServeEvent) {

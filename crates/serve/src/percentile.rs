@@ -152,12 +152,6 @@ impl LatencyHistogram {
         self.sum += other.sum;
     }
 
-    /// The linear resolution this histogram was built with.
-    #[must_use]
-    pub fn sub_bits(&self) -> u32 {
-        self.sub_bits
-    }
-
     /// Number of recorded values.
     #[must_use]
     pub fn count(&self) -> u64 {

@@ -58,7 +58,6 @@ pub struct WindowSeries {
     width: f64,
     max_bins: usize,
     bins: Vec<WindowBin>,
-    coarsenings: u32,
     depth_t: f64,
     depth: usize,
 }
@@ -83,22 +82,15 @@ impl WindowSeries {
             width: base_width,
             max_bins,
             bins: Vec::new(),
-            coarsenings: 0,
             depth_t: 0.0,
             depth: 0,
         }
     }
 
-    /// Current bin width (base width × 2^coarsenings).
+    /// Current bin width: the base width, doubled once per coarsening.
     #[must_use]
     pub fn width(&self) -> Time {
         Time::new(self.width)
-    }
-
-    /// How many times the grid coarsened to stay under its bin bound.
-    #[must_use]
-    pub fn coarsenings(&self) -> u32 {
-        self.coarsenings
     }
 
     /// The bins, in virtual-time order (bin `i` covers
@@ -128,7 +120,6 @@ impl WindowSeries {
         }
         self.bins = merged;
         self.width *= 2.0;
-        self.coarsenings += 1;
     }
 
     /// Index of the bin containing `t`, coarsening and allocating as
@@ -406,11 +397,14 @@ mod tests {
             w.count_arrival(at(f64::from(i) + 0.5));
         }
         assert!(w.bins().len() <= 8, "{} bins", w.bins().len());
-        assert!(w.coarsenings() >= 4);
         let total: u64 = w.bins().iter().map(|b| b.arrivals).sum();
         assert_eq!(total, 100);
-        // Width doubled per coarsening.
-        assert!((w.width().value() - f64::from(1u32 << w.coarsenings())).abs() < 1e-9);
+        // Width doubled per coarsening, at least four times.
+        let width = w.width().value();
+        assert!(
+            width >= 16.0 && (width as u64).is_power_of_two(),
+            "width {width}"
+        );
     }
 
     #[test]
@@ -481,7 +475,7 @@ mod tests {
         for i in 0..8 {
             a.count_arrival(at(f64::from(i) + 0.5));
         }
-        assert!(a.coarsenings() >= 1);
+        assert!(a.width().value() >= 2.0, "shard A coarsened");
         let mut b = series(1.0, 4);
         b.count_arrival(at(0.5));
         b.count_completions(at(1.5), 4);

@@ -180,12 +180,6 @@ impl Energy {
         Self::new(pj * 1e-12)
     }
 
-    /// Creates an energy from nanojoules.
-    #[must_use]
-    pub fn from_nanojoules(nj: f64) -> Self {
-        Self::new(nj * 1e-9)
-    }
-
     /// Creates an energy from millijoules (the unit of Table II).
     #[must_use]
     pub fn from_millijoules(mj: f64) -> Self {
@@ -336,12 +330,6 @@ impl Area {
     #[must_use]
     pub fn from_square_micrometres(um2: f64) -> Self {
         Self::new(um2 * 1e-12)
-    }
-
-    /// Creates an area from square millimetres.
-    #[must_use]
-    pub fn from_square_millimetres(mm2: f64) -> Self {
-        Self::new(mm2 * 1e-6)
     }
 
     /// Returns the area in square micrometres.

@@ -11,6 +11,7 @@ use pixel::core::dse;
 use pixel::core::energy::OperationEnergies;
 use pixel::core::sweep::SweepEngine;
 use pixel::dnn::zoo;
+use pixel::photonics::mzi::MziChain;
 
 fn accel(design: Design, lanes: usize, bits: u32) -> Accelerator {
     Accelerator::new(AcceleratorConfig::new(design, lanes, bits))
@@ -214,4 +215,15 @@ fn claim_fig8_latency_shapes() {
         assert_eq!(min, 4, "{design} minimum sits at 10 bits/lane: {s:?}");
         assert!(s[7] > s[4], "{design} rises past the threshold");
     }
+}
+
+/// Eq. 10: an 8-stage MZI chain delay-matched to the 10 GHz optical clock
+/// delays its train by (8·2 mm + 7·6.77 mm)·n_Si/c = 0.736 ns. With Eq. 9
+/// solved exactly (6.61 mm, not the printed 6.77 mm) the delay is seven
+/// bit periods plus the stage transits, within rounding of the paper.
+#[test]
+fn claim_eq10_mzi_chain_delay() {
+    let chain = MziChain::delay_matched(8, 10.0e9);
+    let t = chain.total_propagation_delay().as_nanos();
+    assert!((t - 0.736).abs() < 0.03, "got {t} ns");
 }
