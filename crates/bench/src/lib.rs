@@ -13,7 +13,7 @@ pub mod timing;
 use pixel_core::dse;
 use pixel_core::report;
 use pixel_core::sweep::SweepEngine;
-use pixel_dnn::analysis::{analyze_network, FcCountConvention};
+use pixel_dnn::analysis::analyze_network;
 use pixel_dnn::zoo;
 
 /// The lanes sweep of Fig. 4 and Fig. 6.
@@ -36,7 +36,7 @@ pub fn table1() -> String {
         "Layer   |      MVM       Mul       Add       Act   [millions]  Input Shape\n",
     );
     let net = zoo::vgg16();
-    let counts = analyze_network(&net, FcCountConvention::Paper);
+    let counts = analyze_network(&net);
     let shapes: Vec<String> = net.compute_layers().map(|l| l.input.to_string()).collect();
     for (c, shape) in counts.iter().zip(shapes) {
         #[allow(clippy::cast_precision_loss)]
@@ -299,7 +299,7 @@ pub fn counts() -> String {
     for net in zoo::all_networks() {
         s.push_str(&format!("-- {} --\n", net.name()));
         s.push_str("layer        |      MVM       Mul       Add       Act   [millions]\n");
-        for c in analyze_network(&net, FcCountConvention::Paper) {
+        for c in analyze_network(&net) {
             #[allow(clippy::cast_precision_loss)]
             let m = |v: u64| v as f64 / 1e6;
             s.push_str(&format!(

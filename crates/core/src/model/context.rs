@@ -19,7 +19,7 @@ use crate::config::AcceleratorConfig;
 use crate::energy::{self, OperationEnergies};
 use crate::latency;
 use crate::overrides::ModelOverrides;
-use pixel_dnn::analysis::{analyze_network, ComputeCounts, FcCountConvention};
+use pixel_dnn::analysis::{analyze_network, ComputeCounts};
 use pixel_dnn::network::Network;
 // HashMap iteration order never reaches any artifact: both caches are
 // read per-key (and `len()` for stats), so nondeterministic ordering
@@ -71,9 +71,8 @@ struct Derived {
     cycles_per_firing: f64,
 }
 
-/// The memoized §IV-B op-count analyses, keyed by network name and FC
-/// convention.
-type CountsCache = HashMap<(String, FcCountConvention), Arc<Vec<ComputeCounts>>>;
+/// The memoized §IV-B op-count analyses, keyed by network name.
+type CountsCache = HashMap<String, Arc<Vec<ComputeCounts>>>;
 
 /// A memoizing handle on the analytic evaluation.
 ///
@@ -143,48 +142,31 @@ impl EvalContext {
 
     /// Memoized §IV-B op counts of a network.
     ///
-    /// Keyed by network name and convention: the evaluated zoo gives
-    /// each architecture a unique canonical name.
+    /// Keyed by network name: the evaluated zoo gives each architecture a
+    /// unique canonical name.
     #[must_use]
-    pub fn network_counts(
-        &self,
-        network: &Network,
-        convention: FcCountConvention,
-    ) -> Arc<Vec<ComputeCounts>> {
-        let key = (network.name().to_owned(), convention);
+    pub fn network_counts(&self, network: &Network) -> Arc<Vec<ComputeCounts>> {
         let mut cache = self
             .counts
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(hit) = cache.get(&key) {
+        if let Some(hit) = cache.get(network.name()) {
             pixel_obs::add("eval.counts_hit", 1);
             return Arc::clone(hit);
         }
         pixel_obs::add("eval.counts_miss", 1);
-        let counts = Arc::new(analyze_network(network, convention));
-        cache.insert(key, Arc::clone(&counts));
+        let counts = Arc::new(analyze_network(network));
+        cache.insert(network.name().to_owned(), Arc::clone(&counts));
         counts
     }
 
-    /// Evaluates a network with the paper's FC op-count convention.
+    /// Evaluates a network through the memoized derivations.
     #[must_use]
     pub fn evaluate(&self, config: &AcceleratorConfig, network: &Network) -> NetworkReport {
-        self.evaluate_with(config, network, FcCountConvention::Paper)
-    }
-
-    /// Evaluates a network with an explicit FC op-count convention,
-    /// through the memoized derivations.
-    #[must_use]
-    pub fn evaluate_with(
-        &self,
-        config: &AcceleratorConfig,
-        network: &Network,
-        convention: FcCountConvention,
-    ) -> NetworkReport {
         pixel_obs::add("dse.model_evals", 1);
         let derived = self.derived(config);
         let layers = self
-            .network_counts(network, convention)
+            .network_counts(network)
             .iter()
             .map(|counts| LayerReport {
                 name: counts.name.clone(),
@@ -286,8 +268,8 @@ mod tests {
     fn network_counts_are_shared() {
         let ctx = EvalContext::new();
         let net = zoo::zfnet();
-        let a = ctx.network_counts(&net, FcCountConvention::Paper);
-        let b = ctx.network_counts(&net, FcCountConvention::Paper);
+        let a = ctx.network_counts(&net);
+        let b = ctx.network_counts(&net);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.len(), 8);
     }

@@ -110,10 +110,7 @@ pub fn proportional_rows(grid_rows: usize, jobs: &[&Network]) -> Vec<usize> {
     assert!(jobs.len() <= grid_rows, "more jobs than rows");
     let work: Vec<u64> = jobs
         .iter()
-        .map(|n| {
-            pixel_dnn::analysis::network_totals(n, pixel_dnn::analysis::FcCountConvention::Paper)
-                .mul
-        })
+        .map(|n| pixel_dnn::analysis::network_totals(n).mul)
         .collect();
     let total: u64 = work.iter().sum::<u64>().max(1);
     // Start everyone at one row, distribute the rest largest-remainder.

@@ -10,24 +10,11 @@
 //!
 //! For fully-connected layers the paper's Table I is only consistent with
 //! `N_mul = N_in²` (e.g. FC1 of VGG16: 25088² ≈ 629 M), `N_add = 2·N_mul`,
-//! `N_act = N_mul`, `N_MVM = 1` — not the textbook `N_in·N_out`. Both
-//! conventions are provided; [`FcCountConvention::Paper`] reproduces
-//! Table I.
+//! `N_act = N_mul`, `N_MVM = 1` — not the textbook `N_in·N_out`. This
+//! module counts FC layers the paper's way, which reproduces Table I.
 
 use crate::layer::{Layer, LayerKind};
 use crate::network::Network;
-
-/// How to count fully-connected layer operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FcCountConvention {
-    /// The paper's convention: `N_mul = N_in²`, `N_add = 2·N_in²`,
-    /// `N_act = N_in²`, `N_MVM = 1`. Reproduces Table I.
-    #[default]
-    Paper,
-    /// Textbook counting: `N_mul = N_in·N_out`, `N_add = N_in·N_out`,
-    /// `N_act = N_out`, `N_MVM = 1`.
-    Textbook,
-}
 
 /// Operation counts for one layer.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -58,24 +45,25 @@ impl ComputeCounts {
     }
 }
 
-/// Analyzes one layer. Pooling layers return all-zero counts (the paper's
-/// tables cover conv and FC layers only).
+/// Analyzes one layer. FC layers count the paper's way (`N_mul = N_in²`,
+/// `N_add = 2·N_in²`, `N_act = N_in²`, `N_MVM = 1`); pooling layers return
+/// all-zero counts (the paper's tables cover conv and FC layers only).
 ///
 /// # Examples
 ///
 /// The paper's §IV-B worked example (VGG16 Conv1):
 ///
 /// ```
-/// use pixel_dnn::analysis::{analyze_layer, FcCountConvention};
+/// use pixel_dnn::analysis::analyze_layer;
 /// use pixel_dnn::layer::{Layer, Shape};
 ///
 /// let conv1 = Layer::conv_padded("Conv1", Shape::square(224, 3), 64, 3, 1, 1);
-/// let counts = analyze_layer(&conv1, FcCountConvention::Paper);
+/// let counts = analyze_layer(&conv1);
 /// assert_eq!(counts.mvm, 9_633_792);
 /// assert_eq!(counts.mul, 86_704_128);
 /// ```
 #[must_use]
-pub fn analyze_layer(layer: &Layer, convention: FcCountConvention) -> ComputeCounts {
+pub fn analyze_layer(layer: &Layer) -> ComputeCounts {
     match layer.kind {
         LayerKind::Conv {
             filters, kernel, ..
@@ -95,24 +83,14 @@ pub fn analyze_layer(layer: &Layer, convention: FcCountConvention) -> ComputeCou
                 act,
             }
         }
-        LayerKind::Fc { outputs } => {
+        LayerKind::Fc { .. } => {
             let n_in = layer.input.elements() as u64;
-            let n_out = outputs as u64;
-            match convention {
-                FcCountConvention::Paper => ComputeCounts {
-                    name: layer.name.clone(),
-                    mvm: 1,
-                    mul: n_in * n_in,
-                    add: 2 * n_in * n_in,
-                    act: n_in * n_in,
-                },
-                FcCountConvention::Textbook => ComputeCounts {
-                    name: layer.name.clone(),
-                    mvm: 1,
-                    mul: n_in * n_out,
-                    add: n_in * n_out,
-                    act: n_out,
-                },
+            ComputeCounts {
+                name: layer.name.clone(),
+                mvm: 1,
+                mul: n_in * n_in,
+                add: 2 * n_in * n_in,
+                act: n_in * n_in,
             }
         }
         LayerKind::Pool { .. } => ComputeCounts {
@@ -124,12 +102,9 @@ pub fn analyze_layer(layer: &Layer, convention: FcCountConvention) -> ComputeCou
 
 /// Analyzes every compute layer of a network, in order.
 #[must_use]
-pub fn analyze_network(network: &Network, convention: FcCountConvention) -> Vec<ComputeCounts> {
+pub fn analyze_network(network: &Network) -> Vec<ComputeCounts> {
     let _span = pixel_obs::span("analyze");
-    let counts: Vec<ComputeCounts> = network
-        .compute_layers()
-        .map(|l| analyze_layer(l, convention))
-        .collect();
+    let counts: Vec<ComputeCounts> = network.compute_layers().map(analyze_layer).collect();
     if pixel_obs::enabled() {
         pixel_obs::add("dnn.analysis.networks", 1);
         pixel_obs::add("dnn.analysis.layers", counts.len() as u64);
@@ -143,8 +118,8 @@ pub fn analyze_network(network: &Network, convention: FcCountConvention) -> Vec<
 
 /// Sums a network's per-layer counts.
 #[must_use]
-pub fn network_totals(network: &Network, convention: FcCountConvention) -> ComputeCounts {
-    analyze_network(network, convention)
+pub fn network_totals(network: &Network) -> ComputeCounts {
+    analyze_network(network)
         .iter()
         .fold(ComputeCounts::default(), |acc, c| acc.combined(c))
 }
@@ -159,7 +134,7 @@ mod tests {
         // §IV-B: Conv1 of VGG16 → N_MVM = 224²·64·3 = 9,633,792,
         // N_mul = 9·N_MVM = 86,704,128.
         let conv1 = Layer::conv_padded("Conv1", Shape::square(224, 3), 64, 3, 1, 1);
-        let c = analyze_layer(&conv1, FcCountConvention::Paper);
+        let c = analyze_layer(&conv1);
         assert_eq!(c.mvm, 9_633_792);
         assert_eq!(c.mul, 86_704_128);
         assert_eq!(c.act, 224 * 224 * 64);
@@ -169,7 +144,7 @@ mod tests {
     #[test]
     fn fc_paper_convention_is_input_squared() {
         let fc = Layer::fc("FC1", 25088, 4096);
-        let c = analyze_layer(&fc, FcCountConvention::Paper);
+        let c = analyze_layer(&fc);
         assert_eq!(c.mul, 25088 * 25088); // ≈ 629 M (Table I)
         assert_eq!(c.add, 2 * c.mul);
         assert_eq!(c.act, c.mul);
@@ -177,19 +152,10 @@ mod tests {
     }
 
     #[test]
-    fn fc_textbook_convention() {
-        let fc = Layer::fc("FC1", 25088, 4096);
-        let c = analyze_layer(&fc, FcCountConvention::Textbook);
-        assert_eq!(c.mul, 25088 * 4096);
-        assert_eq!(c.add, 25088 * 4096);
-        assert_eq!(c.act, 4096);
-    }
-
-    #[test]
     fn pooling_contributes_nothing() {
         use crate::layer::PoolKind;
         let pool = Layer::pool("Pool", Shape::square(8, 4), 2, 2, PoolKind::Max);
-        let c = analyze_layer(&pool, FcCountConvention::Paper);
+        let c = analyze_layer(&pool);
         assert_eq!((c.mvm, c.mul, c.add, c.act), (0, 0, 0, 0));
     }
 
@@ -202,7 +168,7 @@ mod tests {
             (114, 64, 128, 3, 1),
         ] {
             let layer = Layer::conv("c", Shape::square(h, c_in), m, r, u);
-            let counts = analyze_layer(&layer, FcCountConvention::Paper);
+            let counts = analyze_layer(&layer);
             assert_eq!(counts.add, counts.mul + counts.act);
         }
     }
@@ -216,8 +182,8 @@ mod tests {
                 Layer::fc("f1", 32, 10),
             ],
         );
-        let per_layer = analyze_network(&net, FcCountConvention::Paper);
-        let totals = network_totals(&net, FcCountConvention::Paper);
+        let per_layer = analyze_network(&net);
+        let totals = network_totals(&net);
         assert_eq!(totals.mul, per_layer.iter().map(|c| c.mul).sum::<u64>());
         assert_eq!(totals.mvm, per_layer.iter().map(|c| c.mvm).sum::<u64>());
     }

@@ -1161,13 +1161,13 @@ mod tests {
     fn patch_count_equals_paper_mvm_per_filter_channel() {
         // N_MVM = E²·M·C: the block lowering makes one inner product per
         // (window, filter), each covering all C channels.
-        use crate::analysis::{analyze_layer, FcCountConvention};
+        use crate::analysis::analyze_layer;
         let layer = Layer::conv("c", Shape::square(10, 8), 4, 3, 1);
         let input = Tensor::from_fn(layer.input, |_, _, _| 1);
         let weights = LayerWeights::generate(&layer, || 1);
         let recorder = Recorder::default();
         conv2d(&layer, &input, &weights, &recorder).unwrap();
-        let counts = analyze_layer(&layer, FcCountConvention::Paper);
+        let counts = analyze_layer(&layer);
         assert_eq!(
             counts.mvm,
             (recorder.calls.into_inner().len() * 8) as u64,

@@ -28,7 +28,7 @@
 //! use pixel_dnn::{zoo, analysis};
 //!
 //! let vgg = zoo::vgg16();
-//! let counts = analysis::analyze_network(&vgg, analysis::FcCountConvention::Paper);
+//! let counts = analysis::analyze_network(&vgg);
 //! let conv1 = counts.iter().find(|c| c.name == "Conv1").unwrap();
 //! assert_eq!(conv1.mvm, 9_633_792);          // 9.63 M
 //! assert_eq!(conv1.mul, 86_704_128);         // 86.7 M
@@ -46,7 +46,7 @@ pub mod signed;
 pub mod tensor;
 pub mod zoo;
 
-pub use analysis::{ComputeCounts, FcCountConvention};
+pub use analysis::ComputeCounts;
 pub use layer::{Layer, LayerKind, Shape};
 pub use mix::NetworkMix;
 pub use network::Network;

@@ -31,7 +31,7 @@ pub fn alexnet() -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{network_totals, FcCountConvention};
+    use crate::analysis::network_totals;
 
     #[test]
     fn canonical_feature_sizes() {
@@ -51,7 +51,7 @@ mod tests {
     #[test]
     fn total_multiplications_scale() {
         // ≈1.1–1.3 G multiplies under the paper convention.
-        let totals = network_totals(&alexnet(), FcCountConvention::Paper);
+        let totals = network_totals(&alexnet());
         assert!(
             (1.0e9..1.4e9).contains(&(totals.mul as f64)),
             "total mul = {}",

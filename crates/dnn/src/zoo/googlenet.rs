@@ -121,7 +121,7 @@ pub fn googlenet() -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{network_totals, FcCountConvention};
+    use crate::analysis::network_totals;
 
     #[test]
     fn layer_census() {
@@ -141,7 +141,7 @@ mod tests {
     fn total_mul_matches_table_ii_scale() {
         // Table II: GoogLeNet EE multiplies cost 1578 mJ at ~1 nJ/mul
         // ⇒ ≈1.58 G multiplies.
-        let totals = network_totals(&googlenet(), FcCountConvention::Paper);
+        let totals = network_totals(&googlenet());
         #[allow(clippy::cast_precision_loss)]
         let g = totals.mul as f64 / 1e9;
         assert!((1.4..1.75).contains(&g), "total mul = {g} G");

@@ -25,7 +25,7 @@ pub fn lenet() -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{network_totals, FcCountConvention};
+    use crate::analysis::network_totals;
 
     #[test]
     fn canonical_feature_sizes() {
@@ -39,7 +39,7 @@ mod tests {
 
     #[test]
     fn is_tiny() {
-        let totals = network_totals(&lenet(), FcCountConvention::Paper);
+        let totals = network_totals(&lenet());
         assert!(totals.mul < 2_000_000, "total mul = {}", totals.mul);
         assert!(totals.mul > 100_000);
     }

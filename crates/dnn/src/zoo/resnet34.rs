@@ -74,7 +74,7 @@ pub fn resnet34() -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{network_totals, FcCountConvention};
+    use crate::analysis::network_totals;
 
     #[test]
     fn layer_census() {
@@ -114,7 +114,7 @@ mod tests {
     fn total_mul_matches_table_ii_scale() {
         // Table II: ResNet-34 EE multiplies cost 3634 mJ at the implied
         // ~1 nJ/mul ⇒ ≈3.6 G multiplies.
-        let totals = network_totals(&resnet34(), FcCountConvention::Paper);
+        let totals = network_totals(&resnet34());
         #[allow(clippy::cast_precision_loss)]
         let g = totals.mul as f64 / 1e9;
         assert!((3.3..3.95).contains(&g), "total mul = {g} G");

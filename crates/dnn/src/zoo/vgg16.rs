@@ -35,7 +35,7 @@ pub fn vgg16() -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{analyze_network, FcCountConvention};
+    use crate::analysis::analyze_network;
 
     /// Table I oracle: (name, MVM, Mul, Add, Act) in raw operation counts,
     /// checked against the paper's values in millions.
@@ -68,7 +68,7 @@ mod tests {
 
     #[test]
     fn reproduces_table_i() {
-        let counts = analyze_network(&vgg16(), FcCountConvention::Paper);
+        let counts = analyze_network(&vgg16());
         assert_eq!(counts.len(), TABLE_I_MILLIONS.len());
         for (c, &(name, mvm, mul, add, act)) in counts.iter().zip(TABLE_I_MILLIONS) {
             assert_eq!(c.name, name);
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn conv1_exact_values() {
-        let counts = analyze_network(&vgg16(), FcCountConvention::Paper);
+        let counts = analyze_network(&vgg16());
         assert_eq!(counts[0].mvm, 9_633_792);
         assert_eq!(counts[0].mul, 86_704_128);
     }

@@ -31,7 +31,7 @@ pub fn zfnet() -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{analyze_network, network_totals, FcCountConvention};
+    use crate::analysis::{analyze_network, network_totals};
 
     #[test]
     fn canonical_feature_sizes() {
@@ -47,7 +47,7 @@ mod tests {
     fn total_mul_matches_table_ii_scale() {
         // Table II charges ZFNet's EE multiplies 1225 mJ; with the implied
         // ~1 nJ/mul that is ≈1.2 G multiplies.
-        let totals = network_totals(&zfnet(), FcCountConvention::Paper);
+        let totals = network_totals(&zfnet());
         #[allow(clippy::cast_precision_loss)]
         let g = totals.mul as f64 / 1e9;
         assert!((1.0..1.45).contains(&g), "total mul = {g} G");
@@ -56,7 +56,7 @@ mod tests {
     #[test]
     fn conv2_dominates_convs() {
         // Fig. 9 singles out Conv2 as the heavyweight layer.
-        let counts = analyze_network(&zfnet(), FcCountConvention::Paper);
+        let counts = analyze_network(&zfnet());
         let conv2 = counts.iter().find(|c| c.name == "Conv2").unwrap();
         for c in counts.iter().filter(|c| c.name != "Conv2") {
             assert!(

@@ -5,7 +5,7 @@ use pixel::core::config::{AcceleratorConfig, Design};
 use pixel::core::energy::OperationEnergies;
 use pixel::core::latency::cycles_per_firing;
 use pixel::core::mapping::LayerMapping;
-use pixel::dnn::analysis::{analyze_layer, FcCountConvention};
+use pixel::dnn::analysis::analyze_layer;
 use pixel::dnn::layer::{Layer, Shape};
 use pixel::units::rng::SplitMix64;
 
@@ -86,7 +86,7 @@ fn mapping_covers_work() {
         let config = AcceleratorConfig::new(Design::Oe, lanes, 8).with_tiles(tiles);
         let map = LayerMapping::for_layer(&config, &layer);
 
-        let counts = analyze_layer(&layer, FcCountConvention::Paper);
+        let counts = analyze_layer(&layer);
         assert_eq!(map.total_macs(), counts.mul, "macs = N_mul");
         assert!(map.chunks_per_window * map.lanes >= map.macs_per_window);
         assert!((map.chunks_per_window - 1) * map.lanes < map.macs_per_window);
@@ -108,7 +108,7 @@ fn analysis_identities() {
         let m = rng.range_usize(1, 64);
         let u = rng.range_usize(1, 2);
         let layer = Layer::conv("c", Shape::square(h, c), m, r, u);
-        let counts = analyze_layer(&layer, FcCountConvention::Paper);
+        let counts = analyze_layer(&layer);
         assert_eq!(counts.add, counts.mul + counts.act);
         assert_eq!(counts.mul, (r * r) as u64 * counts.mvm);
         let e = layer.output_feature_size() as u64;
